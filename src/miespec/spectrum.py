@@ -92,37 +92,38 @@ def binding_rate(params: PotentialParams) -> float:
     return -2.0 * params.mass * params.B / params.hbar**2
 
 
-def decay_rate(params: PotentialParams, q: QuantumNumbers) -> float:
-    """Inverse decay length eps = beta / (2n + 2k + 3 - N)."""
-    beta = binding_rate(params)
-    if beta <= 0.0:
-        raise NoBoundStatesError(
-            f"B = {params.B:.6g} is not attractive; no bound spectrum")
-    k = indicial_root(params, q.ell, q.dim)
-    return beta / (2.0 * q.n + 2.0 * k + 3.0 - q.dim)
+def _closed_form(params: PotentialParams, q: QuantumNumbers):
+    """(beta, k, eps, energy) of one level, binding gate applied.
 
-
-def energy(params: PotentialParams, q: QuantumNumbers) -> float:
-    """Bound-state energy E = C - (m / 2 hbar^2) (B / (n + k + (3-N)/2))^2."""
-    if binding_rate(params) <= 0.0:
-        raise NoBoundStatesError(
-            f"B = {params.B:.6g} is not attractive; no bound spectrum")
-    k = indicial_root(params, q.ell, q.dim)
-    denom = q.n + k + 0.5 * (3.0 - q.dim)
-    return params.C - 0.5 * params.mass / params.hbar**2 * (params.B / denom) ** 2
-
-
-def bound_state(params: PotentialParams, q: QuantumNumbers) -> BoundState:
-    """Assemble the full derived tuple for one level, gates applied."""
+    Kept apart from bound_state so that energy and decay_rate do not compute
+    zeta, whose exponential overflows for large m/hbar^2 and ell long before
+    the energy does.
+    """
     beta = binding_rate(params)
     if beta <= 0.0:
         raise NoBoundStatesError(
             f"B = {params.B:.6g} is not attractive; no bound spectrum")
     k = indicial_root(params, q.ell, q.dim)
     eps = beta / (2.0 * q.n + 2.0 * k + 3.0 - q.dim)
+    e = params.C - params.hbar**2 * eps**2 / (2.0 * params.mass)
+    return beta, k, eps, e
+
+
+def decay_rate(params: PotentialParams, q: QuantumNumbers) -> float:
+    """Inverse decay length eps = beta / (2n + 2k + 3 - N)."""
+    return _closed_form(params, q)[2]
+
+
+def energy(params: PotentialParams, q: QuantumNumbers) -> float:
+    """Bound-state energy E = C - (m / 2 hbar^2) (B / (n + k + (3-N)/2))^2."""
+    return _closed_form(params, q)[3]
+
+
+def bound_state(params: PotentialParams, q: QuantumNumbers) -> BoundState:
+    """Assemble the full derived tuple for one level, gates applied."""
+    beta, k, eps, e = _closed_form(params, q)
     alpha = 2.0 * k + 2.0 - q.dim
     zeta = radial_norm_constant(2.0 * eps, q.n, alpha)
-    e = params.C - params.hbar**2 * eps**2 / (2.0 * params.mass)
     return BoundState(params=params, q=q, k=k, beta=beta, eps=eps,
                       energy=e, alpha=alpha, zeta=zeta)
 

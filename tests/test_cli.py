@@ -2,6 +2,8 @@
 
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -234,3 +236,20 @@ class TestConfigHandling:
         assert main(["spectrum", "--preset", "coulomb", "--B", "-1",
                      "--n-max", "0", "--ell-max", "0"]) == 0
         assert (tmp_path / "spectrum.csv").exists()
+
+
+def test_library_calls_leave_scipy_linalg_unimported():
+    # importing scipy.linalg would add about 26 MiB of resident memory and
+    # 0.3 s of start-up to every command
+    code = """
+import sys
+import miespec.cli
+from miespec import (QuantumNumbers, bound_state, coulomb, norm_check,
+                     solve_bound_states)
+solve_bound_states(coulomb(-1.0), 0, 3)
+norm_check(bound_state(coulomb(-1.0), QuantumNumbers(2, 0, 3)))
+print("scipy.linalg" in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"

@@ -1,23 +1,17 @@
-"""Backend selection and compiled/pure kernel agreement."""
+"""Sturm-bisection kernel of the oracle: eigenvalues and counts."""
 
 import numpy as np
 import pytest
 
-from miespec._kernels import BACKEND, available_backends, bisect_lowest, sturm_count
+from miespec.oracle import Tridiagonal, count_below, eigen_lowest
 
 
 def random_tridiagonal(rng, m):
     return (rng.normal(size=m), rng.normal(size=max(m - 1, 0)))
 
 
-def test_backend_identifier():
-    assert BACKEND in ("compiled", "python")
-    assert "python" in available_backends()
-
-
 def test_backends_agree_with_dense_solver():
     rng = np.random.default_rng(11)
-    backends = available_backends()
     for m in (1, 2, 5, 40, 300):
         d, e = random_tridiagonal(rng, m)
         dense = np.zeros((m, m))
@@ -26,57 +20,36 @@ def test_backends_agree_with_dense_solver():
             dense[np.arange(m - 1), np.arange(1, m)] = e
             dense[np.arange(1, m), np.arange(m - 1)] = e
         want = np.sort(np.linalg.eigvalsh(dense))
-        for mod in backends.values():
-            got = mod.bisect_lowest(np.ascontiguousarray(d),
-                                    np.ascontiguousarray(e), m, 1e-12)
-            assert got == pytest.approx(want, abs=1e-9)
-
-
-def test_compiled_and_pure_agree_pairwise():
-    backends = available_backends()
-    if len(backends) < 2:
-        pytest.skip("only one backend importable in this environment")
-    rng = np.random.default_rng(23)
-    for m in (3, 17, 128):
-        d, e = random_tridiagonal(rng, m)
-        results = [mod.bisect_lowest(np.ascontiguousarray(d),
-                                     np.ascontiguousarray(e), min(m, 5), 1e-12)
-                   for mod in backends.values()]
-        assert results[0] == pytest.approx(results[1], abs=1e-11)
-        shift = float(np.median(d))
-        counts = {name: mod.sturm_count(np.ascontiguousarray(d),
-                                        np.ascontiguousarray(e), shift)
-                  for name, mod in backends.items()}
-        assert len(set(counts.values())) == 1
+        got = eigen_lowest(Tridiagonal(d, e), m, 1e-12)
+        assert got == pytest.approx(want, abs=1e-9)
 
 
 def test_sturm_count_brackets_eigenvalues():
     rng = np.random.default_rng(3)
     d, e = random_tridiagonal(rng, 30)
+    tri = Tridiagonal(d, e)
     dense = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
     eigs = np.sort(np.linalg.eigvalsh(dense))
     for j in (0, 10, 29):
         below = 0.5 * (eigs[j - 1] + eigs[j]) if j > 0 else eigs[0] - 1.0
         above = 0.5 * (eigs[j] + eigs[j + 1]) if j < 29 else eigs[-1] + 1.0
-        assert sturm_count(d, e, below) == j
-        assert sturm_count(d, e, above) == j + 1
+        assert count_below(tri, below) == j
+        assert count_below(tri, above) == j + 1
 
 
 def test_zero_offdiagonal_pivot_path():
-    d = np.array([1.0, 1.0])
-    e = np.array([0.0])
-    assert sturm_count(d, e, 0.999999) == 0
-    assert sturm_count(d, e, 1.000001) == 2
-    sturm_count(d, e, 1.0)  # exact tie must not divide by zero
+    tri = Tridiagonal(np.array([1.0, 1.0]), np.array([0.0]))
+    assert count_below(tri, 0.999999) == 0
+    assert count_below(tri, 1.000001) == 2
+    count_below(tri, 1.0)  # exact tie must not divide by zero
 
-    got = bisect_lowest(d, e, 2, 1e-13)
+    got = eigen_lowest(tri, 2, 1e-13)
     assert got == pytest.approx([1.0, 1.0], abs=1e-12)
 
 
 def test_count_bounds_validation():
-    d = np.array([1.0, 2.0])
-    e = np.array([0.3])
+    tri = Tridiagonal(np.array([1.0, 2.0]), np.array([0.3]))
     with pytest.raises(ValueError):
-        bisect_lowest(d, e, 0, 1e-10)
+        eigen_lowest(tri, 0, 1e-10)
     with pytest.raises(ValueError):
-        bisect_lowest(d, e, 3, 1e-10)
+        eigen_lowest(tri, 3, 1e-10)

@@ -135,6 +135,14 @@ class TestEnergy:
             want = -mass * B * B / (2.0 * hbar**2 * (n + ell + 1.0) ** 2)
             assert got == pytest.approx(want, rel=1e-12)
 
+    def test_finite_where_the_norm_constant_overflows(self):
+        # zeta = e^{~2600} here; energy and decay_rate must not need it
+        params = coulomb(-1.0, mass=1e12)
+        q = QuantumNumbers(0, 200, 3)
+        assert energy(params, q) == pytest.approx(-1e12 / (2.0 * 201.0**2),
+                                                  rel=1e-12)
+        assert decay_rate(params, q) == pytest.approx(2e12 / 402.0, rel=1e-12)
+
 
 class TestInterdimensionalDegeneracy:
     @pytest.mark.parametrize("dim", [4, 5, 6, 8, 12])

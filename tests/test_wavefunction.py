@@ -86,6 +86,17 @@ class TestNormCheck:
             state = make_state(params, n, 0, dim)
             assert norm_check(state) == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_unit_norm_and_adjacent_orthogonality_to_n20(self, hydrogen,
+                                                          kratzer, dim):
+        # the Kummer series loses ~1e-7 of the norm to cancellation by n = 20
+        for params in (hydrogen, kratzer):
+            for ell in range(3):
+                states = [make_state(params, n, ell, dim) for n in range(22)]
+                for a, b in zip(states, states[1:]):
+                    assert norm_check(a) == pytest.approx(1.0, abs=1e-10)
+                    assert overlap(a, b, "r") == pytest.approx(0.0, abs=1e-10)
+
     def test_doubled_constant_scales_quadratically(self, hydrogen):
         state = make_state(hydrogen, 0, 0, 3)
         tampered = dataclasses.replace(state, zeta=2.0 * state.zeta)
