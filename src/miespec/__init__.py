@@ -32,6 +32,6 @@ from .wavefunction import (RadialGrid, SampledFunction, eval_radial,
 
 __version__ = "0.1.0"
 
-# Deprecated: there is one eigen kernel, the pure-Python Sturm bisection in
+# Deprecated: there is one eigen kernel, the pure-Python Sturm kernel in
 # ``oracle``.  Kept as a constant so that code reading it keeps working.
 KERNEL_BACKEND = "python"

@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import ladder, oracle, potentials, spectrum, wavefunction
 from .errors import (FallToCenterError, NoBoundStatesError,
@@ -391,10 +390,15 @@ def _verify_channel(potential, label, ell, dim, n_max, refine, fast, tol_scale):
     if fast:
         entry.update(order=None, order_status="skipped", order_ok=True)
     else:
+        # the h grid is the one solve_bound_states just solved; only the
+        # 4h and 2h grids of the order fit are new
         h = grid.spacing
-        study = oracle.convergence_study(
-            potential, ell, dim, level=0, exact_energy=exact[0],
-            r_domain=grid.r_max + 0.5 * h, h_sequence=[4.0 * h, 2.0 * h, h])
+        r_domain = grid.r_max + 0.5 * h
+        values = [oracle._level_on_grid(potential, ell, dim, 0, r_domain, s)
+                  for s in (4.0 * h, 2.0 * h)]
+        values.append(float(fd[0]) if len(fd) else
+                      oracle._level_on_grid(potential, ell, dim, 0, r_domain, h))
+        study = oracle._order_fit([4.0 * h, 2.0 * h, h], values, 0, exact[0])
         entry.update(order=study["order"], order_status=study["status"])
         entry["order_ok"] = (study["status"] != "ok"
                              or abs(study["order"] - 2.0) <= 0.2)
@@ -441,11 +445,9 @@ def cmd_verify(args) -> int:
                 jobs.append((potential, label, ell, dim))
 
     try:
-        with ThreadPoolExecutor(max_workers=min(8, os.cpu_count() or 1)) as pool:
-            futures = [pool.submit(_verify_channel, pot, label, ell, dim,
-                                   int(q["n_max"]), refine, args.fast, tol_scale)
-                       for pot, label, ell, dim in jobs]
-            channels = [f.result() for f in futures]
+        channels = [_verify_channel(pot, label, ell, dim, int(q["n_max"]),
+                                    refine, args.fast, tol_scale)
+                    for pot, label, ell, dim in jobs]
     except (FallToCenterError, NotNormalizableError, NoBoundStatesError) as exc:
         print(f"invalid channel: {exc}", file=sys.stderr)
         return 3

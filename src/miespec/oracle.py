@@ -1,11 +1,12 @@
 """Independent finite-difference verification of the closed-form spectrum.
 
 The radial problem is discretized on a uniform grid and reduced to a real
-symmetric tridiagonal eigenproblem, solved by Sturm-sequence bisection
-(guaranteed brackets and exact eigenvalue counts).  The bisection kernel is
-plain Python rather than LAPACK's ``dstebz``: importing ``scipy.linalg``
-would add about 26 MiB of resident memory and 0.3 s of start-up to
-every command.
+symmetric tridiagonal eigenproblem, solved within Sturm-proven brackets with
+Newton-placed probes: every bracket end carries an exact eigenvalue count,
+and Newton's method on det(T - x) only chooses where the next count is
+taken.  The kernel is plain Python rather than LAPACK's ``dstebz``:
+importing ``scipy.linalg`` would add about 26 MiB of resident memory and
+0.3 s of start-up to every command.
 
 Two discretizations are available:
 
@@ -180,8 +181,10 @@ def default_grid(potential, ell: int, dim: int, n_max: int = 3,
     return cell_grid(r_domain, count)
 
 
-# -- Sturm-sequence bisection ------------------------------------------------
-# Plain Python lists in the hot loop beat per-element numpy indexing.
+# -- Sturm-count brackets with Newton-placed probes ---------------------------
+# Plain Python lists in the hot loop beat per-element numpy indexing.  A pivot
+# smaller than pivmin in magnitude is replaced by -pivmin, so an exact tie
+# counts as negative and never divides by zero.
 
 _TINY = 2.2250738585072014e-308
 _EPS = 2.220446049250313e-16
@@ -195,19 +198,46 @@ def _prepare(diag, offdiag):
 
 
 def _negcount(d, esq, shift, pivmin):
-    cnt = 0
+    """Number of negative LDL^T pivots of T - shift: eigenvalues below it."""
     q = d[0] - shift
-    if abs(q) < pivmin:
-        q = -pivmin
-    if q < 0.0:
-        cnt += 1
-    for i in range(1, len(d)):
-        q = d[i] - shift - esq[i - 1] / q
-        if abs(q) < pivmin:
+    cnt = 0
+    if q < pivmin:
+        cnt = 1
+        if q > -pivmin:
             q = -pivmin
-        if q < 0.0:
+    for di, ei in zip(d[1:], esq):
+        q = di - shift - ei / q
+        if q < pivmin:
             cnt += 1
+            if q > -pivmin:
+                q = -pivmin
     return cnt
+
+
+def _negcount_slope(d, esq, shift, pivmin):
+    """(_negcount, d/dx log|det(T - x)| at x = shift) from one sweep.
+
+    The log-derivative is sum q_i'/q_i over the pivots, with
+    q_i' = -1 + e_{i-1}^2 q_{i-1}' / q_{i-1}^2 carried as r = q'/q.
+    """
+    q = d[0] - shift
+    cnt = 0
+    if q < pivmin:
+        cnt = 1
+        if q > -pivmin:
+            q = -pivmin
+    r = -1.0 / q
+    slope = r
+    for di, ei in zip(d[1:], esq):
+        t = ei / q
+        q = di - shift - t
+        if q < pivmin:
+            cnt += 1
+            if q > -pivmin:
+                q = -pivmin
+        r = (t * r - 1.0) / q
+        slope += r
+    return cnt, slope
 
 
 def _sturm_count(diag, offdiag, shift):
@@ -216,12 +246,32 @@ def _sturm_count(diag, offdiag, shift):
     return _negcount(d, esq, float(shift), pivmin)
 
 
-def _bisect_lowest(diag, offdiag, count, tol, max_iter=160):
-    """The ``count`` smallest eigenvalues, each bisected to width ``tol``."""
+def _converged(lo, hi, tol):
+    # the eps and _TINY terms stop at float resolution: above them the
+    # midpoint lies strictly inside the bracket, so every probe shrinks it
+    return hi - lo <= tol + 2.0 * _EPS * (abs(lo) + abs(hi)) + _TINY
+
+
+def _bisect_lowest(diag, offdiag, count, tol):
+    """The ``count`` smallest eigenvalues, each the midpoint of a bracket of
+    width ``tol`` whose two ends carry real Sturm counts.
+
+    Brackets start from the Gershgorin bounds.  Every count at x tightens
+    the bracket of every requested level, as in LAPACK's dstebz.  Once level
+    j is isolated (its ends count j and j + 1 eigenvalues below them), the
+    sweep also returns d/dx log det(T - x) and Newton's step on det(T - x)
+    chooses where the next count goes; only counts move bracket ends.  The
+    midpoint is probed instead when the step is not finite or leaves the
+    bracket, and right after a Newton probe that failed to halve it, so
+    every two probes at least halve the bracket.  A Newton step shorter than
+    tol/2 is closed, once per level, by counts at x +- tol/2.
+    """
     d, esq, pivmin = _prepare(diag, offdiag)
     m = len(d)
     if not 1 <= count <= m:
         raise ValueError("count must be in [1, matrix dimension]")
+    if not tol >= 0.0:
+        raise ValueError("tolerance must be non-negative")
 
     off = np.asarray(offdiag, dtype=float).tolist()
     glo = ghi = d[0]
@@ -229,29 +279,62 @@ def _bisect_lowest(diag, offdiag, count, tol, max_iter=160):
         rad = (abs(off[i - 1]) if i > 0 else 0.0) + (abs(off[i]) if i < m - 1 else 0.0)
         glo = min(glo, d[i] - rad)
         ghi = max(ghi, d[i] + rad)
+    if not math.isfinite(ghi - glo):
+        raise ValueError("Gershgorin interval overflows the float range")
+
+    lo, hi = [glo] * count, [ghi] * count
+    nlo, nhi = [0] * count, [m] * count  # Sturm counts at lo and hi
+
+    def probe(x, slope=False):
+        if slope:
+            c, s = _negcount_slope(d, esq, x, pivmin)
+        else:
+            c, s = _negcount(d, esq, x, pivmin), None
+        for k in range(min(c, count)):
+            if x < hi[k]:
+                hi[k], nhi[k] = x, c
+        for k in range(c, count):
+            if x > lo[k]:
+                lo[k], nlo[k] = x, c
+        return s
 
     out = np.empty(count)
-    lo = glo
     for j in range(count):
-        hi = ghi
-        for _ in range(max_iter):
-            width = hi - lo
-            if width <= tol + 2.0 * _EPS * (abs(lo) + abs(hi)):
-                break
-            mid = lo + 0.5 * width
-            if _negcount(d, esq, mid, pivmin) >= j + 1:
-                hi = mid
-            else:
-                lo = mid
-        out[j] = 0.5 * (lo + hi)
+        x = None          # Newton's choice for the next probe
+        bisect = False    # the last Newton probe failed to halve the bracket
+        closed = False    # the x +- tol/2 counts were taken for this level
+        while not _converged(lo[j], hi[j], tol):
+            a, b = lo[j], hi[j]
+            if bisect or nlo[j] != j or nhi[j] != j + 1:
+                probe(a + 0.5 * (b - a))
+                bisect = False
+                continue
+            newton = x is not None and a < x < b
+            if not newton:
+                x = a + 0.5 * (b - a)
+            s = probe(x, slope=True)
+            bisect = newton and hi[j] - lo[j] > 0.5 * (b - a)
+            step = -1.0 / s if s else math.nan
+            x = x + step
+            if not math.isfinite(x):
+                x = None
+                continue
+            half = 0.5 * tol + _EPS * abs(x)  # tol/2, but at least one ulp
+            if abs(step) <= half and not closed:
+                closed = True
+                for y in (x - half, x + half):
+                    if lo[j] < y < hi[j]:
+                        probe(y)
+        out[j] = 0.5 * (lo[j] + hi[j])
     return out
 
 
 def eigen_lowest(tri: Tridiagonal, count: int, tol: float = 1e-11) -> np.ndarray:
-    """The ``count`` smallest eigenvalues by Sturm bisection.
+    """The ``count`` smallest eigenvalues, each within a Sturm-proven
+    bracket of width ``tol``.
 
-    Brackets start from the Gershgorin bounds; raises ValueError unless
-    1 <= count <= tri.size.
+    Raises ValueError unless 1 <= count <= tri.size and tol >= 0, or when
+    the entries are so large that the Gershgorin interval overflows.
     """
     return _bisect_lowest(tri.diag, tri.offdiag, count, tol)
 
@@ -296,15 +379,27 @@ def convergence_study(potential, ell: int, dim: int, level: int,
         if abs(a / b - 2.0) > 1e-3:
             raise ValueError("each spacing must halve the previous one")
 
-    errors = []
-    for h in h_sequence:
-        grid = cell_grid(r_domain, int(round(r_domain / h)))
-        config = OracleConfig(grid=grid, count=level + 1, tol=tol, scheme=scheme)
-        tri = _BUILDERS[scheme](config, potential, ell, dim)
-        value = eigen_lowest(tri, level + 1, tol)[level]
-        errors.append(abs(value - exact_energy))
+    values = [_level_on_grid(potential, ell, dim, level, r_domain, h,
+                             scheme, tol) for h in h_sequence]
+    return _order_fit(h_sequence, values, level, exact_energy)
 
-    report = {"spacings": h_sequence, "errors": errors, "level": level,
+
+def _level_on_grid(potential, ell: int, dim: int, level: int, r_domain: float,
+                   h: float, scheme: str = "radial",
+                   tol: float = 1e-11) -> float:
+    """Eigenvalue ``level`` on the cell grid of spacing ``h`` over
+    [0, r_domain]."""
+    grid = cell_grid(r_domain, int(round(r_domain / h)))
+    config = OracleConfig(grid=grid, count=level + 1, tol=tol, scheme=scheme)
+    tri = _BUILDERS[scheme](config, potential, ell, dim)
+    return float(eigen_lowest(tri, level + 1, tol)[level])
+
+
+def _order_fit(spacings: list, values: list, level: int,
+               exact_energy: float) -> dict:
+    """convergence_study's report from one eigenvalue per spacing."""
+    errors = [abs(value - exact_energy) for value in values]
+    report = {"spacings": spacings, "errors": errors, "level": level,
               "order": None, "status": "inconclusive", "reason": ""}
     floor = 1e-9 * max(1.0, abs(exact_energy))
     if min(errors) <= floor:

@@ -95,9 +95,9 @@ def binding_rate(params: PotentialParams) -> float:
 def _closed_form(params: PotentialParams, q: QuantumNumbers):
     """(beta, k, eps, energy) of one level, binding gate applied.
 
-    Kept apart from bound_state so that energy and decay_rate do not compute
-    zeta, whose exponential overflows for large m/hbar^2 and ell long before
-    the energy does.
+    Kept apart from bound_state so that energy, decay_rate and
+    spectrum_table do not compute zeta, whose exponential overflows for
+    large m/hbar^2 and ell long before the energy does.
     """
     beta = binding_rate(params)
     if beta <= 0.0:
@@ -157,13 +157,13 @@ def spectrum_table(params: PotentialParams, n_max: int, ell_max: int,
         for n in range(n_max + 1):
             q = QuantumNumbers(n=n, ell=ell, dim=dim)
             try:
-                state = bound_state(params, q)
+                _, k, eps, e = _closed_form(params, q)
             except (FallToCenterError, NotNormalizableError,
                     NoBoundStatesError) as exc:
                 rows.append(SpectrumRow(q=q, k=None, eps=None, energy=None,
                                         status=_STATUS[type(exc)],
                                         detail=str(exc)))
             else:
-                rows.append(SpectrumRow(q=q, k=state.k, eps=state.eps,
-                                        energy=state.energy, status="ok"))
+                rows.append(SpectrumRow(q=q, k=k, eps=eps, energy=e,
+                                        status="ok"))
     return rows

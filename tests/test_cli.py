@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from miespec import oracle, potentials
 from miespec.cli import main
 
 
@@ -253,3 +254,40 @@ print("scipy.linalg" in sys.modules)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+def test_spectrum_rows_where_the_norm_constant_overflows(tmp_path):
+    # ln zeta is about 2600 at ell = 200: the table must not compute it
+    assert run(tmp_path, "spectrum", "--preset", "coulomb", "--B", "-1",
+               "--mass", "1e12", "--n-max", "0", "--ell-max", "200",
+               "--dims", "3") == 0
+    _, rows = read_csv(tmp_path / "spectrum.csv")
+    assert len(rows) == 201
+    assert all(r["status"] == "ok" for r in rows)
+    assert all(math.isfinite(float(r["energy"])) for r in rows)
+
+
+@pytest.mark.parametrize("fast", [False, True], ids=["order-fit", "fast"])
+def test_verify_solves_each_grid_once(tmp_path, monkeypatch, fast):
+    rows = []
+    solve = oracle.eigen_lowest
+
+    def counted(tri, *args, **kwargs):
+        rows.append(tri.size)
+        return solve(tri, *args, **kwargs)
+    monkeypatch.setattr(oracle, "eigen_lowest", counted)
+
+    assert run(tmp_path, "verify", "--preset", "kratzer-fues", "--d0", "5",
+               "--r0", "1", "--dims", "3", "--n-max", "1", "--ell-max", "1",
+               *(["--fast"] if fast else [])) == 0
+    kratzer = potentials.kratzer_fues(5.0, 1.0)
+    sizes = [oracle.default_grid(kratzer, ell, 3, n_max=1).count
+             for ell in (0, 1)]
+    per_channel = 1 if fast else 3
+    assert len(rows) == per_channel * len(sizes)
+    for i, m in enumerate(sizes):
+        channel = rows[per_channel * i:per_channel * (i + 1)]
+        assert channel[0] == m
+        if not fast:
+            assert abs(channel[1] - m / 4) <= 1
+            assert abs(channel[2] - m / 2) <= 1

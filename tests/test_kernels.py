@@ -1,9 +1,12 @@
-"""Sturm-bisection kernel of the oracle: eigenvalues and counts."""
+"""Sturm kernel of the oracle: eigenvalues, counts and sweep budget."""
 
 import numpy as np
 import pytest
 
-from miespec.oracle import Tridiagonal, count_below, eigen_lowest
+from miespec import oracle
+from miespec.oracle import (OracleConfig, Tridiagonal, build_tridiagonal_radial,
+                            count_below, default_grid, eigen_lowest)
+from miespec.potentials import coulomb
 
 
 def random_tridiagonal(rng, m):
@@ -53,3 +56,111 @@ def test_count_bounds_validation():
         eigen_lowest(tri, 0, 1e-10)
     with pytest.raises(ValueError):
         eigen_lowest(tri, 3, 1e-10)
+
+
+# -- bracket proofs, agreement with plain bisection, sweep counts -------------
+
+EPS = 2.220446049250313e-16
+
+
+def reference_bisection(tri, count, tol):
+    """Plain bisection from the Gershgorin bounds, one level at a time:
+    (eigenvalues, Sturm sweeps taken)."""
+    e = np.abs(tri.offdiag)
+    rad = np.concatenate(([0.0], e)) + np.concatenate((e, [0.0]))
+    lo, ghi = float(np.min(tri.diag - rad)), float(np.max(tri.diag + rad))
+    values, sweeps = [], 0
+    for j in range(count):
+        hi = ghi
+        while hi - lo > tol + 2.0 * EPS * (abs(lo) + abs(hi)):
+            mid = lo + 0.5 * (hi - lo)
+            sweeps += 1
+            if count_below(tri, mid) >= j + 1:
+                hi = mid
+            else:
+                lo = mid
+        values.append(0.5 * (lo + hi))
+    return np.array(values), sweeps
+
+
+def counted_eigen_lowest(monkeypatch, tri, count, tol):
+    """eigen_lowest with the Sturm sweeps it makes counted."""
+    sweeps = []
+    with monkeypatch.context() as patch:
+        for name in ("_negcount", "_negcount_slope"):
+            fn = getattr(oracle, name)
+
+            def counted(*args, _fn=fn):
+                sweeps.append(1)
+                return _fn(*args)
+            patch.setattr(oracle, name, counted)
+        values = eigen_lowest(tri, count, tol)
+    return values, len(sweeps)
+
+
+def wilkinson_w21():
+    return Tridiagonal(np.abs(np.arange(21) - 10.0), np.ones(20))
+
+
+def _solver_cases():
+    rng = np.random.default_rng(2024)
+    for m in (1, 2, 7, 60, 200):
+        d, e = random_tridiagonal(rng, m)
+        yield f"random-{m}", Tridiagonal(d, e)
+    for m in (5, 40, 120):
+        sign = rng.choice([-1.0, 1.0], size=m)
+        d = sign * 10.0 ** rng.uniform(-6, 6, size=m)
+        e = 10.0 ** rng.uniform(-6, 6, size=m - 1)
+        yield f"graded-{m}", Tridiagonal(d, e)
+        yield f"graded-sorted-{m}", Tridiagonal(np.sort(np.abs(d)), np.sort(e))
+    for m in (6, 50, 150):
+        d = rng.integers(0, 3, size=m).astype(float)
+        e = rng.choice([0.0, 1e-9, 0.5], size=m - 1, p=[0.4, 0.4, 0.2])
+        yield f"ties-{m}", Tridiagonal(d, e)
+    yield "wilkinson-21", wilkinson_w21()
+
+
+SOLVER_CASES = dict(_solver_cases())
+
+
+def tolerance_for(tri):
+    scale = max(1.0, float(np.max(np.abs(tri.diag))),
+                float(np.max(np.abs(tri.offdiag), initial=0.0)))
+    return 1e-11 * scale
+
+
+@pytest.mark.parametrize("name", SOLVER_CASES)
+def test_solver_brackets_reference_and_sweep_bound(monkeypatch, name):
+    tri = SOLVER_CASES[name]
+    tol = tolerance_for(tri)
+    count = min(tri.size, 25)
+    got, sweeps = counted_eigen_lowest(monkeypatch, tri, count, tol)
+    want, ref_sweeps = reference_bisection(tri, count, tol)
+
+    for j, v in enumerate(got):
+        assert count_below(tri, v - tol) <= j
+        assert count_below(tri, v + tol) >= j + 1
+    assert np.all(np.abs(got - want) <= tol + 8.0 * EPS * np.abs(want))
+    assert sweeps <= 2 * ref_sweeps
+
+
+def test_solver_halves_the_sweeps_on_an_oracle_matrix(monkeypatch):
+    hydrogen = coulomb(-1.0)
+    config = OracleConfig(grid=default_grid(hydrogen, 1, 3), count=4)
+    tri = build_tridiagonal_radial(config, hydrogen, 1, 3)
+    got, sweeps = counted_eigen_lowest(monkeypatch, tri, 4, 1e-11)
+    want, ref_sweeps = reference_bisection(tri, 4, 1e-11)
+    assert got == pytest.approx(want, abs=1e-11)
+    assert sweeps <= ref_sweeps // 2
+
+
+def test_degenerate_tolerance_and_range_are_errors_not_hangs():
+    tri = Tridiagonal(np.array([1.0, 2.0]), np.array([0.3]))
+    for tol in (-1e-12, float("nan")):
+        with pytest.raises(ValueError):
+            eigen_lowest(tri, 1, tol)
+    exact = eigen_lowest(tri, 2, 0.0)  # tol 0: down to float resolution
+    want = np.linalg.eigvalsh(np.array([[1.0, 0.3], [0.3, 2.0]]))
+    assert exact == pytest.approx(want, rel=1e-15)
+    with pytest.raises(ValueError):
+        eigen_lowest(Tridiagonal(np.array([1e308, -1e308]), np.array([0.0])), 1)
