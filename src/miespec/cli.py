@@ -263,11 +263,7 @@ def cmd_wavefunction(args) -> int:
         raise ConfigError("grid r_min must be positive")
 
     q = spectrum.QuantumNumbers(n=args.n, ell=args.ell, dim=args.dim)
-    try:
-        state = spectrum.bound_state(potential, q)
-    except (FallToCenterError, NotNormalizableError, NoBoundStatesError) as exc:
-        print(f"invalid channel: {exc}", file=sys.stderr)
-        return 3
+    state = spectrum.bound_state(potential, q)
 
     points = int(cfg["grid"]["points"] or 2001)
     r_domain = cfg["grid"]["r_domain"]
@@ -280,7 +276,8 @@ def cmd_wavefunction(args) -> int:
               f"eps={_fmt(state.eps)} energy={_fmt(state.energy)}")
     lines = [header]
     if args.residual:
-        res = wavefunction.ode_residual(state, grid)
+        res = wavefunction.ode_residual_samples(values, grid, potential, args.ell,
+                                                args.dim, state.energy)
         pad = (grid.count - res.grid.count) // 2
         lines.append("r,R,residual")
         residual_col = [""] * pad + [_fmt(v) for v in res.values] + [""] * pad
@@ -337,15 +334,9 @@ def cmd_ladder_check(args) -> int:
     q = cfg["quantum"]
     dims = q["dims"] if q["dims"] is not None else [3]
     y_points = int(cfg["grid"]["y_points"])
-    channels = []
-    try:
-        for dim in sorted(int(d) for d in dims):
-            for ell in range(int(q["ell_max"]) + 1):
-                channels.append(_ladder_channel(potential, ell, dim,
-                                                int(q["n_max"]), y_points))
-    except (FallToCenterError, NotNormalizableError, NoBoundStatesError) as exc:
-        print(f"invalid channel: {exc}", file=sys.stderr)
-        return 3
+    channels = [_ladder_channel(potential, ell, dim, int(q["n_max"]), y_points)
+                for dim in sorted(int(d) for d in dims)
+                for ell in range(int(q["ell_max"]) + 1)]
     payload = {"potential": label, "channels": channels,
                "passed": all(c["passed"] for c in channels)}
     path = _out_path(cfg, args, "ladder_check.json")
@@ -353,7 +344,7 @@ def cmd_ladder_check(args) -> int:
     return 0 if payload["passed"] else 3
 
 
-def _verify_channel(potential, label, ell, dim, n_max, refine, fast, tol_scale):
+def _verify_channel(potential, label, ell, dim, n_max, refine, fast):
     q_list = [spectrum.QuantumNumbers(n=n, ell=ell, dim=dim)
               for n in range(n_max + 1)]
     exact = [spectrum.energy(potential, q) for q in q_list]
@@ -368,7 +359,7 @@ def _verify_channel(potential, label, ell, dim, n_max, refine, fast, tol_scale):
     for i, e in enumerate(exact):
         if i < len(fd):
             delta = abs(float(fd[i]) - e)
-            tol = tol_scale * max(5e-5, 5e-5 * abs(e))
+            tol = max(5e-5, 5e-5 * abs(e))
             deltas.append(delta)
             tols.append(tol)
             ok = ok and delta <= tol
@@ -425,7 +416,6 @@ def cmd_verify(args) -> int:
     refine = float(cfg["grid"]["refine"])
     if args.coarse:
         refine /= float(args.coarse)
-    tol_scale = 1.0
 
     explicit_potential = bool(getattr(args, "config", None)) or any(
         getattr(args, f"pot_{name}", None) is not None
@@ -444,13 +434,9 @@ def cmd_verify(args) -> int:
             for ell in range(int(q["ell_max"]) + 1):
                 jobs.append((potential, label, ell, dim))
 
-    try:
-        channels = [_verify_channel(pot, label, ell, dim, int(q["n_max"]),
-                                    refine, args.fast, tol_scale)
-                    for pot, label, ell, dim in jobs]
-    except (FallToCenterError, NotNormalizableError, NoBoundStatesError) as exc:
-        print(f"invalid channel: {exc}", file=sys.stderr)
-        return 3
+    channels = [_verify_channel(pot, label, ell, dim, int(q["n_max"]),
+                                refine, args.fast)
+                for pot, label, ell, dim in jobs]
     channels.sort(key=lambda c: (c["potential"], c["dim"], c["ell"]))
 
     payload = {"channels": channels, "passed": all(c["passed"] for c in channels)}

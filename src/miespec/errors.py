@@ -7,7 +7,9 @@ class FallToCenterError(ValueError):
 
 
 class NotNormalizableError(ValueError):
-    """The indicial root fails the normalizability gate 2k + 3 - N > 0."""
+    """The state cannot be normalized: the indicial root fails the gate
+    2k + 3 - N > 0, or the normalization constant zeta exceeds the double
+    range."""
 
 
 class NoBoundStatesError(ValueError):

@@ -19,8 +19,9 @@ import numpy as np
 
 from .errors import GridResolutionError, LadderAlgebraError
 from .spectrum import BoundState, QuantumNumbers, bound_state
-from .specfun import laguerre
-from .wavefunction import RadialGrid, SampledFunction, eval_y_form, ln_eta
+from .specfun import laguerre_deriv
+from .wavefunction import (RadialGrid, SampledFunction, _ln_y_form,
+                           eval_y_form, ln_eta)
 
 _CONVENTIONS = ("paper", "y-orthonormal", "laguerre-orthonormal")
 
@@ -236,73 +237,67 @@ def _convention_rescale(c_paper: float, state: BoundState, other: BoundState) ->
     return out
 
 
-def _derivative_term(state: BoundState, y: np.ndarray) -> np.ndarray:
-    """eta y^{k+2-N} e^{-y/2} y dL/dy via the analytic Laguerre derivative."""
-    n, alpha = state.q.n, state.alpha
-    if n == 0:
-        return np.zeros_like(y)
-    p = state.k + 2.0 - state.q.dim
-    poly = np.asarray(laguerre(n - 1, alpha + 1.0, y))
-    with np.errstate(divide="ignore"):
-        ln_abs = (ln_eta(state, "paper") + p * np.log(y) - 0.5 * y
-                  + np.log(y) + np.log(np.abs(poly)))
-    return -np.sign(poly) * np.exp(ln_abs)
+def _ladder_image(values, y_dvalues, y, n: int, k: float, dim: int,
+                  step: int):
+    """(step y d/dy - y/2 + number term) on samples; step -1 lowers, +1 raises.
+
+    y_dvalues holds y dR/dy at the same nodes; n is the basis index read by
+    the number term (k + n + 2 - N lowering, n + k + 1 raising).
+    """
+    number = k + n + 2.0 - dim if step < 0 else n + k + 1.0
+    return step * y_dvalues - 0.5 * y * values + number * values
+
+
+def _apply_ladder(state: BoundState, grid_y: RadialGrid, step: int):
+    """Operator image of R_n(y) fitted against R_{n+step}(y).
+
+    y dR/dy is analytic (no finite differences): the y-form evaluator with
+    P = y dL_n^alpha/dy = -y L_{n-1}^{alpha+1}.
+    """
+    n, k, dim = state.q.n, state.k, state.q.dim
+    y = grid_y.nodes()
+    r_n = eval_y_form(state, y)
+    ln_abs, sign = _ln_y_form(state, y, ln_eta(state, "paper"),
+                              y * laguerre_deriv(n, state.alpha, y))
+    y_d = (k + 2.0 - dim) * r_n - 0.5 * y * r_n + sign * np.exp(ln_abs)
+    result = _ladder_image(r_n, y_d, y, n, k, dim, step)
+    sampled = SampledFunction(grid=grid_y, values=result)
+    if step < 0:
+        closed_form, weight = lowering_coefficient(n, k, dim), n + state.alpha
+    else:
+        closed_form, weight = raising_coefficient(n, k, dim), n + 1.0
+
+    if n + step < 0:
+        w = _half_weight(y, dim)
+        residual = float(np.max(np.abs(w * result)) / np.max(np.abs(w * r_n)))
+        fit = LadderFit(fitted=0.0, residual=residual, closed_form=closed_form,
+                        derived=0.0,
+                        by_convention={c: 0.0 for c in _CONVENTIONS})
+        return sampled, fit
+
+    target_state = _sibling(state, n + step)
+    target = eval_y_form(target_state, y)
+    c, residual = _fit_proportionality(y, result, target, dim)
+    derived = weight * math.exp(ln_eta(state, "paper")
+                                - ln_eta(target_state, "paper"))
+    fit = LadderFit(fitted=c, residual=residual, closed_form=closed_form,
+                    derived=derived,
+                    by_convention=_convention_rescale(c, state, target_state))
+    return sampled, fit
 
 
 def apply_lowering(state: BoundState, grid_y: RadialGrid):
     """(-y d/dy - y/2 + k + n + 2 - N) R_n(y), fitted against R_{n-1}(y).
 
-    The derivative is analytic (no finite differences).  For n = 0 the
-    result is the annihilation check: fitted constant 0 and the residual
-    measured against the state itself.
+    For n = 0 the result is the annihilation check: fitted constant 0 and
+    the residual measured against the state itself.
     """
-    n, k, dim = state.q.n, state.k, state.q.dim
-    y = grid_y.nodes()
-    r_n = eval_y_form(state, y)
-    y_d = (k + 2.0 - dim) * r_n - 0.5 * y * r_n + _derivative_term(state, y)
-    result = -y_d - 0.5 * y * r_n + (k + n + 2.0 - dim) * r_n
-    sampled = SampledFunction(grid=grid_y, values=result)
-
-    if n == 0:
-        w = _half_weight(y, dim)
-        residual = float(np.max(np.abs(w * result)) / np.max(np.abs(w * r_n)))
-        fit = LadderFit(fitted=0.0, residual=residual,
-                        closed_form=lowering_coefficient(0, k, dim),
-                        derived=0.0,
-                        by_convention={c: 0.0 for c in _CONVENTIONS})
-        return sampled, fit
-
-    target_state = _sibling(state, n - 1)
-    target = eval_y_form(target_state, y)
-    c, residual = _fit_proportionality(y, result, target, dim)
-    derived = (n + state.alpha) * math.exp(ln_eta(state, "paper")
-                                           - ln_eta(target_state, "paper"))
-    fit = LadderFit(fitted=c, residual=residual,
-                    closed_form=lowering_coefficient(n, k, dim),
-                    derived=derived,
-                    by_convention=_convention_rescale(c, state, target_state))
-    return sampled, fit
+    return _apply_ladder(state, grid_y, -1)
 
 
 def apply_raising(state: BoundState, grid_y: RadialGrid):
     """(y d/dy - y/2 + n + k + 1) R_n(y), fitted against R_{n+1}(y)."""
-    n, k, dim = state.q.n, state.k, state.q.dim
-    y = grid_y.nodes()
-    r_n = eval_y_form(state, y)
-    y_d = (k + 2.0 - dim) * r_n - 0.5 * y * r_n + _derivative_term(state, y)
-    result = y_d - 0.5 * y * r_n + (n + k + 1.0) * r_n
-    sampled = SampledFunction(grid=grid_y, values=result)
-
-    target_state = _sibling(state, n + 1)
-    target = eval_y_form(target_state, y)
-    c, residual = _fit_proportionality(y, result, target, dim)
-    derived = (n + 1.0) * math.exp(ln_eta(state, "paper")
-                                   - ln_eta(target_state, "paper"))
-    fit = LadderFit(fitted=c, residual=residual,
-                    closed_form=raising_coefficient(n, k, dim),
-                    derived=derived,
-                    by_convention=_convention_rescale(c, state, target_state))
-    return sampled, fit
+    return _apply_ladder(state, grid_y, +1)
 
 
 def apply_ladder_sampled(values, grid_y: RadialGrid, n_index: int, k: float,
@@ -312,6 +307,9 @@ def apply_ladder_sampled(values, grid_y: RadialGrid, n_index: int, k: float,
     ``n_index`` is the basis index read by the operator's number term.  Used
     for composition checks where the input is itself an operator image.
     """
+    steps = {"lower": -1, "raise": +1}
+    if direction not in steps:
+        raise ValueError(f"unknown ladder direction {direction!r}")
     if grid_y.count < 7:
         raise GridResolutionError("need at least 7 nodes for the 4th-order stencil")
     v = np.asarray(values, dtype=float)
@@ -319,11 +317,6 @@ def apply_ladder_sampled(values, grid_y: RadialGrid, n_index: int, k: float,
     h = grid_y.spacing
     d1 = (-v[4:] + 8.0 * v[3:-1] - 8.0 * v[1:-3] + v[:-4]) / (12.0 * h)
     core = v[2:-2]
-    if direction == "lower":
-        out = -y * d1 - 0.5 * y * core + (k + n_index + 2.0 - dim) * core
-    elif direction == "raise":
-        out = y * d1 - 0.5 * y * core + (n_index + k + 1.0) * core
-    else:
-        raise ValueError(f"unknown ladder direction {direction!r}")
+    out = _ladder_image(core, y * d1, y, n_index, k, dim, steps[direction])
     inner = RadialGrid(r_min=float(y[0]), r_max=float(y[-1]), count=len(y))
     return SampledFunction(grid=inner, values=out)

@@ -6,9 +6,14 @@ Everything here is a pure function; ``QuadratureRule`` is immutable.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import NotNormalizableError
+
+_LN_DBL_MAX = math.log(sys.float_info.max)
 
 
 def ln_gamma(x: float) -> float:
@@ -75,7 +80,8 @@ def radial_norm_constant(two_eps: float, n: int, alpha: float,
             * sqrt( Gamma(n+alpha+1) / (n! (2n+alpha+1)) )
     With ``paper_literal`` the bare factor (2n+alpha+1) is replaced by
     Gamma(2n+alpha+2); that variant fails unit normalization for n >= 1 and
-    is exposed only as a diagnostic.
+    is exposed only as a diagnostic.  Raises NotNormalizableError when the
+    constant exceeds the double range.
     """
     if two_eps <= 0.0:
         raise ValueError("two_eps must be positive")
@@ -85,6 +91,10 @@ def radial_norm_constant(two_eps: float, n: int, alpha: float,
         last = math.log(2 * n + alpha + 1.0)
     ln_zeta = (0.5 * (alpha + 2.0) * math.log(two_eps) - ln_gamma(alpha + 1.0)
                + 0.5 * (ln_gamma(n + alpha + 1.0) - ln_gamma(n + 1.0) - last))
+    if ln_zeta > _LN_DBL_MAX:
+        raise NotNormalizableError(
+            f"normalization constant exceeds the double range: "
+            f"ln zeta = {ln_zeta:.6g} > {_LN_DBL_MAX:.6g}")
     return math.exp(ln_zeta)
 
 
@@ -139,9 +149,10 @@ def gauss_laguerre(m: int, alpha: float = 0.0) -> QuadratureRule:
         total += p_cur**2
     weights = 1.0 / total
 
-    if np.any(nodes <= 0.0) or np.any(np.diff(nodes) <= 0.0):
+    # written positively so that NaN nodes or weights fail the checks
+    if not (np.all(nodes > 0.0) and np.all(np.diff(nodes) > 0.0)):
         raise RuntimeError("Gauss-Laguerre nodes are not sorted positive")
-    if abs(float(weights.sum()) / mu0 - 1.0) > 1e-10:
+    if not abs(float(weights.sum()) / mu0 - 1.0) <= 1e-10:
         raise RuntimeError("Gauss-Laguerre weights fail the zeroth moment")
     return QuadratureRule(nodes=nodes, weights=weights, order=m, alpha=alpha)
 

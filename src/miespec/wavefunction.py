@@ -1,10 +1,12 @@
 """Radial eigenfunctions: evaluation, normalization, overlaps, ODE residual.
 
-Eigenfunctions are evaluated in log space (log magnitude plus tracked sign)
-because the envelope r^{k+2-N} e^{-eps r} spans hundreds of orders of
-magnitude across a verification grid.  Two independent evaluation paths are
-kept: the confluent-hypergeometric form and the Laguerre form in the
-dimensionless variable y = 2 eps r.
+One evaluator, _ln_y_form, produces every closed-form value of R: the
+Laguerre form eta y^{k+2-N} e^{-y/2} L_n^alpha(y) in the dimensionless
+variable y = 2 eps r, in log space (log magnitude plus tracked sign)
+because the envelope spans hundreds of orders of magnitude across a
+verification grid.  eval_radial, eval_y_form, norm_check, overlap and the
+ladder images all go through it.  The confluent-hypergeometric (Kummer)
+series is kept only as the explicit cross-check eval_radial(form="kummer").
 """
 
 import math
@@ -79,31 +81,43 @@ def ln_eta(state: BoundState, convention: str = "paper") -> float:
     raise ValueError(f"unknown normalization convention {convention!r}")
 
 
-def _log_eval(state: BoundState, r: np.ndarray, form: str):
-    """(log magnitude, sign) of R at r > 0."""
-    y = 2.0 * state.eps * r
+def _ln_y_form(state: BoundState, y: np.ndarray, ln_pref: float, poly=None):
+    """(ln|.|, sign) of e^{ln_pref} y^{k+2-N} e^{-y/2} P(y) at y > 0.
+
+    The one evaluator behind every closed-form value of R.  P is L_n^alpha
+    unless the caller passes the values of another polynomial.
+    """
+    if poly is None:
+        poly = laguerre(state.q.n, state.alpha, y)
     p = state.k + 2.0 - state.q.dim
-    if form == "kummer":
-        poly = np.asarray(kummer_poly(state.q.n, state.alpha + 1.0, y))
-        ln_pref = math.log(state.zeta) + p * np.log(r) - state.eps * r
-    elif form == "laguerre":
-        poly = np.asarray(laguerre(state.q.n, state.alpha, y))
-        ln_pref = ln_eta(state, "paper") + p * np.log(y) - 0.5 * y
-    else:
-        raise ValueError(f"unknown evaluation form {form!r}")
     with np.errstate(divide="ignore"):
-        ln_abs = ln_pref + np.log(np.abs(poly))
+        ln_abs = ln_pref + p * np.log(y) - 0.5 * y + np.log(np.abs(poly))
     return ln_abs, np.sign(poly)
 
 
-def eval_radial(state: BoundState, r, form: str = "kummer"):
-    """Normalized radial eigenfunction R(r); scalar or array argument."""
+def _signed_exp(ln_abs, sign):
+    out = sign * np.exp(ln_abs)
+    return out if out.ndim else float(out)
+
+
+def eval_radial(state: BoundState, r, form: str = "laguerre"):
+    """Normalized radial eigenfunction R(r); scalar or array argument.
+
+    form="laguerre" is eval_y_form at y = 2 eps r.  form="kummer" sums the
+    confluent series 1F1(-n, alpha+1, y) instead, a cross-check only: its
+    alternating terms cancel as n grows (about 1e-7 of the peak at n = 20).
+    """
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):
         raise ValueError("radius must be positive")
-    ln_abs, sign = _log_eval(state, r, form)
-    out = sign * np.exp(ln_abs)
-    return out if out.ndim else float(out)
+    y = 2.0 * state.eps * r
+    if form == "laguerre":
+        return eval_y_form(state, y)
+    if form == "kummer":
+        poly = kummer_poly(state.q.n, state.alpha + 1.0, y)
+        return _signed_exp(*_ln_y_form(
+            state, y, ln_eta(state) - _ln_bridge(state), poly))
+    raise ValueError(f"unknown evaluation form {form!r}")
 
 
 def eval_y_form(state: BoundState, y, convention: str = "paper"):
@@ -111,16 +125,11 @@ def eval_y_form(state: BoundState, y, convention: str = "paper"):
     y = np.asarray(y, dtype=float)
     if np.any(y <= 0.0):
         raise ValueError("y must be positive")
-    p = state.k + 2.0 - state.q.dim
-    poly = np.asarray(laguerre(state.q.n, state.alpha, y))
-    with np.errstate(divide="ignore"):
-        ln_abs = ln_eta(state, convention) + p * np.log(y) - 0.5 * y + np.log(np.abs(poly))
-    out = np.sign(poly) * np.exp(ln_abs)
-    return out if out.ndim else float(out)
+    return _signed_exp(*_ln_y_form(state, y, ln_eta(state, convention)))
 
 
 def sample_radial(state: BoundState, grid: RadialGrid,
-                  form: str = "kummer") -> SampledFunction:
+                  form: str = "laguerre") -> SampledFunction:
     return SampledFunction(grid=grid, values=eval_radial(state, grid.nodes(), form))
 
 
@@ -137,24 +146,13 @@ def norm_constant(state: BoundState, paper_literal: bool = False) -> float:
                                 paper_literal=paper_literal)
 
 
-def norm_check(state: BoundState, order: int | None = None) -> float:
+def norm_check(state: BoundState) -> float:
     """Integral of |R|^2 r^{N-1} dr by generalized Gauss-Laguerre; expect 1.
 
-    Evaluates R in the Laguerre form: the alternating Kummer series loses
-    digits to cancellation as n grows (about 1e-7 of the norm at n = 20).
-    Uses the state's own zeta, so a tampered constant scales the result
-    quadratically.
+    This is overlap(state, state, "r").  Uses the state's own zeta, so a
+    tampered constant scales the result quadratically.
     """
-    if order is None:
-        order = default_quadrature_order(state.q.n)
-    rule = gauss_laguerre(order, state.alpha + 1.0)
-    two_eps = 2.0 * state.eps
-    r = rule.nodes / two_eps
-    ln_abs, _ = _log_eval(state, r, "laguerre")
-    dim = state.q.dim
-    ln_g = (2.0 * ln_abs + (dim - 1.0) * np.log(r) - math.log(two_eps)
-            - (state.alpha + 1.0) * np.log(rule.nodes) + rule.nodes)
-    return float(np.dot(rule.weights, np.exp(ln_g)))
+    return overlap(state, state, "r")
 
 
 def _require_same_channel(a: BoundState, b: BoundState):
@@ -182,8 +180,8 @@ def overlap(a: BoundState, b: BoundState, space: str = "r") -> float:
             raise ValueError("r-space overlap requires one shared potential")
         s = a.eps + b.eps
         r = rule.nodes / s
-        la, sa = _log_eval(a, r, "laguerre")
-        lb, sb = _log_eval(b, r, "laguerre")
+        la, sa = _ln_y_form(a, 2.0 * a.eps * r, ln_eta(a))
+        lb, sb = _ln_y_form(b, 2.0 * b.eps * r, ln_eta(b))
         ln_g = (la + lb + (dim - 1.0) * np.log(r) - math.log(s)
                 - (a.alpha + 1.0) * np.log(rule.nodes) + rule.nodes)
         return float(np.dot(rule.weights, sa * sb * np.exp(ln_g)))

@@ -291,3 +291,17 @@ def test_verify_solves_each_grid_once(tmp_path, monkeypatch, fast):
         if not fast:
             assert abs(channel[1] - m / 4) <= 1
             assert abs(channel[2] - m / 2) <= 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["wavefunction", "--n", "0", "--ell", "200", "--dim", "3"],
+    ["ladder-check", "--ell-max", "200", "--dims", "3"],
+], ids=["wavefunction", "ladder-check"])
+def test_norm_constant_overflow_is_a_domain_error(tmp_path, capsys, argv):
+    # ln zeta first passes log(DBL_MAX) at ell = 32 and is about 3600 at ell = 200
+    code = run(tmp_path, *argv, "--preset", "coulomb", "--B", "-1",
+               "--mass", "1e12")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("domain error:") and "ln zeta" in err
+    assert not list(tmp_path.iterdir())

@@ -158,3 +158,11 @@ class TestGaussLaguerre:
             gauss_laguerre(0, 0.0)
         with pytest.raises(ValueError):
             gauss_laguerre(3, -1.5)
+
+
+def test_gauss_laguerre_rejects_nan_nodes_and_weights():
+    # the Christoffel-Darboux sums overflow near order 380; the checks must
+    # not let the resulting NaNs through
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RuntimeError):
+            gauss_laguerre(380, 1.7)
