@@ -5,6 +5,10 @@ Configuration is a single JSON document; command-line flags override file
 values, and the resolved configuration can be dumped and re-used verbatim
 (byte-identical outputs).  All outputs are deterministic.
 
+A configuration flag's argparse dest is its config key, "section.key"
+(``--mass`` is ``units.mass``), so the parser alone maps flags to keys.
+Each named potential is declared once, in ``_PRESETS``.
+
 Exit codes: 0 success, 2 configuration error, 3 domain error (invalid or
 unbound channels), 4 output I/O error.
 """
@@ -66,31 +70,20 @@ def resolve_config(args) -> dict:
             cfg["potential"] = {}
         cfg = _merge(cfg, data)
 
-    flag_potential = {}
-    for name in ("preset", "d0", "r0", "A", "B", "C", "a", "b", "convention"):
-        value = getattr(args, f"pot_{name}", None)
-        if value is not None:
-            flag_potential[name] = value
-    if flag_potential:
-        if "preset" in flag_potential or any(k in flag_potential for k in "ABC"):
-            cfg["potential"] = flag_potential
-        else:
-            cfg["potential"].update(flag_potential)
-
-    for section, name, attr in (("units", "mass", "mass"),
-                                ("units", "hbar", "hbar"),
-                                ("quantum", "n_max", "n_max"),
-                                ("quantum", "ell_max", "ell_max"),
-                                ("quantum", "dims", "dims"),
-                                ("grid", "refine", "refine"),
-                                ("grid", "points", "points"),
-                                ("grid", "r_domain", "r_domain"),
-                                ("grid", "y_points", "y_points"),
-                                ("output", "format", "fmt"),
-                                ("output", "dir", "outdir")):
-        value = getattr(args, attr, None)
-        if value is not None:
-            cfg[section][name] = value
+    # a preset or raw A/B/C flag replaces the potential section; other
+    # potential flags amend it
+    flags = {}
+    for dest, value in vars(args).items():
+        section, dot, key = dest.partition(".")
+        if dot and value is not None:
+            flags.setdefault(section, {})[key] = value
+    flag_potential = flags.pop("potential", {})
+    if flag_potential.keys() & {"preset", "A", "B", "C"}:
+        cfg["potential"] = flag_potential
+    else:
+        cfg["potential"].update(flag_potential)
+    for section, values in flags.items():
+        cfg[section].update(values)
 
     if cfg["output"]["dir"] is None:
         cfg["output"]["dir"] = os.environ.get(ENV_OUTDIR) or "."
@@ -99,12 +92,33 @@ def resolve_config(args) -> dict:
     return cfg
 
 
-# raw A/B/C keys a preset may legitimately carry (coulomb's strength is B)
-_PRESET_KEYS = {
-    "coulomb": {"B"},
-    "kratzer-fues": set(),
-    "modified-kratzer": set(),
-    "mie-general": set(),
+# preset name -> (raw A/B/C keys it may carry, constructor from the potential
+# section and the units, its line in `miespec presets`)
+_PRESETS = {
+    "kratzer-fues": (
+        set(),
+        lambda pot, mass, hbar: potentials.kratzer_fues(
+            float(pot.get("d0", 1.0)), float(pot.get("r0", 1.0)), mass, hbar),
+        "d0, r0          A = d0 r0^2, B = -2 d0 r0, C = 0"),
+    "modified-kratzer": (
+        set(),
+        lambda pot, mass, hbar: potentials.modified_kratzer(
+            float(pot.get("d0", 1.0)), float(pot.get("r0", 1.0)), mass, hbar,
+            convention=pot.get("convention", "standard")),
+        "d0, r0          standard: (+d0 r0^2, -2 d0 r0, +d0);"
+        " paper-literal: (-d0 r0^2, +2 d0 r0, -d0)"),
+    "coulomb": (
+        {"B"},  # coulomb's strength is B
+        lambda pot, mass, hbar: potentials.coulomb(
+            float(pot.get("B", -1.0)), mass, hbar),
+        "B               A = C = 0"),
+    "mie-general": (
+        set(),
+        lambda pot, mass, hbar: potentials.MiePreset(
+            d0=float(pot.get("d0", 1.0)), r0=float(pot.get("r0", 1.0)),
+            a=float(pot.get("a", 2.0)), b=float(pot.get("b", 1.0))),
+        "d0, r0, a, b    two-exponent Mie form"
+        " (numeric oracle only unless (a, b) = (2, 1))"),
 }
 
 
@@ -113,9 +127,9 @@ def _validate(cfg: dict):
     has_preset = "preset" in pot
     has_raw = any(k in pot for k in ("A", "B", "C")) and not has_preset
     if has_preset:
-        if pot["preset"] not in _PRESET_KEYS:
+        if pot["preset"] not in _PRESETS:
             raise ConfigError(f"unknown preset {pot['preset']!r}")
-        stray = {"A", "B", "C"} & set(pot) - _PRESET_KEYS[pot["preset"]]
+        stray = {"A", "B", "C"} & set(pot) - _PRESETS[pot["preset"]][0]
         if stray:
             raise ConfigError(
                 f"exactly one potential spec allowed: preset "
@@ -151,24 +165,27 @@ def build_potential(cfg: dict):
                 A=float(pot.get("A", 0.0)), B=float(pot.get("B", 0.0)),
                 C=float(pot.get("C", 0.0)), mass=mass, hbar=hbar), "raw")
         name = pot["preset"]
-        if name == "coulomb":
-            return potentials.coulomb(float(pot.get("B", -1.0)), mass, hbar), name
-        if name == "kratzer-fues":
-            return (potentials.kratzer_fues(float(pot.get("d0", 1.0)),
-                                            float(pot.get("r0", 1.0)),
-                                            mass, hbar), name)
-        if name == "modified-kratzer":
-            return (potentials.modified_kratzer(
-                float(pot.get("d0", 1.0)), float(pot.get("r0", 1.0)), mass, hbar,
-                convention=pot.get("convention", "standard")), name)
-        if name == "mie-general":
-            return (potentials.MiePreset(
-                d0=float(pot.get("d0", 1.0)), r0=float(pot.get("r0", 1.0)),
-                a=float(pot.get("a", 2.0)), b=float(pot.get("b", 1.0))),
-                name)
+        if name in _PRESETS:
+            return _PRESETS[name][1](pot, mass, hbar), name
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     raise ConfigError(f"unknown preset {pot['preset']!r}")
+
+
+def _closed_form_potential(cfg: dict, what: str):
+    """build_potential, refusing the general Mie form that has no closed
+    form; ``what`` names the closed-form quantity in the message."""
+    potential, label = build_potential(cfg)
+    if isinstance(potential, potentials.MiePreset):
+        raise ConfigError(f"{what} needs a Mie-type potential "
+                          "(use 'verify' for general exponents)")
+    return potential, label
+
+
+def _dims(cfg: dict, default) -> list:
+    """Sorted quantum.dims, or the command's own default when unset."""
+    dims = cfg["quantum"]["dims"]
+    return sorted(int(d) for d in (default if dims is None else dims))
 
 
 # -- output helpers -----------------------------------------------------------
@@ -206,59 +223,43 @@ def _out_path(cfg: dict, args, default_name: str) -> str:
 # -- subcommands --------------------------------------------------------------
 
 def cmd_presets(args) -> int:
-    lines = [
-        "kratzer-fues       d0, r0          A = d0 r0^2, B = -2 d0 r0, C = 0",
-        "modified-kratzer   d0, r0          standard: (+d0 r0^2, -2 d0 r0, +d0);"
-        " paper-literal: (-d0 r0^2, +2 d0 r0, -d0)",
-        "coulomb            B               A = C = 0",
-        "mie-general        d0, r0, a, b    two-exponent Mie form"
-        " (numeric oracle only unless (a, b) = (2, 1))",
-    ]
-    print("\n".join(lines))
+    print("\n".join(f"{name:<19}{line}" for name, (_, _, line) in _PRESETS.items()))
     return 0
 
 
-def _spectrum_payload(cfg: dict):
-    potential, label = build_potential(cfg)
-    if isinstance(potential, potentials.MiePreset):
-        raise ConfigError("closed-form spectrum needs a Mie-type potential "
-                          "(use 'verify' for general exponents)")
-    q = cfg["quantum"]
-    dims = q["dims"] if q["dims"] is not None else [3]
-    rows = []
-    for dim in sorted(int(d) for d in dims):
-        rows.extend(spectrum.spectrum_table(potential, int(q["n_max"]),
-                                            int(q["ell_max"]), dim))
-    any_invalid = any(row.status != "ok" for row in rows)
-    return potential, label, rows, any_invalid
+_SPECTRUM_FIELDS = ("dim", "ell", "n", "k", "eps", "energy", "status")
 
 
 def cmd_spectrum(args) -> int:
     cfg = resolve_config(args)
-    potential, label, rows, any_invalid = _spectrum_payload(cfg)
+    potential, label = _closed_form_potential(cfg, "closed-form spectrum")
+    q = cfg["quantum"]
+    # one tuple per row in _SPECTRUM_FIELDS order: CSV joins it, JSON zips it
+    rows = [(r.q.dim, r.q.ell, r.q.n, r.k, r.eps, r.energy, r.status)
+            for dim in _dims(cfg, [3])
+            for r in spectrum.spectrum_table(potential, int(q["n_max"]),
+                                             int(q["ell_max"]), dim)]
     fmt = cfg["output"]["format"]
     path = _out_path(cfg, args, f"spectrum.{fmt}")
     if fmt == "csv":
-        lines = ["dim,ell,n,k,eps,energy,status"]
-        lines += [",".join([_fmt(r.q.dim), _fmt(r.q.ell), _fmt(r.q.n),
-                            _fmt(r.k), _fmt(r.eps), _fmt(r.energy), r.status])
-                  for r in rows]
+        lines = [",".join(_SPECTRUM_FIELDS)]
+        # unpacked, not map(_fmt, row): status is already text, and the
+        # table can hold thousands of rows
+        lines += [",".join([_fmt(dim), _fmt(ell), _fmt(n), _fmt(k), _fmt(eps),
+                            _fmt(energy), status])
+                  for dim, ell, n, k, eps, energy, status in rows]
         text = "\n".join(lines) + "\n"
     else:
-        payload = {"potential": label,
-                   "rows": [{"dim": r.q.dim, "ell": r.q.ell, "n": r.q.n,
-                             "k": r.k, "eps": r.eps, "energy": r.energy,
-                             "status": r.status} for r in rows]}
-        text = _json_dumps(payload)
+        text = _json_dumps({"potential": label,
+                            "rows": [dict(zip(_SPECTRUM_FIELDS, row))
+                                     for row in rows]})
     _write_text(path, text)
-    return 3 if any_invalid else 0
+    return 3 if any(row[-1] != "ok" for row in rows) else 0
 
 
 def cmd_wavefunction(args) -> int:
     cfg = resolve_config(args)
-    potential, label = build_potential(cfg)
-    if isinstance(potential, potentials.MiePreset):
-        raise ConfigError("closed-form eigenfunctions need a Mie-type potential")
+    potential, label = _closed_form_potential(cfg, "the closed-form eigenfunction")
     if args.r_min is not None and args.r_min <= 0.0:
         raise ConfigError("grid r_min must be positive")
 
@@ -328,14 +329,11 @@ def _ladder_channel(potential, ell, dim, n_max, y_points):
 
 def cmd_ladder_check(args) -> int:
     cfg = resolve_config(args)
-    potential, label = build_potential(cfg)
-    if isinstance(potential, potentials.MiePreset):
-        raise ConfigError("ladder structure needs a Mie-type potential")
+    potential, label = _closed_form_potential(cfg, "the ladder structure")
     q = cfg["quantum"]
-    dims = q["dims"] if q["dims"] is not None else [3]
     y_points = int(cfg["grid"]["y_points"])
     channels = [_ladder_channel(potential, ell, dim, int(q["n_max"]), y_points)
-                for dim in sorted(int(d) for d in dims)
+                for dim in _dims(cfg, [3])
                 for ell in range(int(q["ell_max"]) + 1)]
     payload = {"potential": label, "channels": channels,
                "passed": all(c["passed"] for c in channels)}
@@ -398,12 +396,12 @@ def _verify_channel(potential, label, ell, dim, n_max, refine, fast):
     return entry
 
 
-def _verify_mie_general(refine):
-    preset = potentials.MiePreset(d0=5.0, r0=1.0, a=4.0, b=2.0)
+def _verify_mie_general(preset, refine):
     grid = oracle.default_grid(preset, 0, 3, n_max=1, refine=refine)
     config = oracle.OracleConfig(grid=grid, count=2)
     fd = oracle.solve_bound_states(preset, 0, 3, config)
-    return {"potential": "mie-general(a=4, b=2)", "ell": 0, "dim": 3,
+    return {"potential": f"mie-general(a={preset.a:g}, b={preset.b:g})",
+            "ell": 0, "dim": 3,
             "fd": list(map(float, fd)), "closed_form": None,
             "note": "no closed-form spectrum for these exponents"}
 
@@ -411,38 +409,34 @@ def _verify_mie_general(refine):
 def cmd_verify(args) -> int:
     cfg = resolve_config(args)
     q = cfg["quantum"]
-    dims = sorted(int(d) for d in q["dims"]) if q["dims"] is not None \
-        else [2, 3, 5]
     refine = float(cfg["grid"]["refine"])
     if args.coarse:
         refine /= float(args.coarse)
 
+    # any potential flag but --convention, or a config file, selects one
+    # potential; otherwise the default suite runs
     explicit_potential = bool(getattr(args, "config", None)) or any(
-        getattr(args, f"pot_{name}", None) is not None
-        for name in ("preset", "d0", "r0", "A", "B", "C", "a", "b"))
+        value is not None for dest, value in vars(args).items()
+        if dest.startswith("potential.") and dest != "potential.convention")
     if explicit_potential:
         suite = [build_potential(cfg)]
     else:
         suite = [(potentials.coulomb(-1.0), "coulomb"),
                  (potentials.kratzer_fues(5.0, 1.0), "kratzer-fues")]
+    mie = [p for p, _ in suite if isinstance(p, potentials.MiePreset)]
 
-    jobs = []
-    for potential, label in suite:
-        if isinstance(potential, potentials.MiePreset):
-            continue
-        for dim in dims:
-            for ell in range(int(q["ell_max"]) + 1):
-                jobs.append((potential, label, ell, dim))
-
-    channels = [_verify_channel(pot, label, ell, dim, int(q["n_max"]),
+    channels = [_verify_channel(potential, label, ell, dim, int(q["n_max"]),
                                 refine, args.fast)
-                for pot, label, ell, dim in jobs]
-    channels.sort(key=lambda c: (c["potential"], c["dim"], c["ell"]))
+                for potential, label in suite
+                if not isinstance(potential, potentials.MiePreset)
+                for dim in _dims(cfg, [2, 3, 5])
+                for ell in range(int(q["ell_max"]) + 1)]
 
     payload = {"channels": channels, "passed": all(c["passed"] for c in channels)}
-    if args.mie_general or any(isinstance(p, potentials.MiePreset)
-                               for p, _ in suite):
-        payload["mie_general"] = _verify_mie_general(refine)
+    if args.mie_general or mie:
+        preset = mie[0] if mie else potentials.MiePreset(d0=5.0, r0=1.0,
+                                                           a=4.0, b=2.0)
+        payload["mie_general"] = _verify_mie_general(preset, refine)
     path = _out_path(cfg, args, "verify.json")
     _write_text(path, _json_dumps(payload))
     if not payload["passed"]:
@@ -464,30 +458,32 @@ def cmd_print_config(args) -> int:
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--config", help="JSON configuration file")
     parser.add_argument("--out", help="output file path (overrides the output directory)")
-    parser.add_argument("--outdir", help=f"output directory (default: ${ENV_OUTDIR} or '.')")
-    parser.add_argument("--format", dest="fmt", choices=("csv", "json"))
-    parser.add_argument("--preset", dest="pot_preset",
-                        choices=("coulomb", "kratzer-fues", "modified-kratzer",
-                                 "mie-general"))
-    parser.add_argument("--d0", dest="pot_d0", type=float)
-    parser.add_argument("--r0", dest="pot_r0", type=float)
-    parser.add_argument("--A", dest="pot_A", type=float)
-    parser.add_argument("--B", dest="pot_B", type=float)
-    parser.add_argument("--C", dest="pot_C", type=float)
-    parser.add_argument("--mie-a", dest="pot_a", type=float)
-    parser.add_argument("--mie-b", dest="pot_b", type=float)
-    parser.add_argument("--convention", dest="pot_convention",
+    parser.add_argument("--outdir", dest="output.dir",
+                        help=f"output directory (default: ${ENV_OUTDIR} or '.')")
+    parser.add_argument("--format", dest="output.format", choices=("csv", "json"))
+    parser.add_argument("--preset", dest="potential.preset", choices=_PRESETS)
+    parser.add_argument("--d0", dest="potential.d0", type=float)
+    parser.add_argument("--r0", dest="potential.r0", type=float)
+    parser.add_argument("--A", dest="potential.A", type=float)
+    parser.add_argument("--B", dest="potential.B", type=float)
+    parser.add_argument("--C", dest="potential.C", type=float)
+    parser.add_argument("--mie-a", dest="potential.a", type=float)
+    parser.add_argument("--mie-b", dest="potential.b", type=float)
+    parser.add_argument("--convention", dest="potential.convention",
                         choices=("standard", "paper-literal"))
-    parser.add_argument("--mass", type=float)
-    parser.add_argument("--hbar", type=float)
-    parser.add_argument("--n-max", dest="n_max", type=int)
-    parser.add_argument("--ell-max", dest="ell_max", type=int)
-    parser.add_argument("--dims", type=lambda s: [int(x) for x in s.split(",")],
+    parser.add_argument("--mass", dest="units.mass", type=float)
+    parser.add_argument("--hbar", dest="units.hbar", type=float)
+    parser.add_argument("--n-max", dest="quantum.n_max", type=int)
+    parser.add_argument("--ell-max", dest="quantum.ell_max", type=int)
+    parser.add_argument("--dims", dest="quantum.dims",
+                        type=lambda s: [int(x) for x in s.split(",")],
                         help="comma-separated dimensions, e.g. 2,3,5")
-    parser.add_argument("--points", type=int, help="radial grid size")
-    parser.add_argument("--r-domain", dest="r_domain", type=float)
-    parser.add_argument("--y-points", dest="y_points", type=int)
-    parser.add_argument("--refine", type=float, help="grid refinement factor")
+    parser.add_argument("--points", dest="grid.points", type=int,
+                        help="radial grid size")
+    parser.add_argument("--r-domain", dest="grid.r_domain", type=float)
+    parser.add_argument("--y-points", dest="grid.y_points", type=int)
+    parser.add_argument("--refine", dest="grid.refine", type=float,
+                        help="grid refinement factor")
 
 
 def build_parser() -> argparse.ArgumentParser:

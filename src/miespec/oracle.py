@@ -240,12 +240,6 @@ def _negcount_slope(d, esq, shift, pivmin):
     return cnt, slope
 
 
-def _sturm_count(diag, offdiag, shift):
-    """Number of eigenvalues strictly below ``shift``."""
-    d, esq, pivmin = _prepare(diag, offdiag)
-    return _negcount(d, esq, float(shift), pivmin)
-
-
 def _converged(lo, hi, tol):
     # the eps and _TINY terms stop at float resolution: above them the
     # midpoint lies strictly inside the bracket, so every probe shrinks it
@@ -341,7 +335,8 @@ def eigen_lowest(tri: Tridiagonal, count: int, tol: float = 1e-11) -> np.ndarray
 
 def count_below(tri: Tridiagonal, bound: float) -> int:
     """Exact number of eigenvalues below ``bound`` (Sturm count)."""
-    return _sturm_count(tri.diag, tri.offdiag, float(bound))
+    d, esq, pivmin = _prepare(tri.diag, tri.offdiag)
+    return _negcount(d, esq, float(bound), pivmin)
 
 
 def solve_bound_states(potential, ell: int, dim: int,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import GridResolutionError
 from .potentials import PotentialParams
-from .spectrum import BoundState, centrifugal_strength
+from .spectrum import BoundState, binding_rate, centrifugal_strength
 from .specfun import (default_quadrature_order, gauss_laguerre, kummer_poly,
                       laguerre, ln_gamma, radial_norm_constant)
 
@@ -218,7 +218,7 @@ def _residual_terms(values: np.ndarray, grid: RadialGrid,
     d1 = (-v[4:] + 8.0 * v[3:-1] - 8.0 * v[1:-3] + v[:-4]) / (12.0 * h)
     d2 = (-v[4:] + 16.0 * v[3:-1] - 30.0 * v[2:-2] + 16.0 * v[1:-3] - v[:-4]) / (12.0 * h * h)
     nu = centrifugal_strength(params, ell, dim)
-    beta = -2.0 * params.mass * params.B / params.hbar**2
+    beta = binding_rate(params)
     terms = (d2,
              (dim - 1.0) / r * d1,
              -nu / r**2 * v[2:-2],

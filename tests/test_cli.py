@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: files, formats, exit codes."""
 
+import argparse
 import json
 import math
 import subprocess
@@ -7,7 +8,7 @@ import sys
 
 import pytest
 
-from miespec import oracle, potentials
+from miespec import cli, oracle, potentials
 from miespec.cli import main
 
 
@@ -305,3 +306,106 @@ def test_norm_constant_overflow_is_a_domain_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("domain error:") and "ln zeta" in err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv,label,fd", [
+    (["--preset", "mie-general", "--d0", "3", "--r0", "2", "--mie-a", "6",
+      "--mie-b", "3"], "mie-general(a=6, b=3)", [-1.5118, -0.2806]),
+    (["--preset", "coulomb", "--B", "-1", "--dims", "3", "--n-max", "0",
+      "--ell-max", "0", "--mie-general"], "mie-general(a=4, b=2)",
+     [-2.5149, -0.6510]),
+], ids=["given-preset", "default-preset"])
+def test_verify_mie_general_section_uses_the_given_preset(tmp_path, argv,
+                                                          label, fd):
+    assert run(tmp_path, "verify", *argv, "--fast") == 0
+    section = json.loads((tmp_path / "verify.json").read_text())["mie_general"]
+    assert section["potential"] == label
+    assert section["closed_form"] is None
+    assert section["fd"] == pytest.approx(fd, abs=1e-3)
+
+
+# flag, value, the section and key it sets, and the value print-config shows
+CONFIG_FLAGS = [
+    ("--outdir", "some/dir", "output", "dir", "some/dir"),
+    ("--format", "json", "output", "format", "json"),
+    ("--preset", "kratzer-fues", "potential", "preset", "kratzer-fues"),
+    ("--d0", "2.5", "potential", "d0", 2.5),
+    ("--r0", "1.5", "potential", "r0", 1.5),
+    ("--A", "0.5", "potential", "A", 0.5),
+    ("--B", "-2", "potential", "B", -2.0),
+    ("--C", "0.25", "potential", "C", 0.25),
+    ("--mie-a", "6", "potential", "a", 6.0),
+    ("--mie-b", "3", "potential", "b", 3.0),
+    ("--convention", "paper-literal", "potential", "convention", "paper-literal"),
+    ("--mass", "2", "units", "mass", 2.0),
+    ("--hbar", "0.5", "units", "hbar", 0.5),
+    ("--n-max", "4", "quantum", "n_max", 4),
+    ("--ell-max", "1", "quantum", "ell_max", 1),
+    ("--dims", "3,5", "quantum", "dims", [3, 5]),
+    ("--points", "101", "grid", "points", 101),
+    ("--r-domain", "40", "grid", "r_domain", 40.0),
+    ("--y-points", "501", "grid", "y_points", 501),
+    ("--refine", "2", "grid", "refine", 2.0),
+]
+
+
+def test_config_flag_table_covers_every_common_flag():
+    parser = argparse.ArgumentParser()
+    cli._add_common(parser)
+    flags = {opt for action in parser._actions for opt in action.option_strings}
+    assert flags - {"-h", "--help", "--config", "--out"} == \
+        {flag for flag, *_ in CONFIG_FLAGS}
+
+
+@pytest.mark.parametrize("flag,value,section,key,expected", CONFIG_FLAGS,
+                         ids=[row[0] for row in CONFIG_FLAGS])
+def test_each_config_flag_lands_under_its_section(capsys, flag, value,
+                                                  section, key, expected):
+    assert main(["print-config", flag, value]) == 0
+    cfg = json.loads(capsys.readouterr().out)
+    assert cfg[section][key] == expected
+    # a preset or raw A/B/C flag replaces the default potential; any other
+    # potential flag amends it
+    if section == "potential" and key in ("preset", "A", "B", "C"):
+        assert cfg["potential"] == {key: expected}
+    elif section == "potential":
+        assert cfg["potential"] == {"preset": "coulomb", "B": -1.0, key: expected}
+
+
+def test_every_listed_preset_is_accepted(tmp_path, capsys):
+    assert main(["presets"]) == 0
+    names = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    assert len(names) == 4
+    for name in names:
+        assert main(["print-config", "--preset", name]) == 0
+        from_flag = json.loads(capsys.readouterr().out)
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps({"potential": {"preset": name}}))
+        assert main(["print-config", "--config", str(cfg)]) == 0
+        from_file = json.loads(capsys.readouterr().out)
+        assert from_flag == from_file
+        assert cli.build_potential(from_file)[1] == name
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum"],
+    ["wavefunction", "--n", "0", "--ell", "0", "--dim", "3"],
+    ["ladder-check"],
+], ids=["spectrum", "wavefunction", "ladder-check"])
+def test_closed_form_commands_refuse_the_general_mie_form(tmp_path, capsys, argv):
+    assert run(tmp_path, *argv, "--preset", "mie-general", "--mie-a", "6",
+               "--mie-b", "3") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert err.rstrip().endswith(
+        "needs a Mie-type potential (use 'verify' for general exponents)")
+    assert not list(tmp_path.iterdir())
+
+
+def test_convention_alone_keeps_the_default_verify_suite(tmp_path):
+    assert run(tmp_path, "verify", "--convention", "paper-literal", "--fast",
+               "--n-max", "0", "--ell-max", "0", "--dims", "3") == 0
+    payload = json.loads((tmp_path / "verify.json").read_text())
+    assert [c["potential"] for c in payload["channels"]] == \
+        ["coulomb", "kratzer-fues"]
+    assert payload["passed"]
