@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridResolutionError, LadderAlgebraError
+from .errors import LadderAlgebraError
 from .spectrum import BoundState, QuantumNumbers, bound_state
-from .specfun import laguerre_deriv
-from .wavefunction import (RadialGrid, SampledFunction, _ln_y_form,
-                           eval_y_form, ln_eta)
+from .specfun import _laguerre_pair
+from .wavefunction import (RadialGrid, SampledFunction, _interior_d1,
+                           _ln_y_form, _signed_exp, eval_y_form, ln_eta)
 
 _CONVENTIONS = ("paper", "y-orthonormal", "laguerre-orthonormal")
 
@@ -252,13 +252,16 @@ def _apply_ladder(state: BoundState, grid_y: RadialGrid, step: int):
     """Operator image of R_n(y) fitted against R_{n+step}(y).
 
     y dR/dy is analytic (no finite differences): the y-form evaluator with
-    P = y dL_n^alpha/dy = -y L_{n-1}^{alpha+1}.
+    P = y dL_n^alpha/dy = n L_n - (n+alpha) L_{n-1}, read from the same
+    recurrence pass as R_n itself.
     """
     n, k, dim = state.q.n, state.k, state.q.dim
     y = grid_y.nodes()
-    r_n = eval_y_form(state, y)
-    ln_abs, sign = _ln_y_form(state, y, ln_eta(state, "paper"),
-                              y * laguerre_deriv(n, state.alpha, y))
+    prev, cur, ln_s = _laguerre_pair(n, state.alpha, y)
+    ln_pref = ln_eta(state, "paper") + ln_s
+    r_n = _signed_exp(*_ln_y_form(state, y, ln_pref, cur))
+    ln_abs, sign = _ln_y_form(state, y, ln_pref,
+                              n * cur - (n + state.alpha) * prev)
     y_d = (k + 2.0 - dim) * r_n - 0.5 * y * r_n + sign * np.exp(ln_abs)
     result = _ladder_image(r_n, y_d, y, n, k, dim, step)
     sampled = SampledFunction(grid=grid_y, values=result)
@@ -310,13 +313,7 @@ def apply_ladder_sampled(values, grid_y: RadialGrid, n_index: int, k: float,
     steps = {"lower": -1, "raise": +1}
     if direction not in steps:
         raise ValueError(f"unknown ladder direction {direction!r}")
-    if grid_y.count < 7:
-        raise GridResolutionError("need at least 7 nodes for the 4th-order stencil")
-    v = np.asarray(values, dtype=float)
-    y = grid_y.nodes()[2:-2]
-    h = grid_y.spacing
-    d1 = (-v[4:] + 8.0 * v[3:-1] - 8.0 * v[1:-3] + v[:-4]) / (12.0 * h)
-    core = v[2:-2]
+    y, inner, d1 = _interior_d1(values, grid_y)
+    core = np.asarray(values, dtype=float)[2:-2]
     out = _ladder_image(core, y * d1, y, n_index, k, dim, steps[direction])
-    inner = RadialGrid(r_min=float(y[0]), r_max=float(y[-1]), count=len(y))
     return SampledFunction(grid=inner, values=out)

@@ -3,6 +3,9 @@
 Log-gamma, associated Laguerre polynomials, the polynomial confluent
 hypergeometric series, and generalized Gauss-Laguerre quadrature rules.
 Everything here is a pure function; ``QuadratureRule`` is immutable.
+One recurrence with a running log scale (Gil, Segura and Temme, Numerical
+Methods for Special Functions, SIAM 2007, ch. 4) is the only loop over the
+Laguerre degree: values, quadrature nodes and weights all read its output.
 """
 
 import math
@@ -14,6 +17,7 @@ import numpy as np
 from .errors import NotNormalizableError
 
 _LN_DBL_MAX = math.log(sys.float_info.max)
+_BIG = 2.0**500
 
 
 def ln_gamma(x: float) -> float:
@@ -24,23 +28,36 @@ def ln_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def laguerre(n: int, alpha: float, x):
-    """Associated Laguerre polynomial L_n^alpha(x).
+def _laguerre_pair(n: int, alpha: float, x):
+    """(L_{n-1}, L_n, ln s): the values times e^{ln s} are L^alpha(x).
 
-    Forward three-term recurrence in the degree,
-    (k+1) L_{k+1} = (2k + alpha + 1 - x) L_k - (k + alpha) L_{k-1},
-    stable for the moderate degrees used here.  Accepts scalars or arrays.
+    Forward recurrence (j+1) L_{j+1} = (2j + alpha + 1 - x) L_j
+    - (j + alpha) L_{j-1} from L_{-1} = 0; an element past 2^500 is divided
+    by 2^500, found by one max and one min per step.
     """
+    x = np.asarray(x, dtype=float)
+    prev = np.zeros_like(x)
+    cur = np.ones_like(x)
+    ln_s = np.zeros_like(x)
+    for j in range(n):
+        prev, cur = cur, ((2 * j + alpha + 1 - x) * cur - (j + alpha) * prev) / (j + 1)
+        if cur.max(initial=0.0) > _BIG or cur.min(initial=0.0) < -_BIG:
+            scale = np.where(np.abs(cur) > _BIG, _BIG, 1.0)
+            prev, cur, ln_s = prev / scale, cur / scale, ln_s + np.log(scale)
+    return prev, cur, ln_s
+
+
+def laguerre(n: int, alpha: float, x):
+    """Associated Laguerre polynomial L_n^alpha(x), +-inf past the double
+    range; accepts scalars or arrays."""
     if n < 0:
         raise ValueError("degree n must be >= 0")
     if alpha <= -1.0:
         raise ValueError("alpha must exceed -1")
-    x = np.asarray(x, dtype=float)
-    prev = np.zeros_like(x)
-    cur = np.ones_like(x)
-    for k in range(n):
-        prev, cur = cur, ((2 * k + alpha + 1 - x) * cur - (k + alpha) * prev) / (k + 1)
-    return cur if cur.ndim else float(cur)
+    _, cur, ln_s = _laguerre_pair(n, alpha, x)
+    with np.errstate(over="ignore"):
+        out = cur * np.exp(ln_s)
+    return out if out.ndim else float(out)
 
 
 def laguerre_deriv(n: int, alpha: float, x):
@@ -100,11 +117,18 @@ def radial_norm_constant(two_eps: float, n: int, alpha: float,
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Generalized Gauss-Laguerre rule for the weight x^alpha e^{-x} on (0, inf)."""
+    """Generalized Gauss-Laguerre rule for the weight x^alpha e^{-x} on (0, inf).
+
+    Weights are stored as logarithms: the tail weights of large rules underflow.
+    """
     nodes: np.ndarray
-    weights: np.ndarray
+    ln_weights: np.ndarray
     order: int
     alpha: float
+
+    @property
+    def weights(self) -> np.ndarray:
+        return np.exp(self.ln_weights)
 
     def integrate(self, f) -> float:
         return float(np.dot(self.weights, f(self.nodes)))
@@ -113,13 +137,13 @@ class QuadratureRule:
 def gauss_laguerre(m: int, alpha: float = 0.0) -> QuadratureRule:
     """m-point generalized Gauss-Laguerre rule, exact through degree 2m-1.
 
-    Nodes are the eigenvalues of the Jacobi matrix of the orthonormal
-    recurrence (numpy's dense symmetric eigensolver, polished with two Newton
-    steps on L_m^alpha); weights come from the Christoffel-Darboux identity
-    w_j = 1 / sum_k p_k(x_j)^2 with p_k the orthonormal polynomials.  The
-    Golub-Welsch weights (squared first eigenvector components) are not
-    used: they lose the relative accuracy of the tiny tail weights, which
-    the high-n normalization integrals depend on.
+    Nodes are the eigenvalues of the Jacobi matrix (numpy's dense symmetric
+    eigensolver), polished by two Newton steps with x L_m' = m L_m -
+    (m+alpha) L_{m-1}; log weights come from the closed formula
+    w_j = Gamma(m+alpha+1) x_j / (m! (m+alpha)^2 L_{m-1}^alpha(x_j)^2).
+    The Golub-Welsch weights (squared first eigenvector components) are not
+    used: they carry only absolute accuracy and lose the tiny tail weights,
+    which the high-n normalization integrals depend on.
     """
     if m < 1:
         raise ValueError("node count m must be >= 1")
@@ -127,36 +151,29 @@ def gauss_laguerre(m: int, alpha: float = 0.0) -> QuadratureRule:
         raise ValueError("alpha must exceed -1")
 
     i = np.arange(m, dtype=float)
-    jac_diag = 2.0 * i + alpha + 1.0
     jac_off = np.sqrt((i[:-1] + 1.0) * (i[:-1] + 1.0 + alpha))
-    nodes = np.linalg.eigvalsh(np.diag(jac_diag) + np.diag(jac_off, 1)
-                               + np.diag(jac_off, -1))
+    nodes = np.linalg.eigvalsh(np.diag(2.0 * i + alpha + 1.0)
+                               + np.diag(jac_off, 1) + np.diag(jac_off, -1))
 
     for _ in range(2):  # Newton polish on the polynomial roots
-        val = laguerre(m, alpha, nodes)
-        der = laguerre_deriv(m, alpha, nodes)
-        nodes = nodes - val / der
-
-    # orthonormal recurrence p_{k+1} = ((x - a_k) p_k - b_k p_{k-1}) / b_{k+1}
-    mu0 = math.exp(ln_gamma(alpha + 1.0))
-    p_prev = np.zeros_like(nodes)
-    p_cur = np.full_like(nodes, 1.0 / math.sqrt(mu0))
-    total = p_cur**2
-    for k in range(m - 1):
-        b_next = math.sqrt((k + 1.0) * (k + 1.0 + alpha))
-        b_prev = math.sqrt(k * (k + alpha)) if k > 0 else 0.0
-        p_prev, p_cur = p_cur, ((nodes - jac_diag[k]) * p_cur - b_prev * p_prev) / b_next
-        total += p_cur**2
-    weights = 1.0 / total
-
+        prev, cur, _ = _laguerre_pair(m, alpha, nodes)
+        nodes = nodes - nodes * cur / (m * cur - (m + alpha) * prev)
     # written positively so that NaN nodes or weights fail the checks
     if not (np.all(nodes > 0.0) and np.all(np.diff(nodes) > 0.0)):
         raise RuntimeError("Gauss-Laguerre nodes are not sorted positive")
-    if not abs(float(weights.sum()) / mu0 - 1.0) <= 1e-10:
+
+    prev, _, ln_s = _laguerre_pair(m, alpha, nodes)
+    ln_weights = (ln_gamma(m + alpha + 1.0) - ln_gamma(m + 1.0)
+                  - 2.0 * math.log(m + alpha) + np.log(nodes)
+                  - 2.0 * (np.log(np.abs(prev)) + ln_s))
+    ln_mu0 = ln_gamma(alpha + 1.0)
+    if not abs(float(np.exp(ln_weights - ln_mu0).sum()) - 1.0) <= 1e-10:
         raise RuntimeError("Gauss-Laguerre weights fail the zeroth moment")
-    return QuadratureRule(nodes=nodes, weights=weights, order=m, alpha=alpha)
+    return QuadratureRule(nodes=nodes, ln_weights=ln_weights, order=m,
+                          alpha=alpha)
 
 
 def default_quadrature_order(n_max: int) -> int:
-    """Node count used for normalization integrals of states up to n_max."""
-    return 4 * (n_max + 1) + 20
+    """Node count for overlaps of states up to n_max: their integrands are
+    polynomials of degree <= 2 n_max times the weight, exact here."""
+    return n_max + 2

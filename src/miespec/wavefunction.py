@@ -17,8 +17,8 @@ import numpy as np
 from .errors import GridResolutionError
 from .potentials import PotentialParams
 from .spectrum import BoundState, binding_rate, centrifugal_strength
-from .specfun import (default_quadrature_order, gauss_laguerre, kummer_poly,
-                      laguerre, ln_gamma, radial_norm_constant)
+from .specfun import (_laguerre_pair, default_quadrature_order, gauss_laguerre,
+                      kummer_poly, ln_gamma, radial_norm_constant)
 
 
 @dataclass(frozen=True)
@@ -81,14 +81,16 @@ def ln_eta(state: BoundState, convention: str = "paper") -> float:
     raise ValueError(f"unknown normalization convention {convention!r}")
 
 
-def _ln_y_form(state: BoundState, y: np.ndarray, ln_pref: float, poly=None):
+def _ln_y_form(state: BoundState, y: np.ndarray, ln_pref, poly=None):
     """(ln|.|, sign) of e^{ln_pref} y^{k+2-N} e^{-y/2} P(y) at y > 0.
 
     The one evaluator behind every closed-form value of R.  P is L_n^alpha
-    unless the caller passes the values of another polynomial.
+    unless the caller passes the values of another polynomial; ln_pref may
+    be an array, which carries the recurrence's log scale of such values.
     """
     if poly is None:
-        poly = laguerre(state.q.n, state.alpha, y)
+        _, poly, ln_s = _laguerre_pair(state.q.n, state.alpha, y)
+        ln_pref = ln_pref + ln_s
     p = state.k + 2.0 - state.q.dim
     with np.errstate(divide="ignore"):
         ln_abs = ln_pref + p * np.log(y) - 0.5 * y + np.log(np.abs(poly))
@@ -172,50 +174,51 @@ def overlap(a: BoundState, b: BoundState, space: str = "r") -> float:
     reported for comparison with the Laguerre-measure picture.
     """
     _require_same_channel(a, b)
-    order = default_quadrature_order(max(a.q.n, b.q.n))
-    rule = gauss_laguerre(order, a.alpha + 1.0)
-    dim = a.q.dim
+    # y_a = c_a t, y_b = c_b t, measure (u t)^{N-1} u dt: the integrand is a
+    # polynomial of degree n_a + n_b times the rule's weight t^{alpha+1} e^{-t}
     if space == "r":
         if a.params != b.params:
             raise ValueError("r-space overlap requires one shared potential")
-        s = a.eps + b.eps
-        r = rule.nodes / s
-        la, sa = _ln_y_form(a, 2.0 * a.eps * r, ln_eta(a))
-        lb, sb = _ln_y_form(b, 2.0 * b.eps * r, ln_eta(b))
-        ln_g = (la + lb + (dim - 1.0) * np.log(r) - math.log(s)
-                - (a.alpha + 1.0) * np.log(rule.nodes) + rule.nodes)
-        return float(np.dot(rule.weights, sa * sb * np.exp(ln_g)))
-    if space == "y":
-        y = rule.nodes
-        va = eval_y_form(a, y)
-        vb = eval_y_form(b, y)
-        ln_g = (dim - 1.0) * np.log(y) - (a.alpha + 1.0) * np.log(y) + y
-        return float(np.dot(rule.weights, va * vb * np.exp(ln_g)))
-    raise ValueError(f"unknown overlap space {space!r}")
+        u = 1.0 / (a.eps + b.eps)
+        c_a, c_b = 2.0 * a.eps * u, 2.0 * b.eps * u
+    elif space == "y":
+        u = c_a = c_b = 1.0
+    else:
+        raise ValueError(f"unknown overlap space {space!r}")
+    rule = gauss_laguerre(default_quadrature_order(max(a.q.n, b.q.n)),
+                          a.alpha + 1.0)
+    t = rule.nodes
+    la, sa = _ln_y_form(a, c_a * t, ln_eta(a))
+    lb, sb = _ln_y_form(b, c_b * t, ln_eta(b))
+    ln_g = (la + lb + (a.q.dim - 1.0) * np.log(u * t) + math.log(u)
+            - (a.alpha + 1.0) * np.log(t) + t + rule.ln_weights)
+    return float(np.sum(sa * sb * np.exp(ln_g)))
 
 
 # -- ODE residual -----------------------------------------------------------
 
-def _interior_grid(grid: RadialGrid) -> RadialGrid:
-    nodes = grid.nodes()
-    return RadialGrid(r_min=float(nodes[2]), r_max=float(nodes[-3]),
-                      count=grid.count - 4)
+def _interior_d1(values, grid: RadialGrid):
+    """(nodes, grid, dv/dx) on the interior, by the 4th-order central stencil."""
+    if grid.count < 7:
+        raise GridResolutionError("need at least 7 nodes for the 4th-order stencil")
+    v = np.asarray(values, dtype=float)
+    x = grid.nodes()[2:-2]
+    d1 = (-v[4:] + 8.0 * v[3:-1] - 8.0 * v[1:-3] + v[:-4]) / (12.0 * grid.spacing)
+    inner = RadialGrid(r_min=float(x[0]), r_max=float(x[-1]), count=len(x))
+    return x, inner, d1
 
 
 def _residual_terms(values: np.ndarray, grid: RadialGrid,
                     params: PotentialParams, ell: int, dim: int,
                     energy: float):
-    """Five terms of the radial ODE on the interior nodes, 4th-order stencils."""
-    if grid.count < 7:
-        raise GridResolutionError("need at least 7 nodes for the 4th-order stencil")
+    """(interior grid, five terms of the radial ODE there), 4th-order stencils."""
+    r, inner, d1 = _interior_d1(values, grid)
     h = grid.spacing
     eps2 = 2.0 * params.mass * (params.C - energy) / params.hbar**2
     if h * h * abs(eps2) > 0.1:
         raise GridResolutionError(
             f"grid spacing {h:.4g} cannot resolve the decay scale")
     v = np.asarray(values, dtype=float)
-    r = grid.nodes()[2:-2]
-    d1 = (-v[4:] + 8.0 * v[3:-1] - 8.0 * v[1:-3] + v[:-4]) / (12.0 * h)
     d2 = (-v[4:] + 16.0 * v[3:-1] - 30.0 * v[2:-2] + 16.0 * v[1:-3] - v[:-4]) / (12.0 * h * h)
     nu = centrifugal_strength(params, ell, dim)
     beta = binding_rate(params)
@@ -224,14 +227,14 @@ def _residual_terms(values: np.ndarray, grid: RadialGrid,
              -nu / r**2 * v[2:-2],
              -eps2 * v[2:-2],
              beta / r * v[2:-2])
-    return terms
+    return inner, terms
 
 
 def ode_residual_samples(values, grid: RadialGrid, params: PotentialParams,
                          ell: int, dim: int, energy: float) -> SampledFunction:
     """Pointwise radial-ODE residual of arbitrary samples at trial energy."""
-    terms = _residual_terms(values, grid, params, ell, dim, energy)
-    return SampledFunction(grid=_interior_grid(grid), values=sum(terms))
+    inner, terms = _residual_terms(values, grid, params, ell, dim, energy)
+    return SampledFunction(grid=inner, values=sum(terms))
 
 
 def ode_residual(state: BoundState, grid: RadialGrid) -> SampledFunction:
@@ -244,8 +247,8 @@ def ode_residual(state: BoundState, grid: RadialGrid) -> SampledFunction:
 def ode_residual_relative(state: BoundState, grid: RadialGrid) -> float:
     """max |residual| over the max magnitude of the five ODE terms."""
     values = eval_radial(state, grid.nodes())
-    terms = _residual_terms(values, grid, state.params, state.q.ell,
-                            state.q.dim, state.energy)
+    _, terms = _residual_terms(values, grid, state.params, state.q.ell,
+                               state.q.dim, state.energy)
     residual = np.max(np.abs(sum(terms)))
     scale = max(np.max(np.abs(t)) for t in terms)
     return float(residual / scale) if scale > 0.0 else 0.0

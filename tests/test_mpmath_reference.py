@@ -26,7 +26,7 @@ def reference_radial(state, r):
                          for x in map(mpmath.mpf, r)])
 
 
-@pytest.mark.parametrize("n", [0, 5, 20, 50])
+@pytest.mark.parametrize("n", [0, 5, 20, 50, 100, 200])
 @pytest.mark.parametrize("ell", [0, 2])
 @pytest.mark.parametrize("dim", [2, 3, 5])
 @pytest.mark.parametrize("name", sorted(POTENTIALS))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from miespec import specfun
 from miespec.specfun import (default_quadrature_order, gauss_laguerre,
                              kummer_poly, laguerre, laguerre_deriv, ln_gamma)
 
@@ -160,9 +161,26 @@ class TestGaussLaguerre:
             gauss_laguerre(3, -1.5)
 
 
-def test_gauss_laguerre_rejects_nan_nodes_and_weights():
-    # the Christoffel-Darboux sums overflow near order 380; the checks must
-    # not let the resulting NaNs through
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(RuntimeError):
-            gauss_laguerre(380, 1.7)
+def test_gauss_laguerre_rejects_nan_nodes_and_weights(monkeypatch):
+    # a NaN node (and with it a NaN weight) must fail the checks, which are
+    # written positively for that reason
+    eigvalsh = np.linalg.eigvalsh
+
+    def with_nan_node(a):
+        nodes = eigvalsh(a)
+        nodes[-1] = np.nan
+        return nodes
+
+    monkeypatch.setattr(specfun.np.linalg, "eigvalsh", with_nan_node)
+    with pytest.raises(RuntimeError):
+        gauss_laguerre(12, 1.7)
+
+
+@pytest.mark.parametrize("m,alpha", [(380, 1.7), (600, 6.4)])
+def test_gauss_laguerre_large_orders_are_valid_rules(m, alpha):
+    # L_{m-1}^alpha passes the double range at the largest nodes here
+    rule = gauss_laguerre(m, alpha)
+    assert rule.nodes[0] > 0.0 and np.all(np.diff(rule.nodes) > 0.0)
+    assert np.all(np.isfinite(rule.ln_weights))
+    moment = np.exp(rule.ln_weights - ln_gamma(alpha + 1.0)).sum()
+    assert abs(moment - 1.0) <= 1e-10

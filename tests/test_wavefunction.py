@@ -97,6 +97,24 @@ class TestNormCheck:
                     assert norm_check(a) == pytest.approx(1.0, abs=1e-10)
                     assert overlap(a, b, "r") == pytest.approx(0.0, abs=1e-10)
 
+    @pytest.mark.parametrize("n", [100, 150, 200])
+    @pytest.mark.parametrize("ell", [0, 2])
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_high_n_norm_overlaps_and_finite_values(self, hydrogen, kratzer,
+                                                    dim, ell, n):
+        # L_n^alpha passes the double range here while R only underflows,
+        # and the largest quadrature nodes carry weights below it
+        for params in (hydrogen, kratzer):
+            state = make_state(params, n, ell, dim)
+            assert abs(norm_check(state) - 1.0) <= 1e-10
+            assert abs(overlap(state, make_state(params, n + 1, ell, dim),
+                               "r")) <= 1e-10
+            # int R^2 y^{N-1} dy = (2 eps)^N by the substitution y = 2 eps r
+            assert overlap(state, state, "y") == pytest.approx(
+                (2.0 * state.eps) ** dim, rel=1e-10)
+            y = np.array([20.0 * n, 60.0 * n])
+            assert np.all(np.isfinite(eval_radial(state, y / (2.0 * state.eps))))
+
     def test_doubled_constant_scales_quadratically(self, hydrogen):
         state = make_state(hydrogen, 0, 0, 3)
         tampered = dataclasses.replace(state, zeta=2.0 * state.zeta)
