@@ -7,7 +7,8 @@ values, and the resolved configuration can be dumped and re-used verbatim
 
 A configuration flag's argparse dest is its config key, "section.key"
 (``--mass`` is ``units.mass``), so the parser alone maps flags to keys.
-Each named potential is declared once, in ``_PRESETS``.
+Each potential is declared once, with the keys it reads, in ``_PRESETS``
+(raw A/B/C in ``_RAW``); any other potential key is a configuration error.
 
 Exit codes: 0 success, 2 configuration error, 3 domain error (invalid or
 unbound channels), 4 output I/O error.
@@ -92,50 +93,46 @@ def resolve_config(args) -> dict:
     return cfg
 
 
-# preset name -> (raw A/B/C keys it may carry, constructor from the potential
-# section and the units, its line in `miespec presets`)
+# preset name -> (constructor, the potential keys it reads with their
+# defaults, its line in `miespec presets`)
 _PRESETS = {
     "kratzer-fues": (
-        set(),
-        lambda pot, mass, hbar: potentials.kratzer_fues(
-            float(pot.get("d0", 1.0)), float(pot.get("r0", 1.0)), mass, hbar),
+        potentials.kratzer_fues, {"d0": 1.0, "r0": 1.0},
         "d0, r0          A = d0 r0^2, B = -2 d0 r0, C = 0"),
     "modified-kratzer": (
-        set(),
-        lambda pot, mass, hbar: potentials.modified_kratzer(
-            float(pot.get("d0", 1.0)), float(pot.get("r0", 1.0)), mass, hbar,
-            convention=pot.get("convention", "standard")),
+        potentials.modified_kratzer,
+        {"d0": 1.0, "r0": 1.0, "convention": "standard"},
         "d0, r0          standard: (+d0 r0^2, -2 d0 r0, +d0);"
         " paper-literal: (-d0 r0^2, +2 d0 r0, -d0)"),
     "coulomb": (
-        {"B"},  # coulomb's strength is B
-        lambda pot, mass, hbar: potentials.coulomb(
-            float(pot.get("B", -1.0)), mass, hbar),
+        potentials.coulomb, {"B": -1.0},
         "B               A = C = 0"),
     "mie-general": (
-        set(),
-        lambda pot, mass, hbar: potentials.MiePreset(
-            d0=float(pot.get("d0", 1.0)), r0=float(pot.get("r0", 1.0)),
-            a=float(pot.get("a", 2.0)), b=float(pot.get("b", 1.0))),
+        potentials.MiePreset, {"d0": 1.0, "r0": 1.0, "a": 2.0, "b": 1.0},
         "d0, r0, a, b    two-exponent Mie form"
         " (numeric oracle only unless (a, b) = (2, 1))"),
 }
+# a section without a preset is raw A/B/C, one more entry with no listing
+_RAW = (potentials.PotentialParams, {"A": 0.0, "B": 0.0, "C": 0.0})
+
+
+def _entry(pot: dict) -> tuple:
+    """(label, constructor, keys read) of a potential section."""
+    if "preset" not in pot:
+        return ("raw", *_RAW)
+    if pot["preset"] not in _PRESETS:
+        raise ConfigError(f"unknown preset {pot['preset']!r}")
+    return (pot["preset"], *_PRESETS[pot["preset"]][:2])
 
 
 def _validate(cfg: dict):
     pot = cfg["potential"]
-    has_preset = "preset" in pot
-    has_raw = any(k in pot for k in ("A", "B", "C")) and not has_preset
-    if has_preset:
-        if pot["preset"] not in _PRESETS:
-            raise ConfigError(f"unknown preset {pot['preset']!r}")
-        stray = {"A", "B", "C"} & set(pot) - _PRESETS[pot["preset"]][0]
-        if stray:
-            raise ConfigError(
-                f"exactly one potential spec allowed: preset "
-                f"{pot['preset']!r} does not take raw key(s) {sorted(stray)}")
-    if not has_preset and not has_raw:
+    if not pot:
         raise ConfigError("potential needs either a preset or raw A/B/C values")
+    label, _, reads = _entry(pot)
+    stray = set(pot) - set(reads) - {"preset"}
+    if stray:
+        raise ConfigError(f"potential {label!r} does not read key(s) {sorted(stray)}")
     q = cfg["quantum"]
     if int(q["n_max"]) < 0 or int(q["ell_max"]) < 0:
         raise ConfigError("quantum ranges must be non-negative")
@@ -157,19 +154,14 @@ def _validate(cfg: dict):
 def build_potential(cfg: dict):
     """(potential object, label) from the resolved configuration."""
     pot = cfg["potential"]
-    mass = float(cfg["units"]["mass"])
-    hbar = float(cfg["units"]["hbar"])
+    label, make, reads = _entry(pot)
     try:
-        if "preset" not in pot:
-            return (potentials.PotentialParams(
-                A=float(pot.get("A", 0.0)), B=float(pot.get("B", 0.0)),
-                C=float(pot.get("C", 0.0)), mass=mass, hbar=hbar), "raw")
-        name = pot["preset"]
-        if name in _PRESETS:
-            return _PRESETS[name][1](pot, mass, hbar), name
-    except ValueError as exc:
+        keys = {key: type(default)(pot.get(key, default))
+                for key, default in reads.items()}
+        return make(**keys, mass=float(cfg["units"]["mass"]),
+                    hbar=float(cfg["units"]["hbar"])), label
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown preset {pot['preset']!r}")
 
 
 def _closed_form_potential(cfg: dict, what: str):
@@ -345,13 +337,18 @@ def cmd_ladder_check(args) -> int:
 def _verify_channel(potential, label, ell, dim, n_max, refine, fast):
     q_list = [spectrum.QuantumNumbers(n=n, ell=ell, dim=dim)
               for n in range(n_max + 1)]
-    exact = [spectrum.energy(potential, q) for q in q_list]
+    mie = isinstance(potential, potentials.MiePreset)
+    exact = None if mie else [spectrum.energy(potential, q) for q in q_list]
     grid = oracle.default_grid(potential, ell, dim, n_max=n_max, refine=refine)
     config = oracle.OracleConfig(grid=grid, count=n_max + 1)
     fd = oracle.solve_bound_states(potential, ell, dim, config)
 
     entry = {"potential": label, "ell": ell, "dim": dim,
              "closed_form": exact, "fd": list(map(float, fd))}
+    if mie:  # no closed form: the FD levels are the whole entry
+        entry.update(potential=f"{label}(a={potential.a:g}, b={potential.b:g})",
+                     note="no closed-form spectrum for these exponents")
+        return entry
     ok = len(fd) == len(exact)
     deltas, tols = [], []
     for i, e in enumerate(exact):
@@ -396,16 +393,6 @@ def _verify_channel(potential, label, ell, dim, n_max, refine, fast):
     return entry
 
 
-def _verify_mie_general(preset, refine):
-    grid = oracle.default_grid(preset, 0, 3, n_max=1, refine=refine)
-    config = oracle.OracleConfig(grid=grid, count=2)
-    fd = oracle.solve_bound_states(preset, 0, 3, config)
-    return {"potential": f"mie-general(a={preset.a:g}, b={preset.b:g})",
-            "ell": 0, "dim": 3,
-            "fd": list(map(float, fd)), "closed_form": None,
-            "note": "no closed-form spectrum for these exponents"}
-
-
 def cmd_verify(args) -> int:
     cfg = resolve_config(args)
     q = cfg["quantum"]
@@ -413,30 +400,29 @@ def cmd_verify(args) -> int:
     if args.coarse:
         refine /= float(args.coarse)
 
-    # any potential flag but --convention, or a config file, selects one
-    # potential; otherwise the default suite runs
+    # a config file or any potential flag selects one potential, else the suite
     explicit_potential = bool(getattr(args, "config", None)) or any(
         value is not None for dest, value in vars(args).items()
-        if dest.startswith("potential.") and dest != "potential.convention")
+        if dest.startswith("potential."))
     if explicit_potential:
         suite = [build_potential(cfg)]
     else:
         suite = [(potentials.coulomb(-1.0), "coulomb"),
                  (potentials.kratzer_fues(5.0, 1.0), "kratzer-fues")]
-    mie = [p for p, _ in suite if isinstance(p, potentials.MiePreset)]
+    if args.mie_general and not isinstance(suite[0][0], potentials.MiePreset):
+        suite.append((potentials.MiePreset(5.0, 1.0, 4.0, 2.0), "mie-general"))
 
-    channels = [_verify_channel(potential, label, ell, dim, int(q["n_max"]),
-                                refine, args.fast)
-                for potential, label in suite
-                if not isinstance(potential, potentials.MiePreset)
-                for dim in _dims(cfg, [2, 3, 5])
-                for ell in range(int(q["ell_max"]) + 1)]
+    entries = [_verify_channel(potential, label, ell, dim, int(q["n_max"]),
+                               refine, args.fast)
+               for potential, label in suite
+               for dim in _dims(cfg, [2, 3, 5])
+               for ell in range(int(q["ell_max"]) + 1)]
+    channels = [e for e in entries if e["closed_form"] is not None]
+    mie = [e for e in entries if e["closed_form"] is None]
 
     payload = {"channels": channels, "passed": all(c["passed"] for c in channels)}
-    if args.mie_general or mie:
-        preset = mie[0] if mie else potentials.MiePreset(d0=5.0, r0=1.0,
-                                                           a=4.0, b=2.0)
-        payload["mie_general"] = _verify_mie_general(preset, refine)
+    if mie:
+        payload["mie_general"] = mie
     path = _out_path(cfg, args, "verify.json")
     _write_text(path, _json_dumps(payload))
     if not payload["passed"]:

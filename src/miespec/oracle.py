@@ -65,12 +65,6 @@ class OracleConfig:
             raise ValueError(f"unknown discretization scheme {self.scheme!r}")
 
 
-def _units(potential) -> tuple[float, float]:
-    if isinstance(potential, PotentialParams):
-        return potential.mass, potential.hbar
-    return 1.0, 1.0  # MiePreset carries no units: natural units
-
-
 def potential_value(potential, r):
     """V(r) for either potential representation."""
     if isinstance(potential, PotentialParams):
@@ -94,9 +88,9 @@ def effective_potential(potential, ell: int, dim: int, r):
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):
         raise ValueError("radius must be positive")
-    mass, hbar = _units(potential)
     barrier = ell * (ell + dim - 2) + (dim - 1.0) * (dim - 3.0) / 4.0
-    out = potential_value(potential, r) + hbar**2 / (2.0 * mass) * barrier / r**2
+    out = (potential_value(potential, r)
+           + potential.hbar**2 / (2.0 * potential.mass) * barrier / r**2)
     return out if out.ndim else float(out)
 
 
@@ -108,11 +102,10 @@ def build_tridiagonal(config: OracleConfig, potential, ell: int,
     Dirichlet walls sit one spacing outside the grid, so with r_min equal to
     the spacing the left wall is exactly at the origin.
     """
-    mass, hbar = _units(potential)
     grid = config.grid
     h = grid.spacing
     r = grid.nodes()
-    t = hbar**2 / (2.0 * mass * h * h)
+    t = potential.hbar**2 / (2.0 * potential.mass * h * h)
     diag = 2.0 * t + effective_potential(potential, ell, dim, r)
     off = np.full(grid.count - 1, -t)
     return Tridiagonal(diag=np.ascontiguousarray(diag),
@@ -127,7 +120,7 @@ def build_tridiagonal_radial(config: OracleConfig, potential, ell: int,
     flux weight is the measure r^{N-1} evaluated on faces.  Use cell_grid()
     to place the first face exactly at the origin.
     """
-    mass, hbar = _units(potential)
+    mass, hbar = potential.mass, potential.hbar
     grid = config.grid
     h = grid.spacing
     r = grid.nodes()
@@ -172,10 +165,8 @@ def default_grid(potential, ell: int, dim: int, n_max: int = 3,
         r_domain = 1.5 * (2.0 * n_max + 2.0 * k + 10.0) / eps_min
         h = 0.01 / eps_max
     else:
-        mass, hbar = _units(potential)
-        kappa = math.sqrt(2.0 * mass * potential.d0) / hbar
         r_domain = potential.r0 * (10.0 + 6.0 * (n_max + 1.0))
-        h = 0.01 / kappa
+        h = 0.01 * potential.hbar / math.sqrt(2.0 * potential.mass * potential.d0)
     count = int(math.ceil(r_domain / h * refine))
     count = min(max(count, 1000), 400000)
     return cell_grid(r_domain, count)

@@ -32,15 +32,19 @@ class PotentialParams:
 
 @dataclass(frozen=True)
 class MiePreset:
-    """Two-exponent Mie form with well depth d0 at equilibrium distance r0."""
+    """Two-exponent Mie form, well depth d0 at r0, in units mass and hbar."""
     d0: float
     r0: float
     a: float = 2.0
     b: float = 1.0
+    mass: float = 1.0
+    hbar: float = 1.0
 
     def __post_init__(self):
         if self.d0 <= 0.0 or self.r0 <= 0.0:
             raise ValueError("d0 and r0 must be positive")
+        if self.mass <= 0.0 or self.hbar <= 0.0:
+            raise ValueError("mass and hbar must be positive")
         if self.a == self.b:
             raise ValueError("exponents a and b must differ")
 

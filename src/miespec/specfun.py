@@ -17,6 +17,7 @@ import numpy as np
 from .errors import NotNormalizableError
 
 _LN_DBL_MAX = math.log(sys.float_info.max)
+_LN_DBL_MIN = math.log(sys.float_info.min)  # the smallest normal double
 _BIG = 2.0**500
 
 
@@ -98,7 +99,7 @@ def radial_norm_constant(two_eps: float, n: int, alpha: float,
     With ``paper_literal`` the bare factor (2n+alpha+1) is replaced by
     Gamma(2n+alpha+2); that variant fails unit normalization for n >= 1 and
     is exposed only as a diagnostic.  Raises NotNormalizableError when the
-    constant exceeds the double range.
+    constant lies outside the normal double range.
     """
     if two_eps <= 0.0:
         raise ValueError("two_eps must be positive")
@@ -108,10 +109,10 @@ def radial_norm_constant(two_eps: float, n: int, alpha: float,
         last = math.log(2 * n + alpha + 1.0)
     ln_zeta = (0.5 * (alpha + 2.0) * math.log(two_eps) - ln_gamma(alpha + 1.0)
                + 0.5 * (ln_gamma(n + alpha + 1.0) - ln_gamma(n + 1.0) - last))
-    if ln_zeta > _LN_DBL_MAX:
+    if not _LN_DBL_MIN <= ln_zeta <= _LN_DBL_MAX:
         raise NotNormalizableError(
-            f"normalization constant exceeds the double range: "
-            f"ln zeta = {ln_zeta:.6g} > {_LN_DBL_MAX:.6g}")
+            f"normalization constant is outside the normal double range: "
+            f"ln zeta = {ln_zeta:.6g} not in [{_LN_DBL_MIN:.6g}, {_LN_DBL_MAX:.6g}]")
     return math.exp(ln_zeta)
 
 
@@ -131,7 +132,10 @@ class QuadratureRule:
         return np.exp(self.ln_weights)
 
     def integrate(self, f) -> float:
-        return float(np.dot(self.weights, f(self.nodes)))
+        values = f(self.nodes)  # summed as e^(ln w + ln|f|): w alone may overflow
+        with np.errstate(divide="ignore"):  # f = 0 adds e^-inf = 0
+            return float(np.sum(np.sign(values) * np.exp(
+                self.ln_weights + np.log(np.abs(values)))))
 
 
 def gauss_laguerre(m: int, alpha: float = 0.0) -> QuadratureRule:

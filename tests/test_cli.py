@@ -177,12 +177,21 @@ class TestVerify:
 
     def test_mie_general_section(self, tmp_path):
         code = run(tmp_path, "verify", "--preset", "coulomb", "--B", "-1",
-                   "--dims", "3", "--n-max", "0", "--ell-max", "0", "--fast",
+                   "--dims", "3,5", "--n-max", "1", "--ell-max", "1", "--fast",
                    "--mie-general")
         assert code == 0
         payload = json.loads((tmp_path / "verify.json").read_text())
-        assert payload["mie_general"]["closed_form"] is None
-        assert len(payload["mie_general"]["fd"]) >= 1
+        section = payload["mie_general"]
+        assert [(e["dim"], e["ell"]) for e in section] == \
+            [(3, 0), (3, 1), (5, 0), (5, 1)]
+        assert all(e["closed_form"] is None and len(e["fd"]) == 2
+                   for e in section)
+        assert [c["potential"] for c in payload["channels"]] == ["coulomb"] * 4
+        # interdimensional degeneracy (N, ell + 1) ~ (N + 2, ell), which
+        # holds for every central potential
+        by_channel = {(e["dim"], e["ell"]): e["fd"] for e in section}
+        for a, b in zip(by_channel[(3, 1)], by_channel[(5, 0)]):
+            assert abs(a - b) <= 2.0 * max(5e-5, 5e-5 * abs(a))
 
     def test_convergence_order_reported(self, tmp_path):
         code = run(tmp_path, "verify", "--preset", "kratzer-fues", "--d0", "5",
@@ -295,33 +304,57 @@ def test_verify_solves_each_grid_once(tmp_path, monkeypatch, fast):
 
 
 @pytest.mark.parametrize("argv", [
+    ["wavefunction", "--n", "0", "--ell", "200", "--dim", "3", "--mass", "1e12"],
+    ["ladder-check", "--ell-max", "200", "--dims", "3", "--mass", "1e12"],
     ["wavefunction", "--n", "0", "--ell", "200", "--dim", "3"],
-    ["ladder-check", "--ell-max", "200", "--dims", "3"],
-], ids=["wavefunction", "ladder-check"])
+], ids=["wavefunction", "ladder-check", "wavefunction-underflow"])
 def test_norm_constant_overflow_is_a_domain_error(tmp_path, capsys, argv):
-    # ln zeta first passes log(DBL_MAX) at ell = 32 and is about 3600 at ell = 200
-    code = run(tmp_path, *argv, "--preset", "coulomb", "--B", "-1",
-               "--mass", "1e12")
+    # with mass 1e12, ln zeta first passes log(DBL_MAX) at ell = 32 and is
+    # about 3600 at ell = 200; without it, ln zeta is about -1935 at
+    # ell = 200, below the normal double range
+    code = run(tmp_path, *argv, "--preset", "coulomb", "--B", "-1")
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("domain error:") and "ln zeta" in err
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("argv,label,fd", [
+@pytest.mark.parametrize("argv,label,count,fd", [
     (["--preset", "mie-general", "--d0", "3", "--r0", "2", "--mie-a", "6",
-      "--mie-b", "3"], "mie-general(a=6, b=3)", [-1.5118, -0.2806]),
+      "--mie-b", "3"], "mie-general(a=6, b=3)", 9, [-1.5118, -0.2806, -0.0236]),
     (["--preset", "coulomb", "--B", "-1", "--dims", "3", "--n-max", "0",
-      "--ell-max", "0", "--mie-general"], "mie-general(a=4, b=2)",
-     [-2.5149, -0.6510]),
+      "--ell-max", "0", "--mie-general"], "mie-general(a=4, b=2)", 1,
+     [-2.5149]),
 ], ids=["given-preset", "default-preset"])
 def test_verify_mie_general_section_uses_the_given_preset(tmp_path, argv,
-                                                          label, fd):
+                                                          label, count, fd):
+    # one entry per (dim, ell) of the quantum section: dims 2, 3, 5 and
+    # ell 0-2 unless given
     assert run(tmp_path, "verify", *argv, "--fast") == 0
     section = json.loads((tmp_path / "verify.json").read_text())["mie_general"]
-    assert section["potential"] == label
-    assert section["closed_form"] is None
-    assert section["fd"] == pytest.approx(fd, abs=1e-3)
+    assert len(section) == count
+    assert all(e["potential"] == label and e["closed_form"] is None
+               for e in section)
+    first = next(e for e in section if (e["dim"], e["ell"]) == (3, 0))
+    assert first["fd"][:len(fd)] == pytest.approx(fd, abs=1e-3)
+
+
+def _mie_levels(tmp_path, *units):
+    assert run(tmp_path, "verify", "--preset", "mie-general", "--d0", "3",
+               "--r0", "2", "--mie-a", "6", "--mie-b", "3", "--fast",
+               "--dims", "3", "--ell-max", "0", "--n-max", "1", *units) == 0
+    section = json.loads((tmp_path / "verify.json").read_text())["mie_general"]
+    return section[0]["fd"]
+
+
+def test_units_reach_the_general_mie_form(tmp_path):
+    # the levels depend on the units only through hbar^2 / mass
+    plain = _mie_levels(tmp_path)
+    scaled = _mie_levels(tmp_path, "--mass", "2", "--hbar", "1.4142135623730951")
+    heavy = _mie_levels(tmp_path, "--mass", "2")
+    assert len(plain) == len(scaled) == len(heavy) == 2
+    assert scaled == pytest.approx(plain, abs=1e-9)
+    assert all(abs(a - b) > 1e-3 for a, b in zip(heavy, plain))
 
 
 # flag, value, the section and key it sets, and the value print-config shows
@@ -357,19 +390,24 @@ def test_config_flag_table_covers_every_common_flag():
         {flag for flag, *_ in CONFIG_FLAGS}
 
 
+# a preset that reads each potential key other than preset and A/B/C
+READER = {"d0": "kratzer-fues", "r0": "kratzer-fues", "a": "mie-general",
+          "b": "mie-general", "convention": "modified-kratzer"}
+
+
 @pytest.mark.parametrize("flag,value,section,key,expected", CONFIG_FLAGS,
                          ids=[row[0] for row in CONFIG_FLAGS])
 def test_each_config_flag_lands_under_its_section(capsys, flag, value,
                                                   section, key, expected):
-    assert main(["print-config", flag, value]) == 0
+    preset = ["--preset", READER[key]] if key in READER else []
+    assert main(["print-config", *preset, flag, value]) == 0
     cfg = json.loads(capsys.readouterr().out)
     assert cfg[section][key] == expected
-    # a preset or raw A/B/C flag replaces the default potential; any other
-    # potential flag amends it
-    if section == "potential" and key in ("preset", "A", "B", "C"):
-        assert cfg["potential"] == {key: expected}
+    if key in READER:
+        assert cfg["potential"] == {"preset": READER[key], key: expected}
     elif section == "potential":
-        assert cfg["potential"] == {"preset": "coulomb", "B": -1.0, key: expected}
+        # a preset or raw A/B/C flag replaces the default potential
+        assert cfg["potential"] == {key: expected}
 
 
 def test_every_listed_preset_is_accepted(tmp_path, capsys):
@@ -402,10 +440,40 @@ def test_closed_form_commands_refuse_the_general_mie_form(tmp_path, capsys, argv
     assert not list(tmp_path.iterdir())
 
 
-def test_convention_alone_keeps_the_default_verify_suite(tmp_path):
+def test_convention_alone_is_refused_by_verify(tmp_path, capsys):
+    # the default Coulomb section does not read a convention
     assert run(tmp_path, "verify", "--convention", "paper-literal", "--fast",
-               "--n-max", "0", "--ell-max", "0", "--dims", "3") == 0
-    payload = json.loads((tmp_path / "verify.json").read_text())
-    assert [c["potential"] for c in payload["channels"]] == \
-        ["coulomb", "kratzer-fues"]
-    assert payload["passed"]
+               "--n-max", "0", "--ell-max", "0", "--dims", "3") == 2
+    assert capsys.readouterr().err.startswith("configuration error:")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv,label,key", [
+    (["spectrum", "--preset", "kratzer-fues", "--d0", "5", "--r0", "1",
+      "--mie-a", "6"], "'kratzer-fues'", "'a'"),
+    (["verify", "--preset", "coulomb", "--B", "-1", "--d0", "3"],
+     "'coulomb'", "'d0'"),
+    (["verify", "--preset", "mie-general", "--B", "-1"],
+     "'mie-general'", "'B'"),
+    (["spectrum", "--B", "-1", "--d0", "3"], "'raw'", "'d0'"),
+    (["ladder-check", "--preset", "modified-kratzer", "--mie-b", "3"],
+     "'modified-kratzer'", "'b'"),
+    (["print-config", "--d0", "3"], "'coulomb'", "'d0'"),
+    (["spectrum", "--config"], "'coulomb'", "'r0'"),
+], ids=["kratzer-fues-a", "coulomb-d0", "mie-general-B", "raw-d0",
+        "modified-kratzer-b", "default-coulomb-d0", "config-file-r0"])
+def test_a_potential_key_the_preset_does_not_read_is_refused(
+        tmp_path, capsys, argv, label, key):
+    if argv[-1] == "--config":
+        cfg = tmp_path / "cfg" / "coulomb.json"
+        cfg.parent.mkdir()
+        cfg.write_text(json.dumps(
+            {"potential": {"preset": "coulomb", "B": -1, "r0": 2}}))
+        argv = [*argv, str(cfg)]
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([*argv, "--outdir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error:")
+    assert label in captured.err and key in captured.err
+    assert captured.out == "" and not list(out.iterdir())

@@ -157,13 +157,16 @@ class TestSolveBoundStates:
             assert abs(g - w) <= max(5e-5, 5e-5 * abs(w))
 
     def test_general_mie_21_matches_kratzer_map(self):
-        preset = MiePreset(d0=5.0, r0=1.0, a=2.0, b=1.0)
-        grid = default_grid(kratzer_fues(5.0, 1.0), 0, 3)
-        config = OracleConfig(grid=grid, count=3)
-        got = solve_bound_states(preset, 0, 3, config)
-        want = exact_energies(kratzer_fues(5.0, 1.0), 0, 3, 3)
-        for g, w in zip(got, want):
-            assert abs(g - w) <= max(5e-5, 5e-5 * abs(w))
+        for mass, hbar in ((1.0, 1.0), (2.0, 0.5)):
+            preset = MiePreset(d0=5.0, r0=1.0, a=2.0, b=1.0, mass=mass,
+                               hbar=hbar)
+            kratzer = kratzer_fues(5.0, 1.0, mass, hbar)
+            config = OracleConfig(grid=default_grid(kratzer, 0, 3), count=3)
+            got = solve_bound_states(preset, 0, 3, config)
+            want = exact_energies(kratzer, 0, 3, 3)
+            assert len(got) == 3
+            for g, w in zip(got, want):
+                assert abs(g - w) <= max(5e-5, 5e-5 * abs(w))
 
     def test_general_mie_42_frozen_regression(self):
         # no closed form for these exponents; values frozen from a run whose

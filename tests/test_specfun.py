@@ -149,6 +149,14 @@ class TestGaussLaguerre:
                 want = norms[n] if n == m else 0.0
                 assert abs(integral - want) / scale < 1e-10
 
+    def test_integrate_where_the_weights_overflow(self):
+        # Gamma(201) passes the double range, so the weights themselves
+        # are inf; the integral of x^200 e^-x 1e-300 x^2 is not
+        rule = gauss_laguerre(10, 200.0)
+        want = math.exp(ln_gamma(203.0) - 300.0 * math.log(10.0))
+        got = rule.integrate(lambda x: 1e-300 * x**2)
+        assert got == pytest.approx(want, rel=1e-12)
+
     def test_node_monotonicity_large_rule(self):
         rule = gauss_laguerre(64, 0.25)
         assert np.all(np.diff(rule.nodes) > 0.0)

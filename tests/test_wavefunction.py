@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from miespec.errors import GridResolutionError
+from miespec.errors import GridResolutionError, NotNormalizableError
 from miespec.potentials import PotentialParams, coulomb, kratzer_fues
 from miespec.spectrum import QuantumNumbers, bound_state
 from miespec.wavefunction import (RadialGrid, eval_radial, eval_y_form,
@@ -114,6 +114,18 @@ class TestNormCheck:
                 (2.0 * state.eps) ** dim, rel=1e-10)
             y = np.array([20.0 * n, 60.0 * n])
             assert np.all(np.isfinite(eval_radial(state, y / (2.0 * state.eps))))
+
+    def test_smallest_normal_constant_still_normalizes(self, hydrogen):
+        # zeta is about 5e-302 here, just above the smallest normal double
+        assert norm_check(make_state(hydrogen, 0, 86, 3)) == pytest.approx(
+            1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("ell", [88, 90, 200])
+    def test_constant_below_the_normal_range_is_refused(self, hydrogen, ell):
+        # a subnormal zeta (ell = 88, 90) has lost digits; from ell = 92 on
+        # it is 0.0
+        with pytest.raises(NotNormalizableError, match="ln zeta"):
+            make_state(hydrogen, 0, ell, 3)
 
     def test_doubled_constant_scales_quadratically(self, hydrogen):
         state = make_state(hydrogen, 0, 0, 3)
