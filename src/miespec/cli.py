@@ -377,12 +377,15 @@ def _verify_channel(potential, label, ell, dim, n_max, refine, fast):
         entry.update(order=None, order_status="skipped", order_ok=True)
     else:
         # the h grid is the one solve_bound_states just solved; only the
-        # 4h and 2h grids of the order fit are new
+        # 4h and 2h grids of the order fit are new, and its level 0 only
+        # places their first slope probe
         h = grid.spacing
         r_domain = grid.r_max + 0.5 * h
-        values = [oracle._level_on_grid(potential, ell, dim, 0, r_domain, s)
+        start = float(fd[0]) if len(fd) else None
+        values = [oracle._level_on_grid(potential, ell, dim, 0, r_domain, s,
+                                        start=start)
                   for s in (4.0 * h, 2.0 * h)]
-        values.append(float(fd[0]) if len(fd) else
+        values.append(start if start is not None else
                       oracle._level_on_grid(potential, ell, dim, 0, r_domain, h))
         study = oracle._order_fit([4.0 * h, 2.0 * h, h], values, 0, exact[0])
         entry.update(order=study["order"], order_status=study["status"])
@@ -393,8 +396,20 @@ def _verify_channel(potential, label, ell, dim, n_max, refine, fast):
     return entry
 
 
+# verify's potentials when none is given, and its --mie-general addition
+_VERIFY_SUITE = ({"preset": "coulomb", "B": -1.0},
+                 {"preset": "kratzer-fues", "d0": 5.0, "r0": 1.0})
+_VERIFY_MIE = {"preset": "mie-general", "d0": 5.0, "r0": 1.0, "a": 4.0, "b": 2.0}
+
+
 def cmd_verify(args) -> int:
     cfg = resolve_config(args)
+    # every grid is sized by oracle.default_grid; only its refinement is read
+    unread = [key for key in ("points", "r_domain")
+              if cfg["grid"][key] is not None]
+    if unread:
+        raise ConfigError(f"verify does not read grid key(s) {unread}; "
+                          "its grids follow each channel (use --refine)")
     q = cfg["quantum"]
     refine = float(cfg["grid"]["refine"])
     if args.coarse:
@@ -404,13 +419,11 @@ def cmd_verify(args) -> int:
     explicit_potential = bool(getattr(args, "config", None)) or any(
         value is not None for dest, value in vars(args).items()
         if dest.startswith("potential."))
-    if explicit_potential:
-        suite = [build_potential(cfg)]
-    else:
-        suite = [(potentials.coulomb(-1.0), "coulomb"),
-                 (potentials.kratzer_fues(5.0, 1.0), "kratzer-fues")]
-    if args.mie_general and not isinstance(suite[0][0], potentials.MiePreset):
-        suite.append((potentials.MiePreset(5.0, 1.0, 4.0, 2.0), "mie-general"))
+    sections = [cfg["potential"]] if explicit_potential else list(_VERIFY_SUITE)
+    if args.mie_general and sections[0].get("preset") != "mie-general":
+        sections.append(_VERIFY_MIE)
+    # built like any other section, so the suite reads units too
+    suite = [build_potential({**cfg, "potential": pot}) for pot in sections]
 
     entries = [_verify_channel(potential, label, ell, dim, int(q["n_max"]),
                                refine, args.fast)

@@ -17,6 +17,11 @@ class NoBoundStatesError(ValueError):
     condition has no solutions with positive decay rate."""
 
 
+class CancellationError(ValueError):
+    """A series evaluation would lose more accuracy to cancellation between
+    its terms than its guard allows."""
+
+
 class GridResolutionError(ValueError):
     """A sampling grid is too coarse for the requested finite-difference
     operation."""

@@ -1,12 +1,23 @@
 """Independent finite-difference verification of the closed-form spectrum.
 
 The radial problem is discretized on a uniform grid and reduced to a real
-symmetric tridiagonal eigenproblem, solved within Sturm-proven brackets with
-Newton-placed probes: every bracket end carries an exact eigenvalue count,
-and Newton's method on det(T - x) only chooses where the next count is
-taken.  The kernel is plain Python rather than LAPACK's ``dstebz``:
-importing ``scipy.linalg`` would add about 26 MiB of resident memory and
-0.3 s of start-up to every command.
+symmetric tridiagonal eigenproblem, solved within Sturm-proven brackets:
+every bracket end carries an exact eigenvalue count, and a step model only
+chooses where the next count is taken.  The kernel is plain Python rather
+than LAPACK's ``dstebz``: importing ``scipy.linalg`` would add about 26 MiB
+of resident memory and 0.3 s of start-up to every command.  Its cost is
+rows swept, so it sweeps only rows that decide something:
+
+* A bound-state solve takes its first count at the bound-state ceiling,
+  min(C, V_eff(r_max)); no level above it is solved.
+* A plain count stops once no later pivot can be negative.  Past the last
+  row whose Gershgorin lower bound d_j - |e_{j-1}| - |e_j| is not above the
+  shift, a pivot q_{i-1} with |q_{i-1}| >= |e_{i-1}| gives
+  q_i >= d_i - shift - |e_{i-1}| > |e_i| > 0, and so on by induction.
+* Once a level is isolated, full sweeps also return the log-derivative G of
+  det(T - x).  The next probe is Newton's step after one such sweep, and
+  after two the pole of G(x) = 1/(x - lam) + c fitted through them, as in
+  LAPACK's secular-equation solver (R.-C. Li, LAPACK Working Note 89).
 
 Two discretizations are available:
 
@@ -172,13 +183,14 @@ def default_grid(potential, ell: int, dim: int, n_max: int = 3,
     return cell_grid(r_domain, count)
 
 
-# -- Sturm-count brackets with Newton-placed probes ---------------------------
+# -- Sturm-count brackets with model-placed probes ----------------------------
 # Plain Python lists in the hot loop beat per-element numpy indexing.  A pivot
 # smaller than pivmin in magnitude is replaced by -pivmin, so an exact tie
 # counts as negative and never divides by zero.
 
 _TINY = 2.2250738585072014e-308
 _EPS = 2.220446049250313e-16
+_DENORM = 5e-324  # rounding error of a product in the subnormal range
 
 
 def _prepare(diag, offdiag):
@@ -188,16 +200,46 @@ def _prepare(diag, offdiag):
     return d, esq, pivmin
 
 
-def _negcount(d, esq, shift, pivmin):
-    """Number of negative LDL^T pivots of T - shift: eigenvalues below it."""
+def _gershgorin(diag, offdiag, pivmin):
+    """(floor, upper bound): floor[i] is the least Gershgorin lower bound
+    d_j - |e_{j-1}| - |e_j| over rows j >= i, lowered by a margin that
+    covers the rounding of the pivot recurrence; it never decreases in i."""
+    d = np.asarray(diag, dtype=float)
+    a = np.abs(np.asarray(offdiag, dtype=float))
+    rad = np.concatenate(([0.0], a)) + np.concatenate((a, [0.0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        low = (d - rad - 8.0 * _EPS * (np.abs(d) + rad)
+               - (2.0 * pivmin + 8.0 * _DENORM / pivmin))
+        floor = np.minimum.accumulate(low[::-1])[::-1]
+        return floor, float(np.max(d + rad))
+
+
+def _negcount(d, esq, shift, pivmin, floor=None):
+    """Number of negative LDL^T pivots of T - shift: eigenvalues below it.
+
+    With ``floor`` from _gershgorin the sweep ends at the first row i with
+    floor[i] > shift whose incoming pivot has q^2 >= e_{i-1}^2; by the
+    induction in _bisect_lowest no later pivot is negative.
+    """
+    m = len(d)
+    stop = m if floor is None else max(1, int(floor.searchsorted(shift, "right")))
     q = d[0] - shift
     cnt = 0
     if q < pivmin:
         cnt = 1
         if q > -pivmin:
             q = -pivmin
-    for di, ei in zip(d[1:], esq):
+    for di, ei in zip(d[1:stop], esq):
         q = di - shift - ei / q
+        if q < pivmin:
+            cnt += 1
+            if q > -pivmin:
+                q = -pivmin
+    for i in range(stop, m):
+        ei = esq[i - 1]
+        if q * q >= ei:
+            break
+        q = d[i] - shift - ei / q
         if q < pivmin:
             cnt += 1
             if q > -pivmin:
@@ -209,7 +251,8 @@ def _negcount_slope(d, esq, shift, pivmin):
     """(_negcount, d/dx log|det(T - x)| at x = shift) from one sweep.
 
     The log-derivative is sum q_i'/q_i over the pivots, with
-    q_i' = -1 + e_{i-1}^2 q_{i-1}' / q_{i-1}^2 carried as r = q'/q.
+    q_i' = -1 + e_{i-1}^2 q_{i-1}' / q_{i-1}^2 carried as r = q'/q.  It
+    always runs the full length: every row adds a term.
     """
     q = d[0] - shift
     cnt = 0
@@ -237,19 +280,60 @@ def _converged(lo, hi, tol):
     return hi - lo <= tol + 2.0 * _EPS * (abs(lo) + abs(hi)) + _TINY
 
 
-def _bisect_lowest(diag, offdiag, count, tol):
+def _pole(x1, g1, x2, g2, lo, hi):
+    """The pole lam of the model G(x) = 1/(x - lam) + c through the slope
+    samples (x1, G1) and (x2, G2), or None if it is not strictly inside
+    (lo, hi).
+
+    The fit has two roots, mirror images about (x1 + x2)/2; both lie in the
+    bracket only when x1 and x2 straddle the level.  The pole term then
+    dominates G near the level, so the root that leaves the smaller |c| is
+    taken.
+    """
+    # u = x2 - lam solves u (u + dx) = dx / (g2 - g1) with dx = x1 - x2
+    dx = x1 - x2
+    p = dx / (g2 - g1) if g2 != g1 else math.nan
+    disc = dx * dx + 4.0 * p
+    if not (disc >= 0.0 and math.isfinite(disc)):
+        return None
+    u = -0.5 * (dx + math.copysign(math.sqrt(disc), dx))
+    roots = [x2 - v for v in (u, -p / u if u else math.nan) if v]
+    inside = [lam for lam in roots if lo < lam < hi]
+    return min(inside, key=lambda lam: abs(g2 - 1.0 / (x2 - lam)), default=None)
+
+
+def _bisect_lowest(diag, offdiag, count, tol, ceiling=None, start=None):
     """The ``count`` smallest eigenvalues, each the midpoint of a bracket of
     width ``tol`` whose two ends carry real Sturm counts.
 
     Brackets start from the Gershgorin bounds.  Every count at x tightens
-    the bracket of every requested level, as in LAPACK's dstebz.  Once level
-    j is isolated (its ends count j and j + 1 eigenvalues below them), the
-    sweep also returns d/dx log det(T - x) and Newton's step on det(T - x)
-    chooses where the next count goes; only counts move bracket ends.  The
-    midpoint is probed instead when the step is not finite or leaves the
-    bracket, and right after a Newton probe that failed to halve it, so
-    every two probes at least halve the bracket.  A Newton step shorter than
-    tol/2 is closed, once per level, by counts at x +- tol/2.
+    the bracket of every requested level, as in LAPACK's dstebz.  Given a
+    ``ceiling``, the first count is taken there and only the levels below
+    it are solved and returned.
+
+    A plain count ends early.  Past the last row whose Gershgorin lower
+    bound d_j - |e_{j-1}| - |e_j| (lowered by a rounding margin) is not
+    above the shift, take a row i whose incoming pivot has
+    |q_{i-1}| >= |e_{i-1}|.  Then e_{i-1}^2 / q_{i-1} <= |e_{i-1}|, so
+    q_i = d_i - shift - e_{i-1}^2 / q_{i-1} >= d_i - shift - |e_{i-1}|
+    > |e_i|, and by induction every later pivot exceeds the next |e| >= 0:
+    none is negative and the count is final.
+
+    Once level j is isolated (its ends count j and j + 1 eigenvalues below
+    them), its probes are full sweeps that also return
+    G(x) = d/dx log|det(T - x)|, which only chooses where the next count
+    goes; only counts move bracket ends.  (A sweep cut short would give the
+    G of a leading block, whose eigenvalues Newton would then chase.)  The
+    first such probe of level count - 1 goes to ``start`` if that lies in
+    the bracket.  After the level's first sweep the next probe is Newton's
+    step x - 1/G on det(T - x).  After two, it is the pole lam of the model
+    G(x) = 1/(x - lam) + c fitted through the last two, as in LAPACK's
+    secular-equation solver, when lam lies in the bracket: the other
+    eigenvalues damp Newton's step, and the constant c absorbs them.  The
+    midpoint is probed instead when no step is finite and inside the
+    bracket, and right after a step probe that failed to halve it, so every
+    two probes at least halve the bracket.  A step shorter than tol/2 is
+    closed, once per level, by counts at x +- tol/2.
     """
     d, esq, pivmin = _prepare(diag, offdiag)
     m = len(d)
@@ -258,12 +342,8 @@ def _bisect_lowest(diag, offdiag, count, tol):
     if not tol >= 0.0:
         raise ValueError("tolerance must be non-negative")
 
-    off = np.asarray(offdiag, dtype=float).tolist()
-    glo = ghi = d[0]
-    for i in range(m):
-        rad = (abs(off[i - 1]) if i > 0 else 0.0) + (abs(off[i]) if i < m - 1 else 0.0)
-        glo = min(glo, d[i] - rad)
-        ghi = max(ghi, d[i] + rad)
+    floor, ghi = _gershgorin(diag, offdiag, pivmin)
+    glo = float(floor[0])
     if not math.isfinite(ghi - glo):
         raise ValueError("Gershgorin interval overflows the float range")
 
@@ -274,19 +354,25 @@ def _bisect_lowest(diag, offdiag, count, tol):
         if slope:
             c, s = _negcount_slope(d, esq, x, pivmin)
         else:
-            c, s = _negcount(d, esq, x, pivmin), None
+            c, s = _negcount(d, esq, x, pivmin, floor), None
         for k in range(min(c, count)):
             if x < hi[k]:
                 hi[k], nhi[k] = x, c
         for k in range(c, count):
             if x > lo[k]:
                 lo[k], nlo[k] = x, c
-        return s
+        return c, s
+
+    top = count - 1
+    if ceiling is not None:
+        below = m if ceiling >= ghi else 0 if ceiling <= glo else probe(ceiling)[0]
+        count = min(count, below)
 
     out = np.empty(count)
     for j in range(count):
-        x = None          # Newton's choice for the next probe
-        bisect = False    # the last Newton probe failed to halve the bracket
+        x = start if j == top else None  # where the next slope probe goes
+        last = None       # (x, G) of this level's last slope sweep
+        bisect = False    # the last step probe failed to halve the bracket
         closed = False    # the x +- tol/2 counts were taken for this level
         while not _converged(lo[j], hi[j], tol):
             a, b = lo[j], hi[j]
@@ -294,12 +380,15 @@ def _bisect_lowest(diag, offdiag, count, tol):
                 probe(a + 0.5 * (b - a))
                 bisect = False
                 continue
-            newton = x is not None and a < x < b
-            if not newton:
+            stepped = x is not None and a < x < b
+            if not stepped:
                 x = a + 0.5 * (b - a)
-            s = probe(x, slope=True)
-            bisect = newton and hi[j] - lo[j] > 0.5 * (b - a)
-            step = -1.0 / s if s else math.nan
+            g = probe(x, slope=True)[1]
+            bisect = stepped and hi[j] - lo[j] > 0.5 * (b - a)
+            lam = None if last is None else _pole(*last, x, g, lo[j], hi[j])
+            last = (x, g)
+            step = (lam - x if lam is not None
+                    else -1.0 / g if g else math.nan)
             x = x + step
             if not math.isfinite(x):
                 x = None
@@ -314,20 +403,31 @@ def _bisect_lowest(diag, offdiag, count, tol):
     return out
 
 
-def eigen_lowest(tri: Tridiagonal, count: int, tol: float = 1e-11) -> np.ndarray:
+def eigen_lowest(tri: Tridiagonal, count: int, tol: float = 1e-11, *,
+                 _ceiling: float | None = None,
+                 _start: float | None = None) -> np.ndarray:
     """The ``count`` smallest eigenvalues, each within a Sturm-proven
     bracket of width ``tol``.
 
     Raises ValueError unless 1 <= count <= tri.size and tol >= 0, or when
-    the entries are so large that the Gershgorin interval overflows.
+    the entries are so large that the Gershgorin interval overflows.  The
+    oracle's own solves pass ``_ceiling`` and ``_start``; see
+    _bisect_lowest.
     """
-    return _bisect_lowest(tri.diag, tri.offdiag, count, tol)
+    return _bisect_lowest(tri.diag, tri.offdiag, count, tol, _ceiling, _start)
 
 
 def count_below(tri: Tridiagonal, bound: float) -> int:
     """Exact number of eigenvalues below ``bound`` (Sturm count)."""
     d, esq, pivmin = _prepare(tri.diag, tri.offdiag)
     return _negcount(d, esq, float(bound), pivmin)
+
+
+def _ceiling(potential, ell: int, dim: int, grid: RadialGrid) -> float:
+    """Bound-state ceiling of a grid: the potential's value at infinity or
+    the effective potential at the domain edge, whichever is lower."""
+    return min(energy_offset(potential),
+               float(effective_potential(potential, ell, dim, grid.r_max)))
 
 
 def solve_bound_states(potential, ell: int, dim: int,
@@ -341,11 +441,8 @@ def solve_bound_states(potential, ell: int, dim: int,
     if config is None:
         config = OracleConfig(grid=default_grid(potential, ell, dim))
     tri = _BUILDERS[config.scheme](config, potential, ell, dim)
-    levels = eigen_lowest(tri, config.count, config.tol)
-    ceiling = min(energy_offset(potential),
-                  float(effective_potential(potential, ell, dim,
-                                            config.grid.r_max)))
-    return levels[levels < ceiling]
+    return eigen_lowest(tri, config.count, config.tol,
+                        _ceiling=_ceiling(potential, ell, dim, config.grid))
 
 
 def convergence_study(potential, ell: int, dim: int, level: int,
@@ -371,14 +468,19 @@ def convergence_study(potential, ell: int, dim: int, level: int,
 
 
 def _level_on_grid(potential, ell: int, dim: int, level: int, r_domain: float,
-                   h: float, scheme: str = "radial",
-                   tol: float = 1e-11) -> float:
+                   h: float, scheme: str = "radial", tol: float = 1e-11,
+                   start: float | None = None) -> float:
     """Eigenvalue ``level`` on the cell grid of spacing ``h`` over
-    [0, r_domain]."""
+    [0, r_domain]; ``start`` (a nearby estimate) only places the first
+    slope probe."""
     grid = cell_grid(r_domain, int(round(r_domain / h)))
     config = OracleConfig(grid=grid, count=level + 1, tol=tol, scheme=scheme)
     tri = _BUILDERS[scheme](config, potential, ell, dim)
-    return float(eigen_lowest(tri, level + 1, tol)[level])
+    levels = eigen_lowest(tri, level + 1, tol, _start=start,
+                          _ceiling=_ceiling(potential, ell, dim, grid))
+    if len(levels) <= level:  # a box level above the ceiling: solve it too
+        levels = eigen_lowest(tri, level + 1, tol, _start=start)
+    return float(levels[level])
 
 
 def _order_fit(spacings: list, values: list, level: int,

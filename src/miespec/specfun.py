@@ -76,6 +76,13 @@ def kummer_poly(n: int, b: float, x):
     Satisfies the Laguerre bridge
     1F1(-n, alpha+1, x) = n! Gamma(alpha+1) / Gamma(n+alpha+1) * L_n^alpha(x).
     """
+    return _kummer_sums(n, b, x)[0]
+
+
+def _kummer_sums(n: int, b: float, x):
+    """(1F1(-n, b, x), sum of the |terms|).  The second, times machine
+    epsilon, bounds the rounding error that cancellation leaves in the
+    first."""
     if n < 0:
         raise ValueError("degree n must be >= 0")
     if b <= 0.0:
@@ -83,10 +90,12 @@ def kummer_poly(n: int, b: float, x):
     x = np.asarray(x, dtype=float)
     term = np.ones_like(x)
     total = np.ones_like(x)
+    size = np.ones_like(x)
     for j in range(n):
         term = term * ((j - n) * x) / ((b + j) * (j + 1))
         total = total + term
-    return total if total.ndim else float(total)
+        size = size + np.abs(term)
+    return (total, size) if total.ndim else (float(total), float(size))
 
 
 def radial_norm_constant(two_eps: float, n: int, alpha: float,

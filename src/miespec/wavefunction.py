@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridResolutionError
+from .errors import CancellationError, GridResolutionError
 from .potentials import PotentialParams
 from .spectrum import BoundState, binding_rate, centrifugal_strength
-from .specfun import (_laguerre_pair, default_quadrature_order, gauss_laguerre,
-                      kummer_poly, ln_gamma, radial_norm_constant)
+from .specfun import (_kummer_sums, _laguerre_pair, default_quadrature_order,
+                      gauss_laguerre, ln_gamma, radial_norm_constant)
 
 
 @dataclass(frozen=True)
@@ -116,10 +116,31 @@ def eval_radial(state: BoundState, r, form: str = "laguerre"):
     if form == "laguerre":
         return eval_y_form(state, y)
     if form == "kummer":
-        poly = kummer_poly(state.q.n, state.alpha + 1.0, y)
-        return _signed_exp(*_ln_y_form(
-            state, y, ln_eta(state) - _ln_bridge(state), poly))
+        poly, size = _kummer_sums(state.q.n, state.alpha + 1.0, y)
+        ln_pref = ln_eta(state) - _ln_bridge(state)
+        _check_kummer_rounding(state, _ln_y_form(state, y, ln_pref, size)[0])
+        return _signed_exp(*_ln_y_form(state, y, ln_pref, poly))
     raise ValueError(f"unknown evaluation form {form!r}")
+
+
+def _check_kummer_rounding(state: BoundState, ln_size):
+    """Raise CancellationError where eps * sum|term| of the Kummer series,
+    scaled like R (``ln_size`` is its log without the eps), exceeds 1e-10
+    of the peak of |R|.
+
+    The peak is the largest Laguerre-form value on 512 points over
+    (0, 4n + 2 alpha + 10], which holds every zero of L_n^alpha and the
+    outermost lobe of R.
+    """
+    n, alpha = state.q.n, state.alpha
+    y = np.linspace(1.0, 512.0, 512) * ((4.0 * n + 2.0 * alpha + 10.0) / 512.0)
+    ln_peak = float(np.max(_ln_y_form(state, y, ln_eta(state))[0]))
+    worst = (float(np.max(ln_size)) + math.log(np.finfo(float).eps)
+             - ln_peak) / math.log(10.0)
+    if worst > -10.0:
+        raise CancellationError(
+            f"Kummer series at n={n}: its rounding bound is 10^{worst:.1f} "
+            "of the peak of R (limit 1e-10); use form='laguerre'")
 
 
 def eval_y_form(state: BoundState, y, convention: str = "paper"):

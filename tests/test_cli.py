@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from miespec import cli, oracle, potentials
+from miespec import cli, oracle, potentials, spectrum
 from miespec.cli import main
 
 
@@ -477,3 +477,35 @@ def test_a_potential_key_the_preset_does_not_read_is_refused(
     assert captured.err.startswith("configuration error:")
     assert label in captured.err and key in captured.err
     assert captured.out == "" and not list(out.iterdir())
+
+
+def test_default_verify_suite_reads_units(tmp_path):
+    assert run(tmp_path, "verify", "--fast", "--mass", "2", "--n-max", "0",
+               "--ell-max", "0", "--dims", "3") == 0
+    payload = json.loads((tmp_path / "verify.json").read_text())
+    coulomb = next(c for c in payload["channels"] if c["potential"] == "coulomb")
+    # E = -mass B^2 / (2 hbar^2 (n + 1)^2) at N = 3: twice the mass-1 level
+    want = spectrum.energy(potentials.coulomb(-1.0, mass=2.0),
+                           spectrum.QuantumNumbers(0, 0, 3))
+    assert want == pytest.approx(-1.0, rel=1e-14)
+    assert coulomb["closed_form"] == [want]
+    assert abs(coulomb["fd"][0] - want) <= coulomb["tolerance"][0]
+    assert payload["passed"]
+
+
+@pytest.mark.parametrize("source", [["--points", "101"], ["--r-domain", "5"],
+                                    {"grid": {"points": 101, "r_domain": 5.0}}],
+                         ids=["points", "r-domain", "config-file"])
+def test_verify_refuses_the_grid_keys_it_does_not_read(tmp_path, capsys, source):
+    if isinstance(source, dict):
+        cfg = tmp_path / "cfg" / "grid.json"
+        cfg.parent.mkdir()
+        cfg.write_text(json.dumps(source))
+        source = ["--config", str(cfg)]
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["verify", "--fast", "--n-max", "0", "--ell-max", "0",
+                 "--dims", "3", *source, "--outdir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "grid key" in err
+    assert not list(out.iterdir())

@@ -5,8 +5,9 @@ import pytest
 
 from miespec import oracle
 from miespec.oracle import (OracleConfig, Tridiagonal, build_tridiagonal_radial,
-                            count_below, default_grid, eigen_lowest)
-from miespec.potentials import coulomb
+                            cell_grid, count_below, default_grid, eigen_lowest,
+                            solve_bound_states)
+from miespec.potentials import coulomb, kratzer_fues
 
 
 def random_tridiagonal(rng, m):
@@ -164,3 +165,127 @@ def test_degenerate_tolerance_and_range_are_errors_not_hangs():
     assert exact == pytest.approx(want, rel=1e-15)
     with pytest.raises(ValueError):
         eigen_lowest(Tridiagonal(np.array([1e308, -1e308]), np.array([0.0])), 1)
+
+
+# -- early-exit counts, the ceiling count and started solves ------------------
+
+def full_count(d, esq, shift, pivmin):
+    """Negative LDL^T pivots of T - shift, sweeping every row."""
+    q, cnt = d[0] - shift, 0
+    for i in range(len(d)):
+        if i:
+            q = d[i] - shift - esq[i - 1] / q
+        if q < pivmin:
+            cnt += 1
+            q = min(q, -pivmin)
+    return cnt
+
+
+def oracle_matrices():
+    hydrogen = coulomb(-1.0)
+    config = OracleConfig(grid=cell_grid(30.0, 400), count=4)
+    return {scheme: oracle._BUILDERS[scheme](config, hydrogen, 1, 3)
+            for scheme in ("radial", "u")}
+
+
+# a zero tail: just below 0 its pivots are ties, which count as negative
+COUNT_CASES = {**SOLVER_CASES, **oracle_matrices(),
+               "zero-tail": Tridiagonal(np.array([2.0, 0.0, 0.0, 0.0]),
+                                        np.array([1.0, 0.0, 0.0]))}
+
+
+@pytest.mark.parametrize("name", COUNT_CASES)
+def test_early_exit_count_equals_a_full_sweep(name):
+    tri = COUNT_CASES[name]
+    d, esq, pivmin = oracle._prepare(tri.diag, tri.offdiag)
+    floor, ghi = oracle._gershgorin(tri.diag, tri.offdiag, pivmin)
+    rng = np.random.default_rng(17)
+    span = max(ghi - floor[0], 1.0)
+    edges = np.concatenate((tri.diag, floor))
+    shifts = np.concatenate((
+        rng.uniform(floor[0] - 0.1 * span, ghi + 0.1 * span, size=200),
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)))
+    for shift in shifts:
+        shift = float(shift)
+        assert oracle._negcount(d, esq, shift, pivmin, floor) == \
+            full_count(d, esq, shift, pivmin), shift
+
+
+def rows_reached(d, esq, shift, pivmin, floor=None):
+    """Rows an early-exit count sweeps: it stops at the first row i past the
+    last one with floor <= shift whose incoming pivot has q^2 >= e^2."""
+    stop = len(d) if floor is None else max(1, int(floor.searchsorted(shift, "right")))
+    q = d[0] - shift
+    for i in range(1, len(d)):
+        if i >= stop and q * q >= esq[i - 1]:
+            return i
+        q = d[i] - shift - esq[i - 1] / (q if abs(q) >= pivmin else -pivmin)
+    return len(d)
+
+
+def test_bound_state_solve_sweeps_under_half_the_rows(monkeypatch):
+    hydrogen = coulomb(-1.0)
+    config = OracleConfig(grid=default_grid(hydrogen, 1, 3), count=4)
+    # the kernel without the ceiling count, early exits and pole steps took
+    # 41 counts and 29 slope sweeps here, each over all 7500 rows
+    assert config.grid.count == 7500
+    before = 70 * 7500
+
+    rows = []
+    count, slope = oracle._negcount, oracle._negcount_slope
+
+    def counted(d, esq, shift, pivmin, floor=None):
+        rows.append(rows_reached(d, esq, shift, pivmin, floor))
+        return count(d, esq, shift, pivmin, floor)
+
+    def counted_slope(d, esq, shift, pivmin):
+        rows.append(len(d))
+        return slope(d, esq, shift, pivmin)
+    monkeypatch.setattr(oracle, "_negcount", counted)
+    monkeypatch.setattr(oracle, "_negcount_slope", counted_slope)
+    got = solve_bound_states(hydrogen, 1, 3, config)
+    monkeypatch.undo()
+
+    assert got == pytest.approx([-1 / 8, -1 / 18, -1 / 32, -1 / 50], rel=1e-4)
+    assert sum(rows) <= 0.5 * before
+    tri = build_tridiagonal_radial(config, hydrogen, 1, 3)
+    for j, v in enumerate(got):
+        assert count_below(tri, v - 0.5e-11) <= j
+        assert count_below(tri, v + 0.5e-11) >= j + 1
+
+
+def test_ceiling_count_keeps_the_levels_below_it():
+    tri = wilkinson_w21()
+    every = eigen_lowest(tri, 21, 1e-12)
+    ceiling = 0.5 * (every[6] + every[7])
+    below = eigen_lowest(tri, 10, 1e-12, _ceiling=ceiling)
+    assert below == pytest.approx(every[:7], abs=1e-12)
+    assert len(eigen_lowest(tri, 10, 1e-12, _ceiling=every[0] - 1.0)) == 0
+    assert len(eigen_lowest(tri, 10, 1e-12, _ceiling=every[-1] + 1.0)) == 10
+
+
+@pytest.mark.parametrize("ell,dim", [(0, 2), (1, 3), (2, 5)])
+def test_started_level_matches_the_unstarted_one(ell, dim):
+    kratzer = kratzer_fues(5.0, 1.0)
+    grid = default_grid(kratzer, ell, dim)
+    h = grid.spacing
+    r_domain = grid.r_max + 0.5 * h
+    fd0 = float(solve_bound_states(kratzer, ell, dim,
+                                   OracleConfig(grid=grid, count=1))[0])
+    for s in (4.0 * h, 2.0 * h):
+        plain = oracle._level_on_grid(kratzer, ell, dim, 0, r_domain, s)
+        started = oracle._level_on_grid(kratzer, ell, dim, 0, r_domain, s,
+                                        start=fd0)
+        assert abs(started - plain) <= 1e-11
+
+
+def test_a_box_level_above_the_ceiling_is_still_solved():
+    # on [0, 0.5] hydrogen's lowest level is a box level far above the
+    # bound-state ceiling V_eff(r_max) ~ -2
+    hydrogen = coulomb(-1.0)
+    got = oracle._level_on_grid(hydrogen, 0, 3, 0, 0.5, 0.01)
+    config = OracleConfig(grid=cell_grid(0.5, 50), count=1)
+    tri = build_tridiagonal_radial(config, hydrogen, 0, 3)
+    assert got > 0.0
+    assert got == pytest.approx(eigen_lowest(tri, 1)[0], abs=1e-11)
+    assert len(solve_bound_states(hydrogen, 0, 3, config)) == 0
