@@ -7,6 +7,9 @@ values, and the resolved configuration can be dumped and re-used verbatim
 
 A configuration flag's argparse dest is its config key, "section.key"
 (``--mass`` is ``units.mass``), so the parser alone maps flags to keys.
+A subparser's flags are its command's keys: a flag the command does not
+read is an argparse error, and a config-file key without a flag there is
+refused unless it holds its default.
 Each potential is declared once, with the keys it reads, in ``_PRESETS``
 (raw A/B/C in ``_RAW``); any other potential key is a configuration error.
 
@@ -16,6 +19,7 @@ unbound channels), 4 output I/O error.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -70,6 +74,16 @@ def resolve_config(args) -> dict:
         if "potential" in data:
             cfg["potential"] = {}
         cfg = _merge(cfg, data)
+        # a key at its default changes nothing, so print-config dumps pass
+        for section in ("units", "quantum", "grid", "output"):
+            defaults = _DEFAULTS[section]
+            unknown = sorted(set(cfg[section]) - set(defaults))
+            if unknown:
+                raise ConfigError(f"unknown {section} key(s) {unknown}")
+            unread = sorted(key for key, value in cfg[section].items()
+                            if value != defaults[key] and f"{section}.{key}" not in vars(args))
+            if unread:
+                raise ConfigError(f"{args.command} does not read {section} key(s) {unread}")
 
     # a preset or raw A/B/C flag replaces the potential section; other
     # potential flags amend it
@@ -125,7 +139,22 @@ def _entry(pot: dict) -> tuple:
     return (pot["preset"], *_PRESETS[pot["preset"]][:2])
 
 
+def _number(value, kind, name: str):
+    """``value`` as a finite float, or as an int when ``kind`` is int and
+    the value is integral; ConfigError otherwise."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be a number, not {value!r}") from None
+    if not math.isfinite(x) or (kind is int and not x.is_integer()):
+        raise ConfigError(f"{name} must be a finite "
+                          f"{'integer' if kind is int else 'number'}, not {value!r}")
+    return kind(x)
+
+
 def _validate(cfg: dict):
+    """Refuse a malformed setting; store each non-potential number once, as
+    the int or float its command reads."""
     pot = cfg["potential"]
     if not pot:
         raise ConfigError("potential needs either a preset or raw A/B/C values")
@@ -133,22 +162,32 @@ def _validate(cfg: dict):
     stray = set(pot) - set(reads) - {"preset"}
     if stray:
         raise ConfigError(f"potential {label!r} does not read key(s) {sorted(stray)}")
+    u = cfg["units"]
+    for key in u:
+        u[key] = _number(u[key], float, f"units.{key}")
     q = cfg["quantum"]
-    if int(q["n_max"]) < 0 or int(q["ell_max"]) < 0:
+    for key in ("n_max", "ell_max"):
+        q[key] = _number(q[key], int, f"quantum.{key}")
+    if q["n_max"] < 0 or q["ell_max"] < 0:
         raise ConfigError("quantum ranges must be non-negative")
     if q["dims"] is not None:
         if not isinstance(q["dims"], (list, tuple)):
             raise ConfigError("quantum.dims must be a list")
-        if any(int(d) < 2 for d in q["dims"]):
+        q["dims"] = [_number(d, int, "quantum.dims") for d in q["dims"]]
+        if any(d < 2 for d in q["dims"]):
             raise ConfigError("every dimension must be >= 2")
     if cfg["output"]["format"] not in ("csv", "json"):
         raise ConfigError("output format must be csv or json")
     g = cfg["grid"]
-    for key in ("points", "y_points"):
-        if g.get(key) is not None and int(g[key]) < 3:
+    for key, kind in (("points", int), ("y_points", int),
+                      ("r_domain", float), ("refine", float)):
+        if g[key] is None and _DEFAULTS["grid"][key] is None:
+            continue
+        g[key] = _number(g[key], kind, f"grid.{key}")
+        if kind is int and g[key] < 3:
             raise ConfigError(f"grid.{key} must be at least 3")
-    if g.get("r_domain") is not None and float(g["r_domain"]) <= 0.0:
-        raise ConfigError("grid.r_domain must be positive")
+        if kind is float and not g[key] > 0.0:
+            raise ConfigError(f"grid.{key} must be positive")
 
 
 def build_potential(cfg: dict):
@@ -158,9 +197,9 @@ def build_potential(cfg: dict):
     try:
         keys = {key: type(default)(pot.get(key, default))
                 for key, default in reads.items()}
-        return make(**keys, mass=float(cfg["units"]["mass"]),
-                    hbar=float(cfg["units"]["hbar"])), label
-    except (TypeError, ValueError) as exc:
+        return make(**keys, mass=cfg["units"]["mass"],
+                    hbar=cfg["units"]["hbar"]), label
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -177,7 +216,7 @@ def _closed_form_potential(cfg: dict, what: str):
 def _dims(cfg: dict, default) -> list:
     """Sorted quantum.dims, or the command's own default when unset."""
     dims = cfg["quantum"]["dims"]
-    return sorted(int(d) for d in (default if dims is None else dims))
+    return sorted(default if dims is None else dims)
 
 
 # -- output helpers -----------------------------------------------------------
@@ -229,8 +268,8 @@ def cmd_spectrum(args) -> int:
     # one tuple per row in _SPECTRUM_FIELDS order: CSV joins it, JSON zips it
     rows = [(r.q.dim, r.q.ell, r.q.n, r.k, r.eps, r.energy, r.status)
             for dim in _dims(cfg, [3])
-            for r in spectrum.spectrum_table(potential, int(q["n_max"]),
-                                             int(q["ell_max"]), dim)]
+            for r in spectrum.spectrum_table(potential, q["n_max"],
+                                             q["ell_max"], dim)]
     fmt = cfg["output"]["format"]
     path = _out_path(cfg, args, f"spectrum.{fmt}")
     if fmt == "csv":
@@ -252,15 +291,15 @@ def cmd_spectrum(args) -> int:
 def cmd_wavefunction(args) -> int:
     cfg = resolve_config(args)
     potential, label = _closed_form_potential(cfg, "the closed-form eigenfunction")
-    if args.r_min is not None and args.r_min <= 0.0:
+    if args.r_min is not None and not 0.0 < args.r_min < math.inf:
         raise ConfigError("grid r_min must be positive")
 
     q = spectrum.QuantumNumbers(n=args.n, ell=args.ell, dim=args.dim)
     state = spectrum.bound_state(potential, q)
 
-    points = int(cfg["grid"]["points"] or 2001)
+    points = cfg["grid"]["points"] or 2001
     r_domain = cfg["grid"]["r_domain"]
-    r_max = float(r_domain) if r_domain else (2.0 * args.n + 2.0 * state.k + 16.0) / (2.0 * state.eps) * 2.0
+    r_max = r_domain if r_domain else (2.0 * args.n + 2.0 * state.k + 16.0) / (2.0 * state.eps) * 2.0
     r_min = args.r_min if args.r_min is not None else r_max / points
     grid = wavefunction.RadialGrid(r_min=r_min, r_max=r_max, count=points)
     values = wavefunction.eval_radial(state, grid.nodes())
@@ -323,10 +362,10 @@ def cmd_ladder_check(args) -> int:
     cfg = resolve_config(args)
     potential, label = _closed_form_potential(cfg, "the ladder structure")
     q = cfg["quantum"]
-    y_points = int(cfg["grid"]["y_points"])
-    channels = [_ladder_channel(potential, ell, dim, int(q["n_max"]), y_points)
+    channels = [_ladder_channel(potential, ell, dim, q["n_max"],
+                                cfg["grid"]["y_points"])
                 for dim in _dims(cfg, [3])
-                for ell in range(int(q["ell_max"]) + 1)]
+                for ell in range(q["ell_max"] + 1)]
     payload = {"potential": label, "channels": channels,
                "passed": all(c["passed"] for c in channels)}
     path = _out_path(cfg, args, "ladder_check.json")
@@ -404,16 +443,12 @@ _VERIFY_MIE = {"preset": "mie-general", "d0": 5.0, "r0": 1.0, "a": 4.0, "b": 2.0
 
 def cmd_verify(args) -> int:
     cfg = resolve_config(args)
-    # every grid is sized by oracle.default_grid; only its refinement is read
-    unread = [key for key in ("points", "r_domain")
-              if cfg["grid"][key] is not None]
-    if unread:
-        raise ConfigError(f"verify does not read grid key(s) {unread}; "
-                          "its grids follow each channel (use --refine)")
     q = cfg["quantum"]
-    refine = float(cfg["grid"]["refine"])
-    if args.coarse:
-        refine /= float(args.coarse)
+    refine = cfg["grid"]["refine"]
+    if args.coarse is not None:
+        if not 0.0 < args.coarse < math.inf:
+            raise ConfigError("--coarse must be a finite positive factor")
+        refine /= args.coarse
 
     # a config file or any potential flag selects one potential, else the suite
     explicit_potential = bool(getattr(args, "config", None)) or any(
@@ -425,11 +460,11 @@ def cmd_verify(args) -> int:
     # built like any other section, so the suite reads units too
     suite = [build_potential({**cfg, "potential": pot}) for pot in sections]
 
-    entries = [_verify_channel(potential, label, ell, dim, int(q["n_max"]),
+    entries = [_verify_channel(potential, label, ell, dim, q["n_max"],
                                refine, args.fast)
                for potential, label in suite
                for dim in _dims(cfg, [2, 3, 5])
-               for ell in range(int(q["ell_max"]) + 1)]
+               for ell in range(q["ell_max"] + 1)]
     channels = [e for e in entries if e["closed_form"] is not None]
     mie = [e for e in entries if e["closed_form"] is None]
 
@@ -454,12 +489,17 @@ def cmd_print_config(args) -> int:
 
 # -- argument parsing ---------------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser):
+def _add_common(parser: argparse.ArgumentParser, *reads):
+    """Every command's flags, plus the quantum, format and grid flags whose
+    section or dest is in ``reads`` (all of them when none is given)."""
+    def add(flag, dest, **kwargs):
+        if not reads or dest in reads or dest.partition(".")[0] in reads:
+            parser.add_argument(flag, dest=dest, **kwargs)
     parser.add_argument("--config", help="JSON configuration file")
     parser.add_argument("--out", help="output file path (overrides the output directory)")
     parser.add_argument("--outdir", dest="output.dir",
                         help=f"output directory (default: ${ENV_OUTDIR} or '.')")
-    parser.add_argument("--format", dest="output.format", choices=("csv", "json"))
+    add("--format", "output.format", choices=("csv", "json"))
     parser.add_argument("--preset", dest="potential.preset", choices=_PRESETS)
     parser.add_argument("--d0", dest="potential.d0", type=float)
     parser.add_argument("--r0", dest="potential.r0", type=float)
@@ -472,17 +512,14 @@ def _add_common(parser: argparse.ArgumentParser):
                         choices=("standard", "paper-literal"))
     parser.add_argument("--mass", dest="units.mass", type=float)
     parser.add_argument("--hbar", dest="units.hbar", type=float)
-    parser.add_argument("--n-max", dest="quantum.n_max", type=int)
-    parser.add_argument("--ell-max", dest="quantum.ell_max", type=int)
-    parser.add_argument("--dims", dest="quantum.dims",
-                        type=lambda s: [int(x) for x in s.split(",")],
-                        help="comma-separated dimensions, e.g. 2,3,5")
-    parser.add_argument("--points", dest="grid.points", type=int,
-                        help="radial grid size")
-    parser.add_argument("--r-domain", dest="grid.r_domain", type=float)
-    parser.add_argument("--y-points", dest="grid.y_points", type=int)
-    parser.add_argument("--refine", dest="grid.refine", type=float,
-                        help="grid refinement factor")
+    add("--n-max", "quantum.n_max", type=int)
+    add("--ell-max", "quantum.ell_max", type=int)
+    add("--dims", "quantum.dims", type=lambda s: [int(x) for x in s.split(",")],
+        help="comma-separated dimensions, e.g. 2,3,5")
+    add("--points", "grid.points", type=int, help="radial grid size")
+    add("--r-domain", "grid.r_domain", type=float)
+    add("--y-points", "grid.y_points", type=int)
+    add("--refine", "grid.refine", type=float, help="grid refinement factor")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -493,11 +530,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", help="write the closed-form level table")
-    _add_common(p)
+    _add_common(p, "quantum", "output.format")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("wavefunction", help="sample one radial eigenfunction to CSV")
-    _add_common(p)
+    _add_common(p, "grid.points", "grid.r_domain")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--dim", type=int, required=True)
@@ -507,11 +544,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_wavefunction)
 
     p = sub.add_parser("ladder-check", help="SU(1,1) coefficient and operator report")
-    _add_common(p)
+    _add_common(p, "quantum", "grid.y_points")
     p.set_defaults(func=cmd_ladder_check)
 
     p = sub.add_parser("verify", help="closed form vs finite-difference oracle")
-    _add_common(p)
+    _add_common(p, "quantum", "grid.refine")
     p.add_argument("--fast", action="store_true", help="skip convergence studies")
     p.add_argument("--coarse", type=float, default=None,
                    help="coarsen grids by this factor (negative control)")

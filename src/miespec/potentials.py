@@ -6,9 +6,21 @@ Natural units hbar = mass = 1 are the default everywhere; callers doing
 physical spectroscopy pass explicit values.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def _require(positive: dict, **finite):
+    """ValueError unless every value is finite and each in ``positive`` is
+    above zero; both tests are written so that NaN fails them."""
+    bad = [k for k, v in {**positive, **finite}.items() if not math.isfinite(v)]
+    if bad:
+        raise ValueError(f"{', '.join(bad)} must be finite")
+    bad = [k for k, v in positive.items() if not v > 0.0]
+    if bad:
+        raise ValueError(f"{' and '.join(bad)} must be positive")
 
 
 @dataclass(frozen=True)
@@ -26,8 +38,8 @@ class PotentialParams:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if self.mass <= 0.0 or self.hbar <= 0.0:
-            raise ValueError("mass and hbar must be positive")
+        _require({"mass": self.mass, "hbar": self.hbar},
+                 A=self.A, B=self.B, C=self.C)
 
 
 @dataclass(frozen=True)
@@ -41,10 +53,8 @@ class MiePreset:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if self.d0 <= 0.0 or self.r0 <= 0.0:
-            raise ValueError("d0 and r0 must be positive")
-        if self.mass <= 0.0 or self.hbar <= 0.0:
-            raise ValueError("mass and hbar must be positive")
+        _require({"d0": self.d0, "r0": self.r0, "mass": self.mass,
+                  "hbar": self.hbar}, a=self.a, b=self.b)
         if self.a == self.b:
             raise ValueError("exponents a and b must differ")
 
@@ -78,8 +88,7 @@ def kratzer_fues(d0: float, r0: float, mass: float = 1.0,
 
     Minimum value -d0 at r = r0; equals the (a, b) = (2, 1) Mie form.
     """
-    if d0 <= 0.0 or r0 <= 0.0:
-        raise ValueError("d0 and r0 must be positive")
+    _require({"d0": d0, "r0": r0})
     return PotentialParams(A=d0 * r0**2, B=-2.0 * d0 * r0, C=0.0,
                            mass=mass, hbar=hbar)
 
@@ -94,8 +103,7 @@ def modified_kratzer(d0: float, r0: float, mass: float = 1.0, hbar: float = 1.0,
     (-d0 r0^2, +2 d0 r0, -d0), which also vanishes at r0 but has B > 0 and
     therefore no bound states; kept for fidelity to the source convention.
     """
-    if d0 <= 0.0 or r0 <= 0.0:
-        raise ValueError("d0 and r0 must be positive")
+    _require({"d0": d0, "r0": r0})
     if convention == "standard":
         return PotentialParams(A=d0 * r0**2, B=-2.0 * d0 * r0, C=d0,
                                mass=mass, hbar=hbar)

@@ -3,6 +3,7 @@
 import argparse
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -497,15 +498,186 @@ def test_default_verify_suite_reads_units(tmp_path):
                                     {"grid": {"points": 101, "r_domain": 5.0}}],
                          ids=["points", "r-domain", "config-file"])
 def test_verify_refuses_the_grid_keys_it_does_not_read(tmp_path, capsys, source):
-    if isinstance(source, dict):
+    flag = isinstance(source, list)
+    if not flag:
         cfg = tmp_path / "cfg" / "grid.json"
         cfg.parent.mkdir()
         cfg.write_text(json.dumps(source))
         source = ["--config", str(cfg)]
     out = tmp_path / "out"
     out.mkdir()
-    assert main(["verify", "--fast", "--n-max", "0", "--ell-max", "0",
-                 "--dims", "3", *source, "--outdir", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error:") and "grid key" in err
+    argv = ["verify", "--fast", "--n-max", "0", "--ell-max", "0", "--dims", "3",
+            *source, "--outdir", str(out)]
+    if flag:
+        # verify has no such flag, so argparse refuses it
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and source[0] in err
+    else:
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "grid key" in err
     assert not list(out.iterdir())
+
+
+# each command's own arguments, without configuration flags
+RUN = {
+    "spectrum": ["spectrum"],
+    "wavefunction": ["wavefunction", "--n", "0", "--ell", "0", "--dim", "3"],
+    "ladder-check": ["ladder-check"],
+    "verify": ["verify", "--fast"],
+}
+# the quantum, format and grid keys each command reads; every command also
+# reads the potential, the units and the output directory
+READS = {
+    "spectrum": {"quantum.n_max", "quantum.ell_max", "quantum.dims",
+                 "output.format"},
+    "wavefunction": {"grid.points", "grid.r_domain"},
+    "ladder-check": {"quantum.n_max", "quantum.ell_max", "quantum.dims",
+                     "grid.y_points"},
+    "verify": {"quantum.n_max", "quantum.ell_max", "quantum.dims",
+               "grid.refine"},
+}
+UNREAD = [(command, row) for command in READS for row in CONFIG_FLAGS
+          if row[2] in ("quantum", "grid", "output") and row[3] != "dir"
+          and f"{row[2]}.{row[3]}" not in READS[command]]
+UNREAD_IDS = [f"{command}{flag}" for command, (flag, *_) in UNREAD]
+
+
+@pytest.mark.parametrize("command,row", UNREAD, ids=UNREAD_IDS)
+def test_a_flag_the_command_does_not_read_is_refused(tmp_path, capsys,
+                                                     command, row):
+    flag, value, *_ = row
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, *RUN[command], flag, value)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and flag in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command,row", UNREAD, ids=UNREAD_IDS)
+def test_a_config_key_the_command_does_not_read_is_refused(tmp_path, capsys,
+                                                           command, row):
+    # the table's value differs from each key's default
+    _, _, section, key, value = row
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({section: {key: value}}))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([*RUN[command], "--config", str(cfg), "--outdir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"configuration error: {command} does not read "
+                            f"{section} key(s) [{key!r}]\n")
+    assert captured.out == "" and not list(out.iterdir())
+
+
+TYPOS = {"units": "mas", "quantum": "nmax", "grid": "pionts", "output": "fromat"}
+
+
+@pytest.mark.parametrize("section", TYPOS)
+@pytest.mark.parametrize("command", [*RUN, "print-config"])
+def test_an_unknown_config_key_is_refused_by_every_command(tmp_path, capsys,
+                                                           command, section):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({section: {TYPOS[section]: 7}}))
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = RUN.get(command, [command])
+    assert main([*argv, "--config", str(cfg), "--outdir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"configuration error: unknown {section} "
+                            f"key(s) [{TYPOS[section]!r}]\n")
+    assert captured.out == "" and not list(out.iterdir())
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("ladder-check", ["--preset", "kratzer-fues", "--d0", "5", "--r0", "1",
+                      "--n-max", "2", "--ell-max", "1", "--dims", "3",
+                      "--y-points", "501"]),
+    ("verify", ["--preset", "coulomb", "--B", "-1", "--n-max", "1",
+                "--ell-max", "0", "--dims", "3", "--refine", "1.5"]),
+    ("wavefunction", ["--preset", "coulomb", "--B", "-1", "--points", "301",
+                      "--r-domain", "30"]),
+])
+def test_print_config_round_trip_of_each_command(tmp_path, capsys, command,
+                                                 flags):
+    # the dump holds every key, those the command does not read at their
+    # defaults, which the command accepts
+    assert main([*RUN[command], *flags, "--out", str(tmp_path / "a")]) == 0
+    assert main(["print-config", *flags]) == 0
+    dump = tmp_path / "resolved.json"
+    dump.write_text(capsys.readouterr().out)
+    assert main([*RUN[command], "--config", str(dump),
+                 "--out", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+
+
+@pytest.mark.parametrize("command", READS)
+def test_help_lists_exactly_the_keys_a_command_reads(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"--[A-Za-z0-9-]+", capsys.readouterr().out))
+    want = {flag for flag, _, section, key, _ in CONFIG_FLAGS
+            if section in ("potential", "units") or key == "dir"
+            or f"{section}.{key}" in READS[command]}
+    assert listed & {flag for flag, *_ in CONFIG_FLAGS} == want
+
+
+@pytest.mark.parametrize("argv,doc,message", [
+    (["spectrum"], {"quantum": {"n_max": "abc"}},
+     "quantum.n_max must be a number, not 'abc'"),
+    (["ladder-check"], {"grid": {"y_points": "x"}},
+     "grid.y_points must be a number, not 'x'"),
+    (["verify", "--fast"], {"grid": {"refine": "fast"}},
+     "grid.refine must be a number, not 'fast'"),
+    (["spectrum"], {"quantum": {"n_max": 2.7}},
+     "quantum.n_max must be a finite integer, not 2.7"),
+    (["spectrum"], {"quantum": {"dims": [3.5]}},
+     "quantum.dims must be a finite integer, not 3.5"),
+    (["spectrum"], {"units": {"mass": None}},
+     "units.mass must be a number, not None"),
+], ids=["n_max-text", "y_points-text", "refine-text", "n_max-fraction",
+        "dims-fraction", "mass-null"])
+def test_a_malformed_config_value_is_a_configuration_error(tmp_path, capsys,
+                                                          argv, doc, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([*argv, "--config", str(cfg), "--outdir", str(out)]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not list(out.iterdir())
+
+
+def test_each_config_value_is_stored_as_the_type_it_is_read_as(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"units": {"mass": 2}, "grid": {"refine": 2},
+                               "quantum": {"n_max": 4.0, "dims": [3.0, 5]}}))
+    assert main(["print-config", "--config", str(cfg)]) == 0
+    resolved = json.loads(capsys.readouterr().out)
+    assert repr(resolved["units"]["mass"]) == "2.0"
+    assert repr(resolved["grid"]["refine"]) == "2.0"
+    assert repr(resolved["quantum"]["n_max"]) == "4"
+    assert repr(resolved["quantum"]["dims"]) == "[3, 5]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--mass", "nan"],
+    ["spectrum", "--preset", "kratzer-fues", "--d0", "nan", "--r0", "1"],
+    ["wavefunction", "--n", "0", "--ell", "0", "--dim", "3", "--r-domain", "nan"],
+    ["wavefunction", "--n", "0", "--ell", "0", "--dim", "3", "--r-min", "nan"],
+    ["verify", "--fast", "--coarse", "nan"],
+    ["verify", "--fast", "--coarse", "0"],
+    ["verify", "--fast", "--coarse", "-2"],
+    ["verify", "--fast", "--refine", "0"],
+    ["verify", "--fast", "--refine", "-3"],
+], ids=["mass-nan", "d0-nan", "r-domain-nan", "r-min-nan", "coarse-nan",
+        "coarse-zero", "coarse-negative", "refine-zero", "refine-negative"])
+def test_a_non_finite_or_non_positive_number_is_refused(tmp_path, capsys, argv):
+    assert run(tmp_path, *argv) == 2
+    assert capsys.readouterr().err.startswith("configuration error:")
+    assert not list(tmp_path.iterdir())

@@ -124,3 +124,30 @@ class TestPresetMaps:
             PotentialParams(0.0, -1.0, 0.0, mass=0.0)
         with pytest.raises(ValueError):
             PotentialParams(0.0, -1.0, 0.0, hbar=-1.0)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: PotentialParams(NAN, -1.0, 0.0),
+    lambda: PotentialParams(0.0, -INF, 0.0),
+    lambda: PotentialParams(0.0, -1.0, 0.0, mass=NAN),
+    lambda: PotentialParams(0.0, -1.0, 0.0, hbar=INF),
+    lambda: MiePreset(NAN, 1.0),
+    lambda: MiePreset(1.0, NAN),
+    lambda: MiePreset(1.0, 1.0, a=INF),
+    lambda: MiePreset(1.0, 1.0, mass=NAN),
+    lambda: kratzer_fues(NAN, 1.0),
+    lambda: kratzer_fues(1.0, INF),
+    lambda: modified_kratzer(1.0, NAN),
+    lambda: coulomb(NAN),
+    lambda: coulomb(-1.0, hbar=NAN),
+], ids=["A-nan", "B-inf", "mass-nan", "hbar-inf", "mie-d0-nan", "mie-r0-nan",
+        "mie-a-inf", "mie-mass-nan", "kratzer-d0-nan", "kratzer-r0-inf",
+        "modified-r0-nan", "coulomb-B-nan", "coulomb-hbar-nan"])
+def test_a_non_finite_parameter_is_refused(make):
+    # each check is written so that NaN fails it, as no comparison with
+    # NaN is true
+    with pytest.raises(ValueError):
+        make()
