@@ -5,7 +5,7 @@ ladder structure of the spectrum, and an independent finite-difference
 eigenvalue oracle that verifies all of it numerically.
 """
 
-from .errors import (CancellationError, FallToCenterError, GridResolutionError,
+from .errors import (FallToCenterError, GridResolutionError,
                      LadderAlgebraError, NoBoundStatesError,
                      NotNormalizableError)
 from .ladder import (LadderCoeffs, apply_lowering, apply_raising,

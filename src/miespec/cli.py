@@ -14,18 +14,20 @@ Each potential is declared once, with the keys it reads, in ``_PRESETS``
 (raw A/B/C in ``_RAW``); any other potential key is a configuration error.
 
 Exit codes: 0 success, 2 configuration error, 3 domain error (invalid or
-unbound channels), 4 output I/O error.
+unbound channels, or a grid that cannot carry them), 4 output I/O error,
+found before any work when the output directory does not exist.
 """
 
 import argparse
+import errno
 import json
 import math
 import os
 import sys
 
 from . import ladder, oracle, potentials, spectrum, wavefunction
-from .errors import (FallToCenterError, NoBoundStatesError,
-                     NotNormalizableError)
+from .errors import (FallToCenterError, GridResolutionError,
+                     NoBoundStatesError, NotNormalizableError)
 
 ENV_OUTDIR = "MIESPEC_OUTDIR"
 
@@ -246,9 +248,22 @@ def _json_dumps(payload) -> str:
 
 
 def _out_path(cfg: dict, args, default_name: str) -> str:
-    if getattr(args, "out", None):
-        return args.out
-    return os.path.join(cfg["output"]["dir"], default_name)
+    """The command's output file, resolved before any work: OSError when
+    its directory does not exist."""
+    path = args.out or os.path.join(cfg["output"]["dir"], default_name)
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise FileNotFoundError(errno.ENOENT, "output directory does not exist",
+                                directory)
+    return path
+
+
+def _config_value(make, **kwargs):
+    """make(**kwargs), a ValueError from it a configuration error."""
+    try:
+        return make(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 # -- subcommands --------------------------------------------------------------
@@ -264,14 +279,14 @@ _SPECTRUM_FIELDS = ("dim", "ell", "n", "k", "eps", "energy", "status")
 def cmd_spectrum(args) -> int:
     cfg = resolve_config(args)
     potential, label = _closed_form_potential(cfg, "closed-form spectrum")
+    fmt = cfg["output"]["format"]
+    path = _out_path(cfg, args, f"spectrum.{fmt}")
     q = cfg["quantum"]
     # one tuple per row in _SPECTRUM_FIELDS order: CSV joins it, JSON zips it
     rows = [(r.q.dim, r.q.ell, r.q.n, r.k, r.eps, r.energy, r.status)
             for dim in _dims(cfg, [3])
             for r in spectrum.spectrum_table(potential, q["n_max"],
                                              q["ell_max"], dim)]
-    fmt = cfg["output"]["format"]
-    path = _out_path(cfg, args, f"spectrum.{fmt}")
     if fmt == "csv":
         lines = [",".join(_SPECTRUM_FIELDS)]
         # unpacked, not map(_fmt, row): status is already text, and the
@@ -293,15 +308,17 @@ def cmd_wavefunction(args) -> int:
     potential, label = _closed_form_potential(cfg, "the closed-form eigenfunction")
     if args.r_min is not None and not 0.0 < args.r_min < math.inf:
         raise ConfigError("grid r_min must be positive")
+    q = _config_value(spectrum.QuantumNumbers, n=args.n, ell=args.ell, dim=args.dim)
+    path = _out_path(cfg, args, f"wavefunction_n{args.n}_l{args.ell}_N{args.dim}.csv")
 
-    q = spectrum.QuantumNumbers(n=args.n, ell=args.ell, dim=args.dim)
     state = spectrum.bound_state(potential, q)
 
     points = cfg["grid"]["points"] or 2001
     r_domain = cfg["grid"]["r_domain"]
     r_max = r_domain if r_domain else (2.0 * args.n + 2.0 * state.k + 16.0) / (2.0 * state.eps) * 2.0
     r_min = args.r_min if args.r_min is not None else r_max / points
-    grid = wavefunction.RadialGrid(r_min=r_min, r_max=r_max, count=points)
+    grid = _config_value(wavefunction.RadialGrid, r_min=r_min, r_max=r_max,
+                         count=points)
     values = wavefunction.eval_radial(state, grid.nodes())
 
     header = (f"# zeta={_fmt(state.zeta)} k={_fmt(state.k)} "
@@ -319,7 +336,6 @@ def cmd_wavefunction(args) -> int:
         lines.append("r,R")
         for r, v in zip(grid.nodes(), values):
             lines.append(f"{_fmt(float(r))},{_fmt(float(v))}")
-    path = _out_path(cfg, args, f"wavefunction_n{args.n}_l{args.ell}_N{args.dim}.csv")
     _write_text(path, "\n".join(lines) + "\n")
     return 0
 
@@ -361,6 +377,7 @@ def _ladder_channel(potential, ell, dim, n_max, y_points):
 def cmd_ladder_check(args) -> int:
     cfg = resolve_config(args)
     potential, label = _closed_form_potential(cfg, "the ladder structure")
+    path = _out_path(cfg, args, "ladder_check.json")
     q = cfg["quantum"]
     channels = [_ladder_channel(potential, ell, dim, q["n_max"],
                                 cfg["grid"]["y_points"])
@@ -368,7 +385,6 @@ def cmd_ladder_check(args) -> int:
                 for ell in range(q["ell_max"] + 1)]
     payload = {"potential": label, "channels": channels,
                "passed": all(c["passed"] for c in channels)}
-    path = _out_path(cfg, args, "ladder_check.json")
     _write_text(path, _json_dumps(payload))
     return 0 if payload["passed"] else 3
 
@@ -459,6 +475,7 @@ def cmd_verify(args) -> int:
         sections.append(_VERIFY_MIE)
     # built like any other section, so the suite reads units too
     suite = [build_potential({**cfg, "potential": pot}) for pot in sections]
+    path = _out_path(cfg, args, "verify.json")
 
     entries = [_verify_channel(potential, label, ell, dim, q["n_max"],
                                refine, args.fast)
@@ -471,7 +488,6 @@ def cmd_verify(args) -> int:
     payload = {"channels": channels, "passed": all(c["passed"] for c in channels)}
     if mie:
         payload["mie_general"] = mie
-    path = _out_path(cfg, args, "verify.json")
     _write_text(path, _json_dumps(payload))
     if not payload["passed"]:
         failed = [f"{c['potential']} N={c['dim']} ell={c['ell']}"
@@ -573,7 +589,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (FallToCenterError, NotNormalizableError, NoBoundStatesError) as exc:
+    except (FallToCenterError, NotNormalizableError, NoBoundStatesError,
+            GridResolutionError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -17,14 +17,10 @@ class NoBoundStatesError(ValueError):
     condition has no solutions with positive decay rate."""
 
 
-class CancellationError(ValueError):
-    """A series evaluation would lose more accuracy to cancellation between
-    its terms than its guard allows."""
-
-
 class GridResolutionError(ValueError):
-    """A sampling grid is too coarse for the requested finite-difference
-    operation."""
+    """A grid cannot carry the requested finite-difference operation: it is
+    too coarse for the stencil, or its matrix entries leave the double
+    range."""
 
 
 class LadderAlgebraError(ValueError):

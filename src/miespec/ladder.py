@@ -4,8 +4,11 @@ Two pictures are implemented and compared:
 
 * the abstract coefficient algebra (closed-form lowering/raising
   coefficients, commutators, Casimir) on a truncated basis, and
-* the first-order differential operators acting on sampled eigenfunctions
-  of the dimensionless variable y, fitted against the neighboring state.
+* the first-order differential operators acting on the eigenfunctions of
+  the dimensionless variable y, fitted against the neighboring state.  The
+  image and the target share the factor y^{k+2-N} e^{-y/2}, so both are
+  carried in log space from the one Laguerre recurrence and meet in plain
+  doubles only after one common shift.
 
 The fitted proportionality constant is the ground truth for the
 differential picture; the closed-form coefficients are reported next to it
@@ -21,7 +24,7 @@ from .errors import LadderAlgebraError
 from .spectrum import BoundState, QuantumNumbers, bound_state
 from .specfun import _laguerre_pair
 from .wavefunction import (RadialGrid, SampledFunction, _interior_d1,
-                           _ln_y_form, _signed_exp, eval_y_form, ln_eta)
+                           _ln_y_form, _signed_exp, ln_eta)
 
 _CONVENTIONS = ("paper", "y-orthonormal", "laguerre-orthonormal")
 
@@ -215,17 +218,13 @@ def _sibling(state: BoundState, n: int) -> BoundState:
                        QuantumNumbers(n=n, ell=state.q.ell, dim=state.q.dim))
 
 
-def _half_weight(y: np.ndarray, dim: int) -> np.ndarray:
-    # sqrt of the y^{N-1} measure; tames the y^{k+2-N} prefactor near 0
-    return y ** (0.5 * (dim - 1.0))
-
-
-def _fit_proportionality(y, result, target, dim):
-    w = _half_weight(y, dim)
-    wr, wt = w * result, w * target
-    c = float(np.dot(wr, wt) / np.dot(wt, wt))
-    residual = float(np.max(np.abs(wr - c * wt)) / np.max(np.abs(c * wt)))
-    return c, residual
+def _weighted_pair(y, image, target, dim):
+    """image and target, each a (ln|.|, sign) pair, as plain doubles times
+    the square root of the y^{N-1} measure, both scaled by the one shift
+    that puts the target's peak at 1."""
+    ln_w = 0.5 * (dim - 1.0) * np.log(y)
+    shift = np.max(target[0] + ln_w)
+    return [sign * np.exp(ln_abs + ln_w - shift) for ln_abs, sign in (image, target)]
 
 
 def _convention_rescale(c_paper: float, state: BoundState, other: BoundState) -> dict:
@@ -239,10 +238,11 @@ def _convention_rescale(c_paper: float, state: BoundState, other: BoundState) ->
 
 def _ladder_image(values, y_dvalues, y, n: int, k: float, dim: int,
                   step: int):
-    """(step y d/dy - y/2 + number term) on samples; step -1 lowers, +1 raises.
+    """(step y d/dy - y/2 + number term) on values; step -1 lowers, +1 raises.
 
-    y_dvalues holds y dR/dy at the same nodes; n is the basis index read by
-    the number term (k + n + 2 - N lowering, n + k + 1 raising).
+    values and y_dvalues hold R and y dR/dy at the same nodes, or both
+    divided by one common factor; n is the basis index read by the number
+    term (k + n + 2 - N lowering, n + k + 1 raising).
     """
     number = k + n + 2.0 - dim if step < 0 else n + k + 1.0
     return step * y_dvalues - 0.5 * y * values + number * values
@@ -251,41 +251,44 @@ def _ladder_image(values, y_dvalues, y, n: int, k: float, dim: int,
 def _apply_ladder(state: BoundState, grid_y: RadialGrid, step: int):
     """Operator image of R_n(y) fitted against R_{n+step}(y).
 
-    y dR/dy is analytic (no finite differences): the y-form evaluator with
-    P = y dL_n^alpha/dy = n L_n - (n+alpha) L_{n-1}, read from the same
-    recurrence pass as R_n itself.
+    R_n, y dR_n/dy and the image share the factor eta y^{k+2-N} e^{-y/2},
+    so the image is that factor times the operator applied to the
+    polynomial parts: L_n^alpha and (k+2-N - y/2) L_n + y dL_n/dy, with
+    y dL_n/dy = n L_n - (n+alpha) L_{n-1} from the same recurrence pass as
+    L_n (no finite differences).  The fit runs without eta, which
+    eta_n / eta_{n+step} multiplies back in.
     """
-    n, k, dim = state.q.n, state.k, state.q.dim
+    n, k, dim, alpha = state.q.n, state.k, state.q.dim, state.alpha
     y = grid_y.nodes()
-    prev, cur, ln_s = _laguerre_pair(n, state.alpha, y)
-    ln_pref = ln_eta(state, "paper") + ln_s
-    r_n = _signed_exp(*_ln_y_form(state, y, ln_pref, cur))
-    ln_abs, sign = _ln_y_form(state, y, ln_pref,
-                              n * cur - (n + state.alpha) * prev)
-    y_d = (k + 2.0 - dim) * r_n - 0.5 * y * r_n + sign * np.exp(ln_abs)
-    result = _ladder_image(r_n, y_d, y, n, k, dim, step)
-    sampled = SampledFunction(grid=grid_y, values=result)
+    prev, cur, ln_s = _laguerre_pair(n, alpha, y)
+    y_d = (k + 2.0 - dim - 0.5 * y + n) * cur - (n + alpha) * prev
+    image = _ln_y_form(state, y, ln_s,
+                       _ladder_image(cur, y_d, y, n, k, dim, step))
+    ln_eta_n = ln_eta(state)
+    sampled = SampledFunction(grid=grid_y,
+                              values=_signed_exp(image[0] + ln_eta_n, image[1]))
     if step < 0:
-        closed_form, weight = lowering_coefficient(n, k, dim), n + state.alpha
+        closed_form, weight = lowering_coefficient(n, k, dim), n + alpha
     else:
         closed_form, weight = raising_coefficient(n, k, dim), n + 1.0
 
     if n + step < 0:
-        w = _half_weight(y, dim)
-        residual = float(np.max(np.abs(w * result)) / np.max(np.abs(w * r_n)))
+        wr, wt = _weighted_pair(y, image, _ln_y_form(state, y, ln_s, cur), dim)
+        residual = float(np.max(np.abs(wr)) / np.max(np.abs(wt)))
         fit = LadderFit(fitted=0.0, residual=residual, closed_form=closed_form,
                         derived=0.0,
                         by_convention={c: 0.0 for c in _CONVENTIONS})
         return sampled, fit
 
     target_state = _sibling(state, n + step)
-    target = eval_y_form(target_state, y)
-    c, residual = _fit_proportionality(y, result, target, dim)
-    derived = weight * math.exp(ln_eta(state, "paper")
-                                - ln_eta(target_state, "paper"))
-    fit = LadderFit(fitted=c, residual=residual, closed_form=closed_form,
-                    derived=derived,
-                    by_convention=_convention_rescale(c, state, target_state))
+    wr, wt = _weighted_pair(y, image, _ln_y_form(target_state, y, 0.0), dim)
+    c = float(np.dot(wr, wt) / np.dot(wt, wt))
+    residual = float(np.max(np.abs(wr - c * wt)) / np.max(np.abs(c * wt)))
+    ratio = math.exp(ln_eta_n - ln_eta(target_state))
+    fit = LadderFit(fitted=c * ratio, residual=residual,
+                    closed_form=closed_form, derived=weight * ratio,
+                    by_convention=_convention_rescale(c * ratio, state,
+                                                      target_state))
     return sampled, fit
 
 

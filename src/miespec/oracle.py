@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import GridResolutionError
 from .potentials import MiePreset, PotentialParams, eval_mie_general, eval_potential
 from .spectrum import binding_rate, indicial_root
 from .wavefunction import RadialGrid
@@ -53,7 +54,9 @@ class Tridiagonal:
         if len(self.offdiag) != len(self.diag) - 1:
             raise ValueError("offdiag must be one shorter than diag")
         if not (np.all(np.isfinite(self.diag)) and np.all(np.isfinite(self.offdiag))):
-            raise ValueError("matrix entries must be finite")
+            raise GridResolutionError(
+                "finite-difference matrix entries must be finite; the grid or "
+                "the units leave the double range")
 
     @property
     def size(self) -> int:
@@ -151,6 +154,13 @@ def build_tridiagonal_radial(config: OracleConfig, potential, ell: int,
 
 
 _BUILDERS = {"radial": build_tridiagonal_radial, "u": build_tridiagonal}
+
+
+def _build(config: OracleConfig, potential, ell: int, dim: int) -> Tridiagonal:
+    """The scheme's matrix.  An entry that leaves the double range is
+    refused by Tridiagonal, not warned about on the way."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return _BUILDERS[config.scheme](config, potential, ell, dim)
 
 
 def cell_grid(r_domain: float, count: int) -> RadialGrid:
@@ -440,7 +450,7 @@ def solve_bound_states(potential, ell: int, dim: int,
     """
     if config is None:
         config = OracleConfig(grid=default_grid(potential, ell, dim))
-    tri = _BUILDERS[config.scheme](config, potential, ell, dim)
+    tri = _build(config, potential, ell, dim)
     return eigen_lowest(tri, config.count, config.tol,
                         _ceiling=_ceiling(potential, ell, dim, config.grid))
 
@@ -475,7 +485,7 @@ def _level_on_grid(potential, ell: int, dim: int, level: int, r_domain: float,
     slope probe."""
     grid = cell_grid(r_domain, int(round(r_domain / h)))
     config = OracleConfig(grid=grid, count=level + 1, tol=tol, scheme=scheme)
-    tri = _BUILDERS[scheme](config, potential, ell, dim)
+    tri = _build(config, potential, ell, dim)
     levels = eigen_lowest(tri, level + 1, tol, _start=start,
                           _ceiling=_ceiling(potential, ell, dim, grid))
     if len(levels) <= level:  # a box level above the ceiling: solve it too

@@ -89,7 +89,9 @@ def kratzer_fues(d0: float, r0: float, mass: float = 1.0,
     Minimum value -d0 at r = r0; equals the (a, b) = (2, 1) Mie form.
     """
     _require({"d0": d0, "r0": r0})
-    return PotentialParams(A=d0 * r0**2, B=-2.0 * d0 * r0, C=0.0,
+    # r0 * r0, not r0**2: float ** raises OverflowError before
+    # PotentialParams can name the coefficient that is not finite
+    return PotentialParams(A=d0 * (r0 * r0), B=-2.0 * d0 * r0, C=0.0,
                            mass=mass, hbar=hbar)
 
 
@@ -105,10 +107,10 @@ def modified_kratzer(d0: float, r0: float, mass: float = 1.0, hbar: float = 1.0,
     """
     _require({"d0": d0, "r0": r0})
     if convention == "standard":
-        return PotentialParams(A=d0 * r0**2, B=-2.0 * d0 * r0, C=d0,
+        return PotentialParams(A=d0 * (r0 * r0), B=-2.0 * d0 * r0, C=d0,
                                mass=mass, hbar=hbar)
     if convention == "paper-literal":
-        return PotentialParams(A=-d0 * r0**2, B=2.0 * d0 * r0, C=-d0,
+        return PotentialParams(A=-d0 * (r0 * r0), B=2.0 * d0 * r0, C=-d0,
                                mass=mass, hbar=hbar)
     raise ValueError(f"unknown modified-Kratzer convention {convention!r}")
 

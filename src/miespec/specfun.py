@@ -76,13 +76,6 @@ def kummer_poly(n: int, b: float, x):
     Satisfies the Laguerre bridge
     1F1(-n, alpha+1, x) = n! Gamma(alpha+1) / Gamma(n+alpha+1) * L_n^alpha(x).
     """
-    return _kummer_sums(n, b, x)[0]
-
-
-def _kummer_sums(n: int, b: float, x):
-    """(1F1(-n, b, x), sum of the |terms|).  The second, times machine
-    epsilon, bounds the rounding error that cancellation leaves in the
-    first."""
     if n < 0:
         raise ValueError("degree n must be >= 0")
     if b <= 0.0:
@@ -90,12 +83,10 @@ def _kummer_sums(n: int, b: float, x):
     x = np.asarray(x, dtype=float)
     term = np.ones_like(x)
     total = np.ones_like(x)
-    size = np.ones_like(x)
     for j in range(n):
         term = term * ((j - n) * x) / ((b + j) * (j + 1))
         total = total + term
-        size = size + np.abs(term)
-    return (total, size) if total.ndim else (float(total), float(size))
+    return total if total.ndim else float(total)
 
 
 def radial_norm_constant(two_eps: float, n: int, alpha: float,
@@ -147,12 +138,30 @@ class QuadratureRule:
                 self.ln_weights + np.log(np.abs(values)))))
 
 
+def _laguerre_zeros(m: int, alpha: float) -> np.ndarray:
+    """The m zeros of L_m^alpha in ascending order (none for m = 0).
+
+    Eigenvalues of the Jacobi matrix (numpy's dense symmetric eigensolver),
+    polished by two Newton steps with x L_m' = m L_m - (m+alpha) L_{m-1}.
+    """
+    i = np.arange(m, dtype=float)
+    jac_off = np.sqrt((i[:-1] + 1.0) * (i[:-1] + 1.0 + alpha))
+    nodes = np.linalg.eigvalsh(np.diag(2.0 * i + alpha + 1.0)
+                               + np.diag(jac_off, 1) + np.diag(jac_off, -1))
+    for _ in range(2):
+        prev, cur, _ = _laguerre_pair(m, alpha, nodes)
+        nodes = nodes - nodes * cur / (m * cur - (m + alpha) * prev)
+    # written positively so that NaN nodes fail the check
+    if not (np.all(nodes > 0.0) and np.all(np.diff(nodes) > 0.0)):
+        raise RuntimeError("Laguerre zeros are not sorted positive")
+    return nodes
+
+
 def gauss_laguerre(m: int, alpha: float = 0.0) -> QuadratureRule:
     """m-point generalized Gauss-Laguerre rule, exact through degree 2m-1.
 
-    Nodes are the eigenvalues of the Jacobi matrix (numpy's dense symmetric
-    eigensolver), polished by two Newton steps with x L_m' = m L_m -
-    (m+alpha) L_{m-1}; log weights come from the closed formula
+    Nodes are the zeros of L_m^alpha from _laguerre_zeros; log weights come
+    from the closed formula
     w_j = Gamma(m+alpha+1) x_j / (m! (m+alpha)^2 L_{m-1}^alpha(x_j)^2).
     The Golub-Welsch weights (squared first eigenvector components) are not
     used: they carry only absolute accuracy and lose the tiny tail weights,
@@ -162,19 +171,7 @@ def gauss_laguerre(m: int, alpha: float = 0.0) -> QuadratureRule:
         raise ValueError("node count m must be >= 1")
     if alpha <= -1.0:
         raise ValueError("alpha must exceed -1")
-
-    i = np.arange(m, dtype=float)
-    jac_off = np.sqrt((i[:-1] + 1.0) * (i[:-1] + 1.0 + alpha))
-    nodes = np.linalg.eigvalsh(np.diag(2.0 * i + alpha + 1.0)
-                               + np.diag(jac_off, 1) + np.diag(jac_off, -1))
-
-    for _ in range(2):  # Newton polish on the polynomial roots
-        prev, cur, _ = _laguerre_pair(m, alpha, nodes)
-        nodes = nodes - nodes * cur / (m * cur - (m + alpha) * prev)
-    # written positively so that NaN nodes or weights fail the checks
-    if not (np.all(nodes > 0.0) and np.all(np.diff(nodes) > 0.0)):
-        raise RuntimeError("Gauss-Laguerre nodes are not sorted positive")
-
+    nodes = _laguerre_zeros(m, alpha)
     prev, _, ln_s = _laguerre_pair(m, alpha, nodes)
     ln_weights = (ln_gamma(m + alpha + 1.0) - ln_gamma(m + 1.0)
                   - 2.0 * math.log(m + alpha) + np.log(nodes)

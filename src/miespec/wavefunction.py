@@ -4,9 +4,10 @@ One evaluator, _ln_y_form, produces every closed-form value of R: the
 Laguerre form eta y^{k+2-N} e^{-y/2} L_n^alpha(y) in the dimensionless
 variable y = 2 eps r, in log space (log magnitude plus tracked sign)
 because the envelope spans hundreds of orders of magnitude across a
-verification grid.  eval_radial, eval_y_form, norm_check, overlap and the
-ladder images all go through it.  The confluent-hypergeometric (Kummer)
-series is kept only as the explicit cross-check eval_radial(form="kummer").
+verification grid.  eval_radial, eval_y_form, norm_check, overlap,
+node_count and the ladder images and fits all go through it.  Its
+reference is the paper's confluent series 1F1(-n, alpha+1, y), evaluated
+by mpmath at 50 digits in the tests.
 """
 
 import math
@@ -14,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CancellationError, GridResolutionError
+from .errors import GridResolutionError
 from .potentials import PotentialParams
 from .spectrum import BoundState, binding_rate, centrifugal_strength
-from .specfun import (_kummer_sums, _laguerre_pair, default_quadrature_order,
+from .specfun import (_laguerre_pair, _laguerre_zeros, default_quadrature_order,
                       gauss_laguerre, ln_gamma, radial_norm_constant)
 
 
@@ -56,12 +57,6 @@ class SampledFunction:
 
 # -- evaluation ------------------------------------------------------------
 
-def _ln_bridge(state: BoundState) -> float:
-    """ln of n! Gamma(alpha+1) / Gamma(n+alpha+1), the Kummer-Laguerre bridge."""
-    n, alpha = state.q.n, state.alpha
-    return ln_gamma(n + 1.0) + ln_gamma(alpha + 1.0) - ln_gamma(n + alpha + 1.0)
-
-
 def ln_eta(state: BoundState, convention: str = "paper") -> float:
     """log of the y-form prefactor eta under a normalization convention.
 
@@ -72,7 +67,9 @@ def ln_eta(state: BoundState, convention: str = "paper") -> float:
     n, alpha = state.q.n, state.alpha
     p = state.k + 2.0 - state.q.dim
     if convention == "paper":
-        return math.log(state.zeta) - p * math.log(2.0 * state.eps) + _ln_bridge(state)
+        return (math.log(state.zeta) - p * math.log(2.0 * state.eps)
+                + (ln_gamma(n + 1.0) + ln_gamma(alpha + 1.0)
+                   - ln_gamma(n + alpha + 1.0)))
     if convention == "y-orthonormal":
         return -0.5 * (ln_gamma(n + alpha + 1.0) - ln_gamma(n + 1.0)
                        + math.log(2.0 * n + alpha + 1.0))
@@ -102,45 +99,13 @@ def _signed_exp(ln_abs, sign):
     return out if out.ndim else float(out)
 
 
-def eval_radial(state: BoundState, r, form: str = "laguerre"):
-    """Normalized radial eigenfunction R(r); scalar or array argument.
-
-    form="laguerre" is eval_y_form at y = 2 eps r.  form="kummer" sums the
-    confluent series 1F1(-n, alpha+1, y) instead, a cross-check only: its
-    alternating terms cancel as n grows (about 1e-7 of the peak at n = 20).
-    """
+def eval_radial(state: BoundState, r):
+    """Normalized radial eigenfunction R(r), eval_y_form at y = 2 eps r;
+    scalar or array argument."""
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):
         raise ValueError("radius must be positive")
-    y = 2.0 * state.eps * r
-    if form == "laguerre":
-        return eval_y_form(state, y)
-    if form == "kummer":
-        poly, size = _kummer_sums(state.q.n, state.alpha + 1.0, y)
-        ln_pref = ln_eta(state) - _ln_bridge(state)
-        _check_kummer_rounding(state, _ln_y_form(state, y, ln_pref, size)[0])
-        return _signed_exp(*_ln_y_form(state, y, ln_pref, poly))
-    raise ValueError(f"unknown evaluation form {form!r}")
-
-
-def _check_kummer_rounding(state: BoundState, ln_size):
-    """Raise CancellationError where eps * sum|term| of the Kummer series,
-    scaled like R (``ln_size`` is its log without the eps), exceeds 1e-10
-    of the peak of |R|.
-
-    The peak is the largest Laguerre-form value on 512 points over
-    (0, 4n + 2 alpha + 10], which holds every zero of L_n^alpha and the
-    outermost lobe of R.
-    """
-    n, alpha = state.q.n, state.alpha
-    y = np.linspace(1.0, 512.0, 512) * ((4.0 * n + 2.0 * alpha + 10.0) / 512.0)
-    ln_peak = float(np.max(_ln_y_form(state, y, ln_eta(state))[0]))
-    worst = (float(np.max(ln_size)) + math.log(np.finfo(float).eps)
-             - ln_peak) / math.log(10.0)
-    if worst > -10.0:
-        raise CancellationError(
-            f"Kummer series at n={n}: its rounding bound is 10^{worst:.1f} "
-            "of the peak of R (limit 1e-10); use form='laguerre'")
+    return eval_y_form(state, 2.0 * state.eps * r)
 
 
 def eval_y_form(state: BoundState, y, convention: str = "paper"):
@@ -151,9 +116,8 @@ def eval_y_form(state: BoundState, y, convention: str = "paper"):
     return _signed_exp(*_ln_y_form(state, y, ln_eta(state, convention)))
 
 
-def sample_radial(state: BoundState, grid: RadialGrid,
-                  form: str = "laguerre") -> SampledFunction:
-    return SampledFunction(grid=grid, values=eval_radial(state, grid.nodes(), form))
+def sample_radial(state: BoundState, grid: RadialGrid) -> SampledFunction:
+    return SampledFunction(grid=grid, values=eval_radial(state, grid.nodes()))
 
 
 # -- normalization and overlaps --------------------------------------------
@@ -277,22 +241,15 @@ def ode_residual_relative(state: BoundState, grid: RadialGrid) -> float:
 
 # -- qualitative structure ---------------------------------------------------
 
-def node_count(state: BoundState, samples: int = 4001) -> int:
+def node_count(state: BoundState) -> int:
     """Number of interior sign changes of R on (0, inf).
 
-    Sampled in y out to where the envelope has decayed twelve orders below
-    its peak; the Laguerre zeros of our states are well separated on that
-    scale.
+    R has the sign of L_n^alpha(y), read once below its smallest zero, once
+    between each pair of neighbouring zeros and once past the largest, so
+    an envelope that underflows cannot hide a node.
     """
-    n, alpha = state.q.n, state.alpha
-    y_max = 2.0 * (2.0 * n + alpha + 1.0) + 40.0
-    for _ in range(40):
-        y = np.linspace(y_max / samples, y_max, samples)
-        vals = eval_y_form(state, y)
-        peak = np.max(np.abs(vals))
-        if abs(vals[-1]) <= 1e-12 * peak:
-            break
-        y_max *= 1.5
-    sign = np.sign(vals)
-    sign = sign[sign != 0.0]
-    return int(np.count_nonzero(np.diff(sign)))
+    zeros = _laguerre_zeros(state.q.n, state.alpha)
+    edges = np.concatenate(([0.0], zeros,
+                            [2.0 * zeros.max(initial=state.alpha + 1.0)]))
+    sign = _ln_y_form(state, 0.5 * (edges[:-1] + edges[1:]), 0.0)[1]
+    return int(np.count_nonzero(np.diff(sign[sign != 0.0])))

@@ -320,6 +320,52 @@ def test_norm_constant_overflow_is_a_domain_error(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
+def test_fd_matrix_overflow_is_a_domain_error(tmp_path, capsys):
+    # mass 1e-300 stretches the grid to r ~ 1.8e301, where the r^{N-1}
+    # weights of the radial scheme overflow
+    assert run(tmp_path, "verify", "--fast", "--n-max", "0", "--ell-max", "0",
+               "--dims", "3", "--mass", "1e-300") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("domain error:") and "finite-difference matrix" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_an_overflowing_coefficient_is_named(tmp_path, capsys):
+    assert run(tmp_path, "spectrum", "--preset", "kratzer-fues", "--d0", "1",
+               "--r0", "1e200") == 2
+    assert capsys.readouterr().err == "configuration error: A must be finite\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n", "-1", "--ell", "0", "--dim", "3"],
+    ["--n", "0", "--ell", "-1", "--dim", "3"],
+    ["--n", "0", "--ell", "0", "--dim", "1"],
+    ["--n", "0", "--ell", "0", "--dim", "3", "--points", "5",
+     "--r-domain", "5", "--r-min", "10"],
+], ids=["n-negative", "ell-negative", "dim-one", "r-min-past-r-max"])
+def test_wavefunction_arguments_are_configuration_errors(tmp_path, capsys, argv):
+    assert run(tmp_path, "wavefunction", *argv) == 2
+    assert capsys.readouterr().err.startswith("configuration error:")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--fast", "--n-max", "0", "--ell-max", "0", "--dims", "3"],
+    ["ladder-check", "--n-max", "1", "--ell-max", "0"],
+    ["wavefunction", "--n", "0", "--ell", "0", "--dim", "3"],
+], ids=["verify", "ladder-check", "wavefunction"])
+def test_a_missing_output_directory_fails_before_the_work(tmp_path, capsys,
+                                                          monkeypatch, argv):
+    calls = []
+    monkeypatch.setattr(oracle, "eigen_lowest", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(spectrum, "bound_state", lambda *a, **k: calls.append(a))
+    assert run(tmp_path / "missing", *argv) == 4
+    assert capsys.readouterr().err.startswith("output error:")
+    assert not calls
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("argv,label,count,fd", [
     (["--preset", "mie-general", "--d0", "3", "--r0", "2", "--mie-a", "6",
       "--mie-b", "3"], "mie-general(a=6, b=3)", 9, [-1.5118, -0.2806, -0.0236]),

@@ -6,8 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from miespec.errors import (CancellationError, GridResolutionError,
-                            NotNormalizableError)
+from miespec.errors import GridResolutionError, NotNormalizableError
 from miespec.potentials import PotentialParams, coulomb, kratzer_fues
 from miespec.spectrum import QuantumNumbers, bound_state
 from miespec.wavefunction import (RadialGrid, eval_radial, eval_y_form,
@@ -63,32 +62,6 @@ class TestEvalRadial:
     def test_radius_domain_error(self, hydrogen):
         with pytest.raises(ValueError):
             eval_radial(make_state(hydrogen, 0, 0, 3), 0.0)
-
-    @pytest.mark.parametrize("dim", [2, 3, 5])
-    @pytest.mark.parametrize("n", [0, 2, 5])
-    def test_two_evaluation_paths_agree(self, kratzer, dim, n):
-        state = make_state(kratzer, n, 1, dim)
-        r_peak = (2.0 * n + 2.0 * state.k + 14.0) / (2.0 * state.eps)
-        r = np.linspace(r_peak / 2000.0, 1.5 * r_peak, 2000)
-        a = eval_radial(state, r, form="kummer")
-        b = eval_radial(state, r, form="laguerre")
-        scale = np.max(np.abs(a))
-        assert np.max(np.abs(a - b)) <= 1e-11 * scale
-        # pointwise relative agreement away from the polynomial zeros
-        big = np.abs(a) > 1e-2 * scale
-        assert np.max(np.abs((a[big] - b[big]) / a[big])) <= 1e-11
-
-    def test_kummer_form_refuses_where_cancellation_rules(self, kratzer):
-        # at n = 28 the series is off by about 5e-4 of the peak
-        state = make_state(kratzer, 28, 0, 3)
-        r_peak = (2.0 * 28 + 2.0 * state.k + 14.0) / (2.0 * state.eps)
-        r = np.linspace(r_peak / 2000.0, 1.5 * r_peak, 2000)
-        with pytest.raises(CancellationError, match="n=28"):
-            eval_radial(state, r, form="kummer")
-        # where its terms are still small the series is exact enough
-        near = r[:10]
-        assert eval_radial(state, near, form="kummer") == pytest.approx(
-            eval_radial(state, near), abs=1e-10 * np.max(np.abs(eval_radial(state, r))))
 
 
 class TestNormCheck:
