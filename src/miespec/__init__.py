@@ -7,7 +7,7 @@ eigenvalue oracle that verifies all of it numerically.
 
 from .errors import (FallToCenterError, GridResolutionError,
                      LadderAlgebraError, NoBoundStatesError,
-                     NotNormalizableError)
+                     NotNormalizableError, UnitsRangeError)
 from .ladder import (LadderCoeffs, apply_lowering, apply_raising,
                      bargmann_index, casimir_check, casimir_eigenvalue,
                      commutator_check, commutator_eigenvalue, ladder_coeffs,

@@ -27,7 +27,8 @@ import sys
 
 from . import ladder, oracle, potentials, spectrum, wavefunction
 from .errors import (FallToCenterError, GridResolutionError,
-                     NoBoundStatesError, NotNormalizableError)
+                     NoBoundStatesError, NotNormalizableError,
+                     UnitsRangeError)
 
 ENV_OUTDIR = "MIESPEC_OUTDIR"
 
@@ -431,9 +432,9 @@ def _verify_channel(potential, label, ell, dim, n_max, refine, fast):
     if fast:
         entry.update(order=None, order_status="skipped", order_ok=True)
     else:
-        # the h grid is the one solve_bound_states just solved; only the
-        # 4h and 2h grids of the order fit are new, and its level 0 only
-        # places their first slope probe
+        # the h grid is the one solve_bound_states just solved, after its
+        # 16h and 8h scouts; only the 4h and 2h grids of the order fit are
+        # new, and its level 0 only places their first slope probe
         h = grid.spacing
         r_domain = grid.r_max + 0.5 * h
         start = float(fd[0]) if len(fd) else None
@@ -590,7 +591,7 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (FallToCenterError, NotNormalizableError, NoBoundStatesError,
-            GridResolutionError) as exc:
+            GridResolutionError, UnitsRangeError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -26,3 +26,9 @@ class GridResolutionError(ValueError):
 class LadderAlgebraError(ValueError):
     """A ladder-coefficient radicand went negative; the (k, N) pair violates
     the algebra's positivity domain."""
+
+
+class UnitsRangeError(ValueError):
+    """The units put a closed-form quantity outside the double range: mass
+    and hbar so extreme that 2 m A / hbar^2, beta = -2 m B / hbar^2 or the
+    energy itself cannot be represented."""

@@ -13,10 +13,12 @@ eigenfunction and hence normalizability.
 """
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
-from .errors import FallToCenterError, NoBoundStatesError, NotNormalizableError
+from .errors import (FallToCenterError, NoBoundStatesError,
+                     NotNormalizableError, UnitsRangeError)
 from .potentials import PotentialParams
 from .specfun import radial_norm_constant
 
@@ -53,23 +55,63 @@ class BoundState:
     zeta: float
 
 
+# With every factor 0 or within [_LO, _HI] in magnitude, each partial
+# product of the formulas below (at most six factor powers) stays in the
+# normal double range, so they are evaluated as written.
+_LO, _HI = 2.0 ** -170, 2.0 ** 170
+
+
+def _out_of_range(params: PotentialParams, what: str) -> UnitsRangeError:
+    return UnitsRangeError(f"{what} for mass = {params.mass:g}, "
+                           f"hbar = {params.hbar:g}")
+
+
+def _frexp_product(params: PotentialParams, name: str, *factors) -> float:
+    """prod(x ** p for x, p in factors) for factors outside [_LO, _HI].
+
+    There hbar**2 or eps**2 alone may leave the double range although the
+    product does not, so the product is formed from frexp mantissas and
+    exponents.  A product above the double range raises UnitsRangeError
+    naming ``name``; one below it rounds to a subnormal or zero.
+    """
+    mant, exp = 1.0, 0
+    for x, p in factors:
+        m, e = math.frexp(x)
+        mant *= m**p
+        exp += e * p
+    try:
+        return math.ldexp(mant, exp)
+    except OverflowError:
+        raise _out_of_range(params, f"{name} leaves the double range") from None
+
+
 def centrifugal_strength(params: PotentialParams, ell: int, dim: int) -> float:
     """nu(nu+1): angular barrier plus the scaled 1/r^2 coefficient."""
     if dim < 2:
         raise ValueError("spatial dimension must be >= 2")
-    return ell * (ell + dim - 2) + 2.0 * params.mass * params.A / params.hbar**2
+    m, h, a = params.mass, params.hbar, params.A
+    if _LO <= m <= _HI and _LO <= h <= _HI and (not a or _LO <= abs(a) <= _HI):
+        scaled = 2.0 * m * a / h**2
+    else:
+        scaled = _frexp_product(params, "2 m A / hbar^2",
+                                (2.0, 1), (m, 1), (a, 1), (h, -2))
+    return ell * (ell + dim - 2) + scaled
 
 
 def indicial_root(params: PotentialParams, ell: int, dim: int) -> float:
     """Positive root k of k^2 - (N-2) k - nu(nu+1) = 0.
 
     Raises FallToCenterError when the discriminant is negative (over-
-    attractive 1/r^2 term) and NotNormalizableError if the root fails
-    2k + 3 - N > 0.  A zero discriminant is accepted with a warning; it is
-    the borderline fall-to-center case k = (N-2)/2.
+    attractive 1/r^2 term), UnitsRangeError when it leaves the double
+    range, and NotNormalizableError if the root fails 2k + 3 - N > 0.  A
+    zero discriminant is accepted with a warning; it is the borderline
+    fall-to-center case k = (N-2)/2.
     """
     nu = centrifugal_strength(params, ell, dim)
     disc = (dim - 2.0) ** 2 + 4.0 * nu
+    if not math.isfinite(disc):
+        raise _out_of_range(params, "the indicial discriminant leaves the "
+                            f"double range at ell={ell}, N={dim}")
     if disc < 0.0:
         raise FallToCenterError(
             f"indicial discriminant {disc:.6g} < 0 for ell={ell}, N={dim}: "
@@ -88,8 +130,21 @@ def indicial_root(params: PotentialParams, ell: int, dim: int) -> float:
 
 
 def binding_rate(params: PotentialParams) -> float:
-    """beta = -2 m B / hbar^2; positive exactly when the potential binds."""
-    return -2.0 * params.mass * params.B / params.hbar**2
+    """beta = -2 m B / hbar^2; positive exactly when the potential binds.
+
+    UnitsRangeError when an attractive B gives a beta outside the normal
+    double range, where no decay length is representable.
+    """
+    m, h, b = params.mass, params.hbar, params.B
+    name = "beta = -2 m B / hbar^2"
+    if _LO <= m <= _HI and _LO <= h <= _HI and (not b or _LO <= abs(b) <= _HI):
+        beta = -2.0 * m * b / h**2
+    else:
+        beta = _frexp_product(params, name, (-2.0, 1), (m, 1), (b, 1), (h, -2))
+    if b < 0.0 and beta < sys.float_info.min:
+        raise _out_of_range(params, f"{name} = {beta:g} is below the normal "
+                            "double range")
+    return beta
 
 
 def _closed_form(params: PotentialParams, q: QuantumNumbers):
@@ -105,7 +160,15 @@ def _closed_form(params: PotentialParams, q: QuantumNumbers):
             f"B = {params.B:.6g} is not attractive; no bound spectrum")
     k = indicial_root(params, q.ell, q.dim)
     eps = beta / (2.0 * q.n + 2.0 * k + 3.0 - q.dim)
-    e = params.C - params.hbar**2 * eps**2 / (2.0 * params.mass)
+    m, h = params.mass, params.hbar
+    if _LO <= m <= _HI and _LO <= h <= _HI and _LO <= eps <= _HI:
+        e = params.C - h**2 * eps**2 / (2.0 * m)
+    else:
+        e = params.C - _frexp_product(params, "hbar^2 eps^2 / 2 m", (h, 2),
+                                      (eps, 2), (2.0, -1), (m, -1))
+    if not math.isfinite(e):
+        raise _out_of_range(params, "the energy C - hbar^2 eps^2 / 2 m "
+                            "leaves the double range")
     return beta, k, eps, e
 
 

@@ -294,14 +294,15 @@ def test_verify_solves_each_grid_once(tmp_path, monkeypatch, fast):
     kratzer = potentials.kratzer_fues(5.0, 1.0)
     sizes = [oracle.default_grid(kratzer, ell, 3, n_max=1).count
              for ell in (0, 1)]
-    per_channel = 1 if fast else 3
+    # the 16h and 8h scouts, the h grid, then the order fit's 4h and 2h
+    fractions = (1 / 16, 1 / 8, 1) if fast else (1 / 16, 1 / 8, 1, 1 / 4, 1 / 2)
+    per_channel = len(fractions)
     assert len(rows) == per_channel * len(sizes)
     for i, m in enumerate(sizes):
         channel = rows[per_channel * i:per_channel * (i + 1)]
-        assert channel[0] == m
-        if not fast:
-            assert abs(channel[1] - m / 4) <= 1
-            assert abs(channel[2] - m / 2) <= 1
+        assert channel[2] == m
+        for size, fraction in zip(channel, fractions):
+            assert abs(size - m * fraction) <= 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -727,3 +728,32 @@ def test_a_non_finite_or_non_positive_number_is_refused(tmp_path, capsys, argv):
     assert run(tmp_path, *argv) == 2
     assert capsys.readouterr().err.startswith("configuration error:")
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv,names", [
+    (["spectrum", "--hbar", "1e200"], "beta"),
+    (["spectrum", "--mass", "1e300", "--hbar", "1e-300"], "beta"),
+    (["verify", "--fast", "--n-max", "0", "--ell-max", "0", "--dims", "3",
+      "--mass", "1e300"], "finite-difference matrix entries"),
+    (["wavefunction", "--n", "0", "--ell", "0", "--dim", "3",
+      "--hbar", "1e200"], "beta"),
+    (["ladder-check", "--hbar", "1e200"], "beta"),
+    (["verify", "--fast", "--preset", "mie-general", "--n-max", "0",
+      "--ell-max", "0", "--dims", "3", "--hbar", "1e200"], "hbar^2"),
+], ids=["spectrum-hbar", "spectrum-mass-hbar", "verify-mass", "wavefunction-hbar",
+        "ladder-check-hbar", "verify-mie-hbar"])
+def test_extreme_units_are_a_domain_error(tmp_path, capsys, argv, names):
+    assert run(tmp_path, *argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("domain error:") and names in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_an_energy_in_range_is_returned_for_extreme_units(tmp_path):
+    # hbar^2 eps^2 = 1e600 on the way, but E = -m / (2 hbar^2 (n+1)^2)
+    assert run(tmp_path, "spectrum", "--mass", "1e300", "--n-max", "1",
+               "--ell-max", "0", "--dims", "3") == 0
+    _, rows = read_csv(tmp_path / "spectrum.csv")
+    assert [float(r["energy"]) for r in rows] == pytest.approx(
+        [-5e299, -1.25e299], rel=1e-15)

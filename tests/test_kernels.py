@@ -7,7 +7,7 @@ from miespec import oracle
 from miespec.oracle import (OracleConfig, Tridiagonal, build_tridiagonal_radial,
                             cell_grid, count_below, default_grid, eigen_lowest,
                             solve_bound_states)
-from miespec.potentials import coulomb, kratzer_fues
+from miespec.potentials import MiePreset, coulomb, kratzer_fues
 
 
 def random_tridiagonal(rng, m):
@@ -247,7 +247,8 @@ def test_bound_state_solve_sweeps_under_half_the_rows(monkeypatch):
     monkeypatch.undo()
 
     assert got == pytest.approx([-1 / 8, -1 / 18, -1 / 32, -1 / 50], rel=1e-4)
-    assert sum(rows) <= 0.5 * before
+    # the scouts' rows included
+    assert sum(rows) <= 0.3 * before
     tri = build_tridiagonal_radial(config, hydrogen, 1, 3)
     for j, v in enumerate(got):
         assert count_below(tri, v - 0.5e-11) <= j
@@ -289,3 +290,78 @@ def test_a_box_level_above_the_ceiling_is_still_solved():
     assert got > 0.0
     assert got == pytest.approx(eigen_lowest(tri, 1)[0], abs=1e-11)
     assert len(solve_bound_states(hydrogen, 0, 3, config)) == 0
+
+
+# -- scout grids: per-level starts only place probes --------------------------
+
+def test_numpy_starts_reach_the_sweeps_as_plain_floats(monkeypatch):
+    tri = oracle_matrices()["radial"]
+    want = eigen_lowest(tri, 4, 1e-11)
+    shifts = []  # every shift that reaches a Sturm sweep
+    for name in ("_negcount", "_negcount_slope"):
+        fn = getattr(oracle, name)
+
+        def recorded(d, esq, shift, *rest, _fn=fn):
+            shifts.append(shift)
+            return _fn(d, esq, shift, *rest)
+        monkeypatch.setattr(oracle, name, recorded)
+    starts = want + np.float64(1e-6)  # numpy scalars, near each level
+    ceiling = np.float64(want[-1] + 1.0)  # above every level: a real count
+    got = eigen_lowest(tri, 4, 1e-11, _starts=starts, _ceiling=ceiling)
+    assert shifts
+    assert {type(shift) for shift in shifts} == {float}
+    assert np.all(np.abs(got - want) <= 1e-11)
+
+
+@pytest.mark.parametrize("starts", [
+    [0.0] * 4, [-100.0] * 4, [float("nan")] * 4, "reversed", [], [-0.125]],
+    ids=["zero", "far-below", "nan", "reversed", "none", "first-only"])
+def test_a_start_only_decides_where_a_probe_goes(starts):
+    tri = oracle_matrices()["radial"]
+    want = eigen_lowest(tri, 4, 1e-11)
+    if starts == "reversed":
+        starts = want[::-1]
+    got = eigen_lowest(tri, 4, 1e-11, _starts=starts)
+    assert np.all(np.abs(got - want) <= 1e-11)
+    for j, v in enumerate(got):
+        assert count_below(tri, v - 0.5e-11) <= j
+        assert count_below(tri, v + 0.5e-11) >= j + 1
+
+
+def _scout_cases():
+    for label, potential in (("coulomb", coulomb(-1.0)),
+                             ("kratzer-fues", kratzer_fues(5.0, 1.0))):
+        for dim in (2, 3, 5):
+            for ell in range(3):
+                grid = default_grid(potential, ell, dim, n_max=3)
+                yield (f"{label}-N{dim}-ell{ell}", potential, ell, dim,
+                       OracleConfig(grid=grid, count=4))
+    mie = MiePreset(d0=5.0, r0=1.0, a=4.0, b=2.0)
+    yield ("mie-general", mie, 0, 3,
+           OracleConfig(grid=default_grid(mie, 0, 3, n_max=3), count=4))
+    hydrogen = coulomb(-1.0)
+    yield ("u-scheme", hydrogen, 1, 3,
+           OracleConfig(grid=default_grid(hydrogen, 1, 3), count=4, scheme="u"))
+    yield ("no-scouts", hydrogen, 0, 3,
+           OracleConfig(grid=cell_grid(0.5, 50), count=1))
+
+
+SCOUT_CASES = {case[0]: case[1:] for case in _scout_cases()}
+
+
+@pytest.mark.parametrize("name", SCOUT_CASES)
+def test_scouted_solve_matches_the_unscouted_one(name):
+    potential, ell, dim, config = SCOUT_CASES[name]
+    starts = oracle._scout_starts(potential, ell, dim, config)
+    assert (len(starts) == 0) == (name == "no-scouts")
+    got = solve_bound_states(potential, ell, dim, config)
+
+    tri = oracle._build(config, potential, ell, dim)
+    plain = eigen_lowest(tri, config.count, config.tol,
+                         _ceiling=oracle._ceiling(potential, ell, dim,
+                                                  config.grid))
+    assert len(got) == len(plain)
+    assert np.all(np.abs(got - plain) <= config.tol)
+    for j, v in enumerate(got):
+        assert count_below(tri, v - 0.5 * config.tol) <= j
+        assert count_below(tri, v + 0.5 * config.tol) >= j + 1

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from miespec.errors import FallToCenterError, NoBoundStatesError
+from miespec.errors import FallToCenterError, NoBoundStatesError, UnitsRangeError
 from miespec.potentials import PotentialParams, coulomb, kratzer_fues, modified_kratzer
 from miespec.spectrum import (QuantumNumbers, bound_state, centrifugal_strength,
                               decay_rate, energy, indicial_root, spectrum_table)
@@ -212,3 +212,60 @@ class TestSpectrumTable:
     def test_negative_ranges_rejected(self):
         with pytest.raises(ValueError):
             spectrum_table(coulomb(-1.0), -1, 0, 3)
+
+
+# -- units across the double range --------------------------------------------
+
+def mp_energy(params, q):
+    """E = C - 2 m B^2 / (hbar^2 D^2), D = 2n + 2k + 3 - N, at 50 digits."""
+    import mpmath
+    with mpmath.workdps(50):
+        m, hbar = mpmath.mpf(params.mass), mpmath.mpf(params.hbar)
+        nu = q.ell * (q.ell + q.dim - 2) + 2 * m * mpmath.mpf(params.A) / hbar**2
+        k = ((q.dim - 2) + mpmath.sqrt((q.dim - 2) ** 2 + 4 * nu)) / 2
+        d = 2 * q.n + 2 * k + 3 - q.dim
+        return float(params.C - 2 * m * mpmath.mpf(params.B) ** 2 / (hbar * d) ** 2)
+
+
+@pytest.mark.parametrize("mass,hbar", [
+    (1e300, 1.0), (1e-300, 1.0), (1.0, 1e150), (1.0, 1e-100), (1e200, 1e100),
+    (1e-250, 1e-100), (1e55, 1.0), (1.0, 1e60)])
+@pytest.mark.parametrize("make", [lambda m, h: coulomb(-1.0, mass=m, hbar=h),
+                                  lambda m, h: kratzer_fues(5.0, 1.0, m, h)],
+                         ids=["coulomb", "kratzer-fues"])
+def test_energy_where_a_factor_leaves_the_double_range(make, mass, hbar):
+    # hbar^2, eps^2 or 2 m would over- or underflow on the way
+    params = make(mass, hbar)
+    for q in (QuantumNumbers(0, 0, 3), QuantumNumbers(3, 2, 5)):
+        assert energy(params, q) == pytest.approx(mp_energy(params, q),
+                                                  rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("params,name", [
+    (coulomb(-1.0, hbar=1e200), "beta = -2 m B / hbar"),
+    (coulomb(-1.0, mass=1e300, hbar=1e-300), "beta = -2 m B / hbar"),
+    (coulomb(-1.0, hbar=1e-200), "beta = -2 m B / hbar"),
+    (PotentialParams(1.0, -1e-100, 0.0, mass=1e300, hbar=1e-10),
+     "2 m A / hbar"),
+    (PotentialParams(5e7, -1.0, 0.0, mass=1e300), "indicial discriminant"),
+    (PotentialParams(0.0, -1.0, -1.7e308, mass=5e307), "energy"),
+], ids=["beta-under", "beta-over", "beta-over-small-hbar", "two-m-a",
+        "discriminant", "energy"])
+def test_units_out_of_the_double_range_are_refused(params, name):
+    with pytest.raises(UnitsRangeError, match=name):
+        energy(params, QuantumNumbers(0, 0, 3))
+
+
+@given(st.floats(1e-10, 1e10), st.floats(1e-5, 1e5),
+       st.floats(-1e5, -1e-5), st.floats(0.0, 1e10))
+def test_ordinary_units_keep_the_formulas_as_written(mass, hbar, B, A):
+    # every factor (mass, hbar, A, B, eps) within 2^-170..2^170: the
+    # range-safe products must not move a single bit
+    params = PotentialParams(A, B, 0.5, mass=mass, hbar=hbar)
+    q = QuantumNumbers(1, 1, 4)
+    nu = q.ell * (q.ell + q.dim - 2) + 2.0 * mass * A / hbar**2
+    beta = -2.0 * mass * B / hbar**2
+    k = 0.5 * ((q.dim - 2.0) + math.sqrt((q.dim - 2.0) ** 2 + 4.0 * nu))
+    eps = beta / (2.0 * q.n + 2.0 * k + 3.0 - q.dim)
+    assert centrifugal_strength(params, q.ell, q.dim) == nu
+    assert energy(params, q) == 0.5 - hbar**2 * eps**2 / (2.0 * mass)
