@@ -433,17 +433,19 @@ def _verify_channel(potential, label, ell, dim, n_max, refine, fast):
         entry.update(order=None, order_status="skipped", order_ok=True)
     else:
         # the h grid is the one solve_bound_states just solved, after its
-        # 16h and 8h scouts; only the 4h and 2h grids of the order fit are
-        # new, and its level 0 only places their first slope probe
+        # 16h and 8h scouts; only the 2h and 4h grids of the order fit are
+        # new.  Level 0 on h places the 2h solve's first slope probe, and
+        # the h^2 model through (2h, h), E_h + 5 (E_2h - E_h), the 4h one's
         h = grid.spacing
         r_domain = grid.r_max + 0.5 * h
-        start = float(fd[0]) if len(fd) else None
-        values = [oracle._level_on_grid(potential, ell, dim, 0, r_domain, s,
-                                        start=start)
-                  for s in (4.0 * h, 2.0 * h)]
-        values.append(start if start is not None else
-                      oracle._level_on_grid(potential, ell, dim, 0, r_domain, h))
-        study = oracle._order_fit([4.0 * h, 2.0 * h, h], values, 0, exact[0])
+        e_h = (float(fd[0]) if len(fd) else
+               oracle._level_on_grid(potential, ell, dim, 0, r_domain, h))
+        e_2h = oracle._level_on_grid(potential, ell, dim, 0, r_domain, 2.0 * h,
+                                     start=e_h)
+        e_4h = oracle._level_on_grid(potential, ell, dim, 0, r_domain, 4.0 * h,
+                                     start=e_h + 5.0 * (e_2h - e_h))
+        study = oracle._order_fit([4.0 * h, 2.0 * h, h], [e_4h, e_2h, e_h], 0,
+                                  exact[0])
         entry.update(order=study["order"], order_status=study["status"])
         entry["order_ok"] = (study["status"] != "ok"
                              or abs(study["order"] - 2.0) <= 0.2)

@@ -24,6 +24,13 @@ rows swept, so it sweeps only rows that decide something:
   to a bracket midpoint.  On the 18 default ``verify`` channels the h grids
   need 191 slope sweeps instead of 422, and 3.13 M rows are swept instead
   of 4.49 M, the scouts' 0.55 M included.
+* A level closes on its first small model step.  Once a step is below
+  _EARLY_CLOSE = 1e5 times tol/2, the two counts at x + step +- tol/2 are
+  taken at once, not after one more slope sweep has shrunk the step below
+  tol/2.  They are real counts, so a miss only shrinks the bracket.  On
+  the same channels the h grids need 95 slope sweeps instead of 191
+  (1.3 per level), and 2.58 M rows are swept instead of 3.13 M: slope rows
+  fall from 2.20 M to 1.25 M, plain-count rows rise from 0.92 M to 1.33 M.
 
 Two discretizations are available:
 
@@ -213,11 +220,20 @@ def default_grid(potential, ell: int, dim: int, n_max: int = 3,
 _TINY = 2.2250738585072014e-308
 _EPS = 2.220446049250313e-16
 _DENORM = 5e-324  # rounding error of a product in the subnormal range
+# A level is closed by counts once its model step is below _EARLY_CLOSE
+# times tol/2 (see _bisect_lowest).  On the 18 default verify channels,
+# thresholds of 1e4, 1e5 and 1e6 sweep 1.46, 1.25 and 1.32 M slope rows and
+# 1.18, 1.33 and 1.39 M plain-count rows; a slope row costs about twice a
+# plain one, so 1e5 costs least.  1e3 leaves 1.64 M slope rows, and the
+# constant-free rule step^2 <= tol/2 |previous step| 1.71 M.
+_EARLY_CLOSE = 1e5
 
 
 def _prepare(diag, offdiag):
     d = np.asarray(diag, dtype=float).tolist()
-    esq = [float(e) * float(e) for e in np.asarray(offdiag, dtype=float)]
+    e = np.asarray(offdiag, dtype=float)
+    with np.errstate(over="ignore"):  # an e^2 past the double range is inf
+        esq = (e * e).tolist()
     pivmin = _TINY * max(1.0, max(esq, default=1.0))
     return d, esq, pivmin
 
@@ -356,8 +372,18 @@ def _bisect_lowest(diag, offdiag, count, tol, ceiling=None, starts=()):
     eigenvalues damp Newton's step, and the constant c absorbs them.  The
     midpoint is probed instead when no step is finite and inside the
     bracket, and right after a step probe that failed to halve it, so every
-    two probes at least halve the bracket.  A step shorter than tol/2 is
-    closed, once per level, by counts at x +- tol/2.
+    two probes at least halve the bracket.
+
+    A step shorter than tol/2 is closed, once per level, by counts at
+    x +- tol/2 around the model root x.  So is, once per level and with a
+    flag of its own, a step shorter than _EARLY_CLOSE * tol/2: from a
+    scout start, Newton's first step usually lands within tol/2, and one
+    more slope sweep would only confirm it.  Neither close can change what
+    is proven: both are counts, which move bracket ends as any count does,
+    and a level still ends only on a bracket of width <= tol.  A miss
+    leaves x outside the bracket, at most tol/2 past the end it moved; the
+    next slope probe goes to that end, and the exact close is still there
+    for the step it gives.
     """
     d, esq, pivmin = _prepare(diag, offdiag)
     m = len(d)
@@ -400,14 +426,15 @@ def _bisect_lowest(diag, offdiag, count, tol, ceiling=None, starts=()):
         x = starts[j] if j < len(starts) else None  # the next slope probe
         last = None       # (x, G) of this level's last slope sweep
         bisect = False    # the last step probe failed to halve the bracket
-        closed = False    # the x +- tol/2 counts were taken for this level
+        closed = False    # x +- tol/2 counted on a step below tol/2
+        early = False     # ... on a step below _EARLY_CLOSE * tol/2
         while not _converged(lo[j], hi[j], tol):
             a, b = lo[j], hi[j]
             if bisect or nlo[j] != j or nhi[j] != j + 1:
                 probe(a + 0.5 * (b - a))
                 bisect = False
                 continue
-            stepped = x is not None and a < x < b
+            stepped = x is not None and a <= x <= b
             if not stepped:
                 x = a + 0.5 * (b - a)
             g = probe(x, slope=True)[1]
@@ -423,9 +450,16 @@ def _bisect_lowest(diag, offdiag, count, tol, ceiling=None, starts=()):
             half = 0.5 * tol + _EPS * abs(x)  # tol/2, but at least one ulp
             if abs(step) <= half and not closed:
                 closed = True
-                for y in (x - half, x + half):
-                    if lo[j] < y < hi[j]:
-                        probe(y)
+            elif abs(step) <= _EARLY_CLOSE * half and not early:
+                early = True
+            else:
+                continue
+            for y in (x - half, x + half):
+                if lo[j] < y < hi[j]:
+                    probe(y)
+            # a miss leaves x just outside the bracket: the next slope
+            # probe goes to the end the counts moved, next to the level
+            x = min(max(x, lo[j]), hi[j])
         out[j] = 0.5 * (lo[j] + hi[j])
     return out
 

@@ -294,8 +294,8 @@ def test_verify_solves_each_grid_once(tmp_path, monkeypatch, fast):
     kratzer = potentials.kratzer_fues(5.0, 1.0)
     sizes = [oracle.default_grid(kratzer, ell, 3, n_max=1).count
              for ell in (0, 1)]
-    # the 16h and 8h scouts, the h grid, then the order fit's 4h and 2h
-    fractions = (1 / 16, 1 / 8, 1) if fast else (1 / 16, 1 / 8, 1, 1 / 4, 1 / 2)
+    # the 16h and 8h scouts, the h grid, then the order fit's 2h and 4h
+    fractions = (1 / 16, 1 / 8, 1) if fast else (1 / 16, 1 / 8, 1, 1 / 2, 1 / 4)
     per_channel = len(fractions)
     assert len(rows) == per_channel * len(sizes)
     for i, m in enumerate(sizes):

@@ -84,7 +84,7 @@ def reference_bisection(tri, count, tol):
     return np.array(values), sweeps
 
 
-def counted_eigen_lowest(monkeypatch, tri, count, tol):
+def counted_eigen_lowest(monkeypatch, tri, count, tol, **kwargs):
     """eigen_lowest with the Sturm sweeps it makes counted."""
     sweeps = []
     with monkeypatch.context() as patch:
@@ -95,7 +95,7 @@ def counted_eigen_lowest(monkeypatch, tri, count, tol):
                 sweeps.append(1)
                 return _fn(*args)
             patch.setattr(oracle, name, counted)
-        values = eigen_lowest(tri, count, tol)
+        values = eigen_lowest(tri, count, tol, **kwargs)
     return values, len(sweeps)
 
 
@@ -153,6 +153,17 @@ def test_solver_halves_the_sweeps_on_an_oracle_matrix(monkeypatch):
     want, ref_sweeps = reference_bisection(tri, 4, 1e-11)
     assert got == pytest.approx(want, abs=1e-11)
     assert sweeps <= ref_sweeps // 2
+
+
+def test_prepare_squares_match_the_python_products():
+    tiny = 2.2250738585072014e-308
+    e = np.array([0.0, -0.0, 5e-324, -3e-320, tiny, -1e-160, 1e-170, 0.5,
+                  -3.7, 1e154, -1.3e154, 1e200, -1e308])
+    _, esq, pivmin = oracle._prepare(np.zeros(len(e) + 1), e)
+    want = [float(v) * float(v) for v in e]
+    assert all(type(v) is float for v in esq)
+    assert [v.hex() for v in esq] == [v.hex() for v in want]
+    assert pivmin == tiny * max(want)
 
 
 def test_degenerate_tolerance_and_range_are_errors_not_hangs():
@@ -328,6 +339,40 @@ def test_a_start_only_decides_where_a_probe_goes(starts):
         assert count_below(tri, v + 0.5e-11) >= j + 1
 
 
+# (matrix, count, tol, start offset).  At tol 1e-10 a start 0.8 of the early
+# close-out's reach away gets a first Newton step that triggers it and lands
+# more than tol from the level.
+MISS_CASES = {
+    "oracle-1e-6": (oracle_matrices()["radial"], 4, 1e-11, 1e-6),
+    "oracle-at-trigger": (oracle_matrices()["radial"], 4, 1e-10,
+                          0.8 * oracle._EARLY_CLOSE * 0.5e-10),
+    "wilkinson-21": (wilkinson_w21(), 21, tolerance_for(wilkinson_w21()), 1e-6),
+}
+
+
+@pytest.mark.parametrize("name", MISS_CASES)
+def test_a_missed_first_newton_landing_still_closes_on_counts(monkeypatch, name):
+    tri, count, tol, offset = MISS_CASES[name]
+    want, ref_sweeps = reference_bisection(tri, count, tol)
+    starts = want + offset
+    d, esq, pivmin = oracle._prepare(tri.diag, tri.offdiag)
+    landings = [s - 1.0 / oracle._negcount_slope(d, esq, float(s), pivmin)[1]
+                for s in starts]
+    assert max(abs(x - v) for x, v in zip(landings, want)) > tol
+    if name != "oracle-1e-6":  # these miss on an early close-out
+        reach = oracle._EARLY_CLOSE * 0.5 * tol
+        assert any(abs(x - s) <= reach and abs(x - v) > tol
+                   for x, s, v in zip(landings, starts, want))
+
+    got, sweeps = counted_eigen_lowest(monkeypatch, tri, count, tol,
+                                       _starts=starts)
+    for j, v in enumerate(got):
+        assert count_below(tri, v - 0.5 * tol) <= j
+        assert count_below(tri, v + 0.5 * tol) >= j + 1
+    assert np.all(np.abs(got - want) <= tol + 8.0 * EPS * np.abs(want))
+    assert sweeps <= 2 * ref_sweeps
+
+
 def _scout_cases():
     for label, potential in (("coulomb", coulomb(-1.0)),
                              ("kratzer-fues", kratzer_fues(5.0, 1.0))):
@@ -365,3 +410,23 @@ def test_scouted_solve_matches_the_unscouted_one(name):
     for j, v in enumerate(got):
         assert count_below(tri, v - 0.5 * config.tol) <= j
         assert count_below(tri, v + 0.5 * config.tol) >= j + 1
+
+
+def test_h_grid_levels_close_within_two_slope_sweeps(monkeypatch):
+    # the 18 default verify channels; the scouts have 1/16 and 1/8 of the
+    # rows, so only the h grid's own slope sweeps have its full length
+    slope_rows = []
+    slope = oracle._negcount_slope
+
+    def counted(d, esq, shift, pivmin):
+        slope_rows.append(len(d))
+        return slope(d, esq, shift, pivmin)
+    monkeypatch.setattr(oracle, "_negcount_slope", counted)
+    sweeps = levels = 0
+    for name, (potential, ell, dim, config) in SCOUT_CASES.items():
+        if name.startswith(("coulomb", "kratzer-fues")):
+            slope_rows.clear()
+            levels += len(solve_bound_states(potential, ell, dim, config))
+            sweeps += slope_rows.count(config.grid.count)
+    assert levels == 72
+    assert sweeps <= 2.0 * levels
