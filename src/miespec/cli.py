@@ -397,7 +397,10 @@ def _verify_channel(potential, label, ell, dim, n_max, refine, fast):
     exact = None if mie else [spectrum.energy(potential, q) for q in q_list]
     grid = oracle.default_grid(potential, ell, dim, n_max=n_max, refine=refine)
     config = oracle.OracleConfig(grid=grid, count=n_max + 1)
-    fd = oracle.solve_bound_states(potential, ell, dim, config)
+    # the order fit's 4h and 2h grids need level 0 only
+    rungs = [(1, n_max + 1)] if fast or mie else [(4, 1), (2, 1), (1, n_max + 1)]
+    levels = oracle.solve_grids(potential, ell, dim, config, rungs)
+    fd = levels[-1]
 
     entry = {"potential": label, "ell": ell, "dim": dim,
              "closed_form": exact, "fd": list(map(float, fd))}
@@ -432,20 +435,8 @@ def _verify_channel(potential, label, ell, dim, n_max, refine, fast):
     if fast:
         entry.update(order=None, order_status="skipped", order_ok=True)
     else:
-        # the h grid is the one solve_bound_states just solved, after its
-        # 16h and 8h scouts; only the 2h and 4h grids of the order fit are
-        # new.  Level 0 on h places the 2h solve's first slope probe, and
-        # the h^2 model through (2h, h), E_h + 5 (E_2h - E_h), the 4h one's
-        h = grid.spacing
-        r_domain = grid.r_max + 0.5 * h
-        e_h = (float(fd[0]) if len(fd) else
-               oracle._level_on_grid(potential, ell, dim, 0, r_domain, h))
-        e_2h = oracle._level_on_grid(potential, ell, dim, 0, r_domain, 2.0 * h,
-                                     start=e_h)
-        e_4h = oracle._level_on_grid(potential, ell, dim, 0, r_domain, 4.0 * h,
-                                     start=e_h + 5.0 * (e_2h - e_h))
-        study = oracle._order_fit([4.0 * h, 2.0 * h, h], [e_4h, e_2h, e_h], 0,
-                                  exact[0])
+        study = oracle.order_fit([f * grid.spacing for f, _ in rungs], levels,
+                                 0, exact[0])
         entry.update(order=study["order"], order_status=study["status"])
         entry["order_ok"] = (study["status"] != "ok"
                              or abs(study["order"] - 2.0) <= 0.2)

@@ -18,12 +18,14 @@ rows swept, so it sweeps only rows that decide something:
   det(T - x).  The next probe is Newton's step after one such sweep, and
   after two the pole of G(x) = 1/(x - lam) + c fitted through them, as in
   LAPACK's secular-equation solver (R.-C. Li, LAPACK Working Note 89).
-* A bound-state solve first solves two scout grids over the same domain, of
-  spacings 16h and 8h and so 1/16 and 1/8 of the rows.  Each level's first
-  slope probe on the h grid goes to their h^2 (Richardson) prediction, not
-  to a bracket midpoint.  On the 18 default ``verify`` channels the h grids
-  need 191 slope sweeps instead of 422, and 3.13 M rows are swept instead
-  of 4.49 M, the scouts' 0.55 M included.
+* Every solve is one ladder of grids over the same domain, solved coarse
+  to fine (solve_grids): two scout grids of spacings 16h and 8h, with 1/16
+  and 1/8 of the rows, then the caller's rungs (a full ``verify``: 4h and
+  2h for level 0, then h).  On every grid, level j's first slope probe
+  goes to the h^2 (Richardson) line through the last two grids that solved
+  it, not to a bracket midpoint.  On the 18 default ``verify`` channels
+  the scouts alone took the h grids from 422 slope sweeps to 191, and the
+  rows swept from 4.49 M to 3.13 M, the scouts' 0.55 M included.
 * A level closes on its first small model step.  Once a step is below
   _EARLY_CLOSE = 1e5 times tol/2, the two counts at x + step +- tol/2 are
   taken at once, not after one more slope sweep has shrunk the step below
@@ -31,6 +33,8 @@ rows swept, so it sweeps only rows that decide something:
   the same channels the h grids need 95 slope sweeps instead of 191
   (1.3 per level), and 2.58 M rows are swept instead of 3.13 M: slope rows
   fall from 2.20 M to 1.25 M, plain-count rows rise from 0.92 M to 1.33 M.
+  Starting the order fit's 4h and 2h grids from the scouts, and level 0 on
+  h from them, then takes 2.58 M rows to 2.48 M (slope rows 1.16 M).
 
 Two discretizations are available:
 
@@ -221,7 +225,7 @@ _TINY = 2.2250738585072014e-308
 _EPS = 2.220446049250313e-16
 _DENORM = 5e-324  # rounding error of a product in the subnormal range
 # A level is closed by counts once its model step is below _EARLY_CLOSE
-# times tol/2 (see _bisect_lowest).  On the 18 default verify channels,
+# times tol/2 (see eigen_lowest).  On the 18 default verify channels,
 # thresholds of 1e4, 1e5 and 1e6 sweep 1.46, 1.25 and 1.32 M slope rows and
 # 1.18, 1.33 and 1.39 M plain-count rows; a slope row costs about twice a
 # plain one, so 1e5 costs least.  1e3 leaves 1.64 M slope rows, and the
@@ -257,7 +261,7 @@ def _negcount(d, esq, shift, pivmin, floor=None):
 
     With ``floor`` from _gershgorin the sweep ends at the first row i with
     floor[i] > shift whose incoming pivot has q^2 >= e_{i-1}^2; by the
-    induction in _bisect_lowest no later pivot is negative.
+    induction in eigen_lowest no later pivot is negative.
     """
     m = len(d)
     stop = m if floor is None else max(1, int(floor.searchsorted(shift, "right")))
@@ -340,14 +344,20 @@ def _pole(x1, g1, x2, g2, lo, hi):
     return min(inside, key=lambda lam: abs(g2 - 1.0 / (x2 - lam)), default=None)
 
 
-def _bisect_lowest(diag, offdiag, count, tol, ceiling=None, starts=()):
-    """The ``count`` smallest eigenvalues, each the midpoint of a bracket of
-    width ``tol`` whose two ends carry real Sturm counts.
+def eigen_lowest(tri: Tridiagonal, count: int, tol: float = 1e-11, *,
+                 _ceiling: float | None = None, _starts=()) -> np.ndarray:
+    """The ``count`` smallest eigenvalues of ``tri``, each the midpoint of a
+    bracket of width ``tol`` whose two ends carry real Sturm counts.
+
+    Raises ValueError unless 1 <= count <= tri.size and tol >= 0, or when
+    the entries are so large that the Gershgorin interval overflows.
 
     Brackets start from the Gershgorin bounds.  Every count at x tightens
     the bracket of every requested level, as in LAPACK's dstebz.  Given a
-    ``ceiling``, the first count is taken there and only the levels below
-    it are solved and returned.
+    ``_ceiling``, the first count is taken there and only the levels below
+    it are solved and returned.  The oracle's own solves pass it, and
+    ``_starts``: one estimate per level, which only places the level's
+    first slope probe.
 
     A plain count ends early.  Past the last row whose Gershgorin lower
     bound d_j - |e_{j-1}| - |e_j| (lowered by a rounding margin) is not
@@ -362,7 +372,7 @@ def _bisect_lowest(diag, offdiag, count, tol, ceiling=None, starts=()):
     G(x) = d/dx log|det(T - x)|, which only chooses where the next count
     goes; only counts move bracket ends.  (A sweep cut short would give the
     G of a leading block, whose eigenvalues Newton would then chase.)  The
-    first such probe of level j goes to ``starts[j]`` if that is given and
+    first such probe of level j goes to ``_starts[j]`` if that is given and
     lies in the bracket; a missing, non-finite or outlying start leaves it
     at the midpoint.  A start thus only decides where a probe goes.  After
     the level's first sweep the next probe is Newton's step x - 1/G on
@@ -377,7 +387,7 @@ def _bisect_lowest(diag, offdiag, count, tol, ceiling=None, starts=()):
     A step shorter than tol/2 is closed, once per level, by counts at
     x +- tol/2 around the model root x.  So is, once per level and with a
     flag of its own, a step shorter than _EARLY_CLOSE * tol/2: from a
-    scout start, Newton's first step usually lands within tol/2, and one
+    predicted start, Newton's first step usually lands within tol/2, and one
     more slope sweep would only confirm it.  Neither close can change what
     is proven: both are counts, which move bracket ends as any count does,
     and a level still ends only on a bracket of width <= tol.  A miss
@@ -385,22 +395,22 @@ def _bisect_lowest(diag, offdiag, count, tol, ceiling=None, starts=()):
     next slope probe goes to that end, and the exact close is still there
     for the step it gives.
     """
-    d, esq, pivmin = _prepare(diag, offdiag)
+    d, esq, pivmin = _prepare(tri.diag, tri.offdiag)
     m = len(d)
     if not 1 <= count <= m:
         raise ValueError("count must be in [1, matrix dimension]")
     if not tol >= 0.0:
         raise ValueError("tolerance must be non-negative")
 
-    floor, ghi = _gershgorin(diag, offdiag, pivmin)
+    floor, ghi = _gershgorin(tri.diag, tri.offdiag, pivmin)
     glo = float(floor[0])
     if not math.isfinite(ghi - glo):
         raise ValueError("Gershgorin interval overflows the float range")
 
     # plain floats: a numpy scalar start or ceiling would run every sweep
     # it reaches in numpy-scalar arithmetic
-    starts = [float(s) for s in starts]
-    ceiling = None if ceiling is None else float(ceiling)
+    starts = [float(s) for s in _starts]
+    ceiling = None if _ceiling is None else float(_ceiling)
     lo, hi = [glo] * count, [ghi] * count
     nlo, nhi = [0] * count, [m] * count  # Sturm counts at lo and hi
 
@@ -464,20 +474,6 @@ def _bisect_lowest(diag, offdiag, count, tol, ceiling=None, starts=()):
     return out
 
 
-def eigen_lowest(tri: Tridiagonal, count: int, tol: float = 1e-11, *,
-                 _ceiling: float | None = None, _starts=()) -> np.ndarray:
-    """The ``count`` smallest eigenvalues, each within a Sturm-proven
-    bracket of width ``tol``.
-
-    Raises ValueError unless 1 <= count <= tri.size and tol >= 0, or when
-    the entries are so large that the Gershgorin interval overflows.  The
-    oracle's own solves pass ``_ceiling`` and ``_starts``, one estimate per
-    level that only places the level's first slope probe; see
-    _bisect_lowest.
-    """
-    return _bisect_lowest(tri.diag, tri.offdiag, count, tol, _ceiling, _starts)
-
-
 def count_below(tri: Tridiagonal, bound: float) -> int:
     """Exact number of eigenvalues below ``bound`` (Sturm count)."""
     d, esq, pivmin = _prepare(tri.diag, tri.offdiag)
@@ -497,44 +493,58 @@ def solve_bound_states(potential, ell: int, dim: int,
 
     Eigenvalues are kept only below the potential's value at infinity and
     below the effective potential at the domain edge (anything above is box
-    artifact, not physics).  Each level's first slope probe goes to its
-    prediction from the two scout grids (see _scout_starts).
+    artifact, not physics).  The grid is the one rung of solve_grids.
     """
     if config is None:
         config = OracleConfig(grid=default_grid(potential, ell, dim))
-    starts = _scout_starts(potential, ell, dim, config)
-    tri = _build(config, potential, ell, dim)
-    return eigen_lowest(tri, config.count, config.tol, _starts=starts,
-                        _ceiling=_ceiling(potential, ell, dim, config.grid))
+    return solve_grids(potential, ell, dim, config, [(1, config.count)])[0]
 
 
-def _scout_starts(potential, ell: int, dim: int, config: OracleConfig) -> list:
-    """Each level's prediction on the grid of spacing h from two scout grids
-    over the same domain, of spacings about 16h and 8h.
+def solve_grids(potential, ell: int, dim: int, config: OracleConfig,
+                rungs) -> list:
+    """Bound levels on a ladder of grids over the domain of ``config.grid``.
 
-    The scouts have 1/16 and 1/8 of the rows, and the 8h solve starts from
-    the 16h levels.  With the h^2 error model E(s) = E + c s^2 (Richardson,
-    1911) the prediction is E_8h - 21 (E_16h - E_8h) / 64 at exact ratios;
-    the scouts' own spacings are used.  Both see only FD matrices, so the
-    oracle stays independent of the closed form.  Below 4 * count cells on
-    the 16h grid there are no scouts and no starts.
+    ``rungs`` are (spacing factor, level count) pairs, listed coarse to
+    fine; factor 1 is ``config.grid`` itself and factor f has about 1/f of
+    its cells.  One level array is returned per rung, each holding the
+    levels below that grid's bound-state ceiling, so it may be short.
+
+    Two scout grids of factors 16 and 8 are solved first, at the highest
+    count of any rung, unless the 16h grid would have fewer than 4 cells
+    per level.  On every grid, level j's first slope probe goes to
+    _predict from the grids already solved; a prediction only places a
+    probe, and every grid sees only FD matrices, so the oracle stays
+    independent of the closed form.
     """
     grid = config.grid
-    h = grid.spacing
-    r_domain = grid.r_max + 0.5 * h
-    if round(grid.count / 16) < 4 * config.count:
-        return []
-    levels, spacings = [], []
-    for factor in (16, 8):
-        scout = cell_grid(r_domain, round(grid.count / factor))
-        tri = _build(replace(config, grid=scout), potential, ell, dim)
-        levels.append(eigen_lowest(
-            tri, config.count, config.tol, _starts=levels[-1] if levels else (),
-            _ceiling=_ceiling(potential, ell, dim, scout)))
-        spacings.append(scout.spacing)
-    (e16, e8), (s16, s8) = levels, spacings
-    w = (h * h - s8 * s8) / (s16 * s16 - s8 * s8)
-    return [b + w * (a - b) for a, b in zip(e16, e8)]
+    r_domain = grid.r_max + 0.5 * grid.spacing
+    top = max(count for _, count in rungs)
+    scouts = [] if round(grid.count / 16) < 4 * top else [(16, top), (8, top)]
+    solved = [[] for _ in range(top)]  # (spacing, value) per level, in order
+    out = []
+    for factor, count in [*scouts, *rungs]:
+        rung = grid if factor == 1 else cell_grid(r_domain, round(grid.count / factor))
+        tri = _build(replace(config, grid=rung, count=count), potential, ell, dim)
+        levels = eigen_lowest(
+            tri, count, config.tol,
+            _starts=[_predict(solved[j], rung.spacing) for j in range(count)],
+            _ceiling=_ceiling(potential, ell, dim, rung))
+        for j, value in enumerate(levels):
+            solved[j].append((rung.spacing, value))
+        out.append(levels)
+    return out[len(scouts):]
+
+
+def _predict(solved: list, spacing: float) -> float:
+    """A level's estimate at ``spacing`` from the (spacing, value) pairs of
+    the grids that solved it: the h^2 error model E(s) = E + c s^2
+    (Richardson, 1911) through the last two, the one value, or nan (no
+    start) when none did."""
+    if len(solved) < 2:
+        return solved[0][1] if solved else math.nan
+    (s1, e1), (s2, e2) = solved[-2:]
+    w = (spacing * spacing - s2 * s2) / (s1 * s1 - s2 * s2)
+    return e2 + w * (e1 - e2)
 
 
 def convergence_study(potential, ell: int, dim: int, level: int,
@@ -544,8 +554,8 @@ def convergence_study(potential, ell: int, dim: int, level: int,
     """Empirical convergence order of one eigenvalue under grid refinement.
 
     ``h_sequence`` must contain at least three spacings, each half the
-    previous.  Error sequences that are non-monotone or already at the
-    rounding floor are reported as inconclusive rather than fitted.
+    previous.  The grids are the rungs of solve_grids over [0, r_domain],
+    and order_fit makes the report.
     """
     h_sequence = list(h_sequence)
     if len(h_sequence) < 3:
@@ -554,34 +564,27 @@ def convergence_study(potential, ell: int, dim: int, level: int,
         if abs(a / b - 2.0) > 1e-3:
             raise ValueError("each spacing must halve the previous one")
 
-    values = [_level_on_grid(potential, ell, dim, level, r_domain, h,
-                             scheme, tol) for h in h_sequence]
-    return _order_fit(h_sequence, values, level, exact_energy)
+    h = h_sequence[-1]
+    config = OracleConfig(grid=cell_grid(r_domain, int(round(r_domain / h))),
+                          count=level + 1, tol=tol, scheme=scheme)
+    levels = solve_grids(potential, ell, dim, config,
+                         [(s / h, level + 1) for s in h_sequence])
+    return order_fit(h_sequence, levels, level, exact_energy)
 
 
-def _level_on_grid(potential, ell: int, dim: int, level: int, r_domain: float,
-                   h: float, scheme: str = "radial", tol: float = 1e-11,
-                   start: float | None = None) -> float:
-    """Eigenvalue ``level`` on the cell grid of spacing ``h`` over
-    [0, r_domain]; ``start`` (a nearby estimate) only places the first
-    slope probe."""
-    grid = cell_grid(r_domain, int(round(r_domain / h)))
-    config = OracleConfig(grid=grid, count=level + 1, tol=tol, scheme=scheme)
-    tri = _build(config, potential, ell, dim)
-    starts = [] if start is None else [math.nan] * level + [start]
-    levels = eigen_lowest(tri, level + 1, tol, _starts=starts,
-                          _ceiling=_ceiling(potential, ell, dim, grid))
-    if len(levels) <= level:  # a box level above the ceiling: solve it too
-        levels = eigen_lowest(tri, level + 1, tol, _starts=starts)
-    return float(levels[level])
-
-
-def _order_fit(spacings: list, values: list, level: int,
-               exact_energy: float) -> dict:
-    """convergence_study's report from one eigenvalue per spacing."""
-    errors = [abs(value - exact_energy) for value in values]
+def order_fit(spacings: list, levels: list, level: int,
+              exact_energy: float) -> dict:
+    """Convergence report of eigenvalue ``level`` from one level array per
+    spacing.  A grid that holds no such bound level, and error sequences
+    that are non-monotone or already at the rounding floor, are reported as
+    inconclusive rather than fitted."""
+    errors = [abs(float(values[level]) - exact_energy)
+              for values in levels if len(values) > level]
     report = {"spacings": spacings, "errors": errors, "level": level,
               "order": None, "status": "inconclusive", "reason": ""}
+    if len(errors) < len(levels):
+        report["reason"] = "level above the bound-state ceiling on some grid"
+        return report
     floor = 1e-9 * max(1.0, abs(exact_energy))
     if min(errors) <= floor:
         report["reason"] = "errors at rounding floor"

@@ -14,7 +14,6 @@ eigenfunction and hence normalizability.
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 
 from .errors import (FallToCenterError, NoBoundStatesError,
@@ -104,8 +103,8 @@ def indicial_root(params: PotentialParams, ell: int, dim: int) -> float:
     Raises FallToCenterError when the discriminant is negative (over-
     attractive 1/r^2 term), UnitsRangeError when it leaves the double
     range, and NotNormalizableError if the root fails 2k + 3 - N > 0.  A
-    zero discriminant is accepted with a warning; it is the borderline
-    fall-to-center case k = (N-2)/2.
+    zero discriminant is accepted: it is the borderline fall-to-center case
+    k = (N-2)/2, whose state is still normalizable.
     """
     nu = centrifugal_strength(params, ell, dim)
     disc = (dim - 2.0) ** 2 + 4.0 * nu
@@ -116,10 +115,6 @@ def indicial_root(params: PotentialParams, ell: int, dim: int) -> float:
         raise FallToCenterError(
             f"indicial discriminant {disc:.6g} < 0 for ell={ell}, N={dim}: "
             "the attractive 1/r^2 term admits no ground state")
-    if disc == 0.0:
-        warnings.warn("indicial discriminant is exactly zero: borderline "
-                      "fall-to-center, k = (N-2)/2", RuntimeWarning,
-                      stacklevel=2)
     k = 0.5 * ((dim - 2.0) + math.sqrt(disc))
     if 2.0 * k + 3.0 - dim <= 0.0:
         # unreachable for the k_+ branch (2k + 3 - N = 1 + sqrt(disc) >= 1);

@@ -31,7 +31,6 @@ def report(criterion: int, ok: bool, detail: str):
     assert ok, f"criterion {criterion}: {detail}"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_criterion_1_oracle_agreement_and_order():
     start = time.perf_counter()
     worst_ratio = 0.0
@@ -81,7 +80,6 @@ def test_criterion_2_hydrogen_reduction():
            f"worst rel dev {worst:.2e}")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_criterion_3_interdimensional_degeneracy():
     worst_closed = 0.0
     worst_fd = 0.0
@@ -103,7 +101,6 @@ def test_criterion_3_interdimensional_degeneracy():
            f"FD pairs at {worst_fd:.2f} of discretization tolerance")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_criterion_4_normalization():
     worst = 0.0
     for params in PRESETS.values():
@@ -125,7 +122,6 @@ def test_criterion_4_normalization():
            f"paper-literal factorial variant fails for n>=1: {literal_breaks}")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_criterion_5_ode_residual():
     worst = 0.0
     for params in PRESETS.values():
@@ -146,7 +142,6 @@ def test_criterion_5_ode_residual():
            f"refinement ratio {ratio:.1f} (expect ~16)")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_criterion_6_node_counts():
     ok = True
     for params in PRESETS.values():
@@ -182,7 +177,6 @@ def test_criterion_7_su11_suite():
            f"{len(pairs)} (k, N) pairs, n<=10; lambda_minus(0)=0: {ground_ok}")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_criterion_8_differential_ladder():
     worst = 0.0
     recorded = []

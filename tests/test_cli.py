@@ -294,15 +294,31 @@ def test_verify_solves_each_grid_once(tmp_path, monkeypatch, fast):
     kratzer = potentials.kratzer_fues(5.0, 1.0)
     sizes = [oracle.default_grid(kratzer, ell, 3, n_max=1).count
              for ell in (0, 1)]
-    # the 16h and 8h scouts, the h grid, then the order fit's 2h and 4h
-    fractions = (1 / 16, 1 / 8, 1) if fast else (1 / 16, 1 / 8, 1, 1 / 2, 1 / 4)
+    # coarse to fine: the 16h and 8h scouts, the order fit's 4h and 2h,
+    # then the h grid itself
+    fractions = (1 / 16, 1 / 8, 1) if fast else (1 / 16, 1 / 8, 1 / 4, 1 / 2, 1)
     per_channel = len(fractions)
     assert len(rows) == per_channel * len(sizes)
     for i, m in enumerate(sizes):
         channel = rows[per_channel * i:per_channel * (i + 1)]
-        assert channel[2] == m
+        assert channel[-1] == m
         for size, fraction in zip(channel, fractions):
             assert abs(size - m * fraction) <= 1
+
+
+def test_verify_slope_row_budget(tmp_path, monkeypatch):
+    # the 18 default channels of a full verify; every level on every grid
+    # after the first starts from the grids before it
+    rows = []
+    slope = oracle._negcount_slope
+
+    def counted(d, esq, shift, pivmin):
+        rows.append(len(d))
+        return slope(d, esq, shift, pivmin)
+    monkeypatch.setattr(oracle, "_negcount_slope", counted)
+    assert run(tmp_path, "verify") == 0
+    assert len(json.loads((tmp_path / "verify.json").read_text())["channels"]) == 18
+    assert sum(rows) <= 1.20e6
 
 
 @pytest.mark.parametrize("argv", [

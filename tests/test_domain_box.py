@@ -26,11 +26,6 @@ MASSES = (1e-6, 1e-2, 1.0, 1e2, 1e6)
 BOX = tuple(itertools.product((1e-3, 1.0, 1e3), (0, 5, 40), (0, 7, 50),
                               (2, 3, 11, 60)))
 
-# some (ell, N) pairs put the indicial discriminant at exactly zero; those
-# states are borderline but bound, and belong in the box
-pytestmark = pytest.mark.filterwarnings(
-    "ignore:indicial discriminant is exactly zero:RuntimeWarning")
-
 
 def box_states(name, mass):
     """The state of each (hbar, n, ell, N) in the box, None where refused."""

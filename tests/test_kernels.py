@@ -5,8 +5,8 @@ import pytest
 
 from miespec import oracle
 from miespec.oracle import (OracleConfig, Tridiagonal, build_tridiagonal_radial,
-                            cell_grid, count_below, default_grid, eigen_lowest,
-                            solve_bound_states)
+                            cell_grid, convergence_study, count_below,
+                            default_grid, eigen_lowest, solve_bound_states)
 from miespec.potentials import MiePreset, coulomb, kratzer_fues
 
 
@@ -278,28 +278,31 @@ def test_ceiling_count_keeps_the_levels_below_it():
 
 @pytest.mark.parametrize("ell,dim", [(0, 2), (1, 3), (2, 5)])
 def test_started_level_matches_the_unstarted_one(ell, dim):
+    # the order fit's rungs: each level 0 starts from the grids before it
     kratzer = kratzer_fues(5.0, 1.0)
-    grid = default_grid(kratzer, ell, dim)
-    h = grid.spacing
-    r_domain = grid.r_max + 0.5 * h
-    fd0 = float(solve_bound_states(kratzer, ell, dim,
-                                   OracleConfig(grid=grid, count=1))[0])
-    for s in (4.0 * h, 2.0 * h):
-        plain = oracle._level_on_grid(kratzer, ell, dim, 0, r_domain, s)
-        started = oracle._level_on_grid(kratzer, ell, dim, 0, r_domain, s,
-                                        start=fd0)
-        assert abs(started - plain) <= 1e-11
+    config = OracleConfig(grid=default_grid(kratzer, ell, dim), count=1)
+    grid = config.grid
+    rungs = [(4, 1), (2, 1), (1, 1)]
+    started = oracle.solve_grids(kratzer, ell, dim, config, rungs)
+    for (factor, _), levels in zip(rungs, started):
+        rung = (grid if factor == 1 else
+                cell_grid(grid.r_max + 0.5 * grid.spacing,
+                          round(grid.count / factor)))
+        tri = build_tridiagonal_radial(OracleConfig(grid=rung, count=1),
+                                       kratzer, ell, dim)
+        assert len(levels) == 1
+        assert abs(levels[0] - eigen_lowest(tri, 1)[0]) <= 1e-11
 
 
-def test_a_box_level_above_the_ceiling_is_still_solved():
+def test_a_box_level_above_the_ceiling_makes_the_order_inconclusive():
     # on [0, 0.5] hydrogen's lowest level is a box level far above the
     # bound-state ceiling V_eff(r_max) ~ -2
     hydrogen = coulomb(-1.0)
-    got = oracle._level_on_grid(hydrogen, 0, 3, 0, 0.5, 0.01)
+    report = convergence_study(hydrogen, 0, 3, level=0, exact_energy=-0.5,
+                               r_domain=0.5, h_sequence=[0.04, 0.02, 0.01])
+    assert report["status"] == "inconclusive"
+    assert "ceiling" in report["reason"]
     config = OracleConfig(grid=cell_grid(0.5, 50), count=1)
-    tri = build_tridiagonal_radial(config, hydrogen, 0, 3)
-    assert got > 0.0
-    assert got == pytest.approx(eigen_lowest(tri, 1)[0], abs=1e-11)
     assert len(solve_bound_states(hydrogen, 0, 3, config)) == 0
 
 
@@ -395,11 +398,19 @@ SCOUT_CASES = {case[0]: case[1:] for case in _scout_cases()}
 
 
 @pytest.mark.parametrize("name", SCOUT_CASES)
-def test_scouted_solve_matches_the_unscouted_one(name):
+def test_scouted_solve_matches_the_unscouted_one(monkeypatch, name):
     potential, ell, dim, config = SCOUT_CASES[name]
-    starts = oracle._scout_starts(potential, ell, dim, config)
-    assert (len(starts) == 0) == (name == "no-scouts")
-    got = solve_bound_states(potential, ell, dim, config)
+    sizes = []  # rows of every grid solved
+    solve = oracle.eigen_lowest
+
+    def recorded(tri, *args, **kwargs):
+        sizes.append(tri.size)
+        return solve(tri, *args, **kwargs)
+    monkeypatch.setattr(oracle, "eigen_lowest", recorded)
+    got, = oracle.solve_grids(potential, ell, dim, config, [(1, config.count)])
+    monkeypatch.undo()
+    assert sizes[-1] == config.grid.count
+    assert (len(sizes) == 1) == (name == "no-scouts")
 
     tri = oracle._build(config, potential, ell, dim)
     plain = eigen_lowest(tri, config.count, config.tol,

@@ -1,6 +1,7 @@
 """Closed-form spectrum: indicial root, decay rate, energies, gating."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -55,8 +56,9 @@ class TestIndicialRoot:
         with pytest.raises(FallToCenterError):
             indicial_root(PotentialParams(-1.0, -2.0, 0.0), 0, 3)
 
-    def test_borderline_discriminant_accepted_with_warning(self):
-        with pytest.warns(RuntimeWarning, match="borderline"):
+    def test_borderline_discriminant_accepted_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             k = indicial_root(coulomb(-1.0), 0, 2)
         assert k == 0.0  # relaxed to k >= 0: the state is normalizable
 
