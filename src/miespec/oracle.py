@@ -1,12 +1,12 @@
 """Independent finite-difference verification of the closed-form spectrum.
 
-The radial problem is discretized on a uniform grid and reduced to a real
-symmetric tridiagonal eigenproblem, solved within Sturm-proven brackets:
-every bracket end carries an exact eigenvalue count, and a step model only
-chooses where the next count is taken.  The kernel is plain Python rather
-than LAPACK's ``dstebz``: importing ``scipy.linalg`` would add about 26 MiB
-of resident memory and 0.3 s of start-up to every command.  Its cost is
-rows swept, so it sweeps only rows that decide something:
+The radial problem is discretized on a grid of uniform cells and reduced to
+a real symmetric tridiagonal eigenproblem, solved within Sturm-proven
+brackets: every bracket end carries an exact eigenvalue count, and a step
+model only chooses where the next count is taken.  The kernel is plain
+Python rather than LAPACK's ``dstebz``: importing ``scipy.linalg`` would
+add about 26 MiB of resident memory and 0.3 s of start-up to every command.
+Its cost is rows swept, so it sweeps only rows that decide something:
 
 * A bound-state solve takes its first count at the bound-state ceiling,
   min(C, V_eff(r_max)); no level above it is solved.
@@ -19,35 +19,38 @@ rows swept, so it sweeps only rows that decide something:
   after two the pole of G(x) = 1/(x - lam) + c fitted through them, as in
   LAPACK's secular-equation solver (R.-C. Li, LAPACK Working Note 89).
 * Every solve is one ladder of grids over the same domain, solved coarse
-  to fine (solve_grids): two scout grids of spacings 16h and 8h, with 1/16
-  and 1/8 of the rows, then the caller's rungs (a full ``verify``: 4h and
-  2h for level 0, then h).  On every grid, level j's first slope probe
-  goes to the h^2 (Richardson) line through the last two grids that solved
-  it, not to a bracket midpoint.  On the 18 default ``verify`` channels
-  the scouts alone took the h grids from 422 slope sweeps to 191, and the
-  rows swept from 4.49 M to 3.13 M, the scouts' 0.55 M included.
+  to fine (solve_grids): a scout grid of spacing 8h, with 1/8 of the rows,
+  then the caller's rungs (a full ``verify``: 4h and 2h for level 0, then
+  h).  On every grid, level j's first slope probe goes to the h^2
+  (Richardson) line through the last two grids that solved it, or to the
+  one value if only one did, not to a bracket midpoint.
 * A level closes on its first small model step.  Once a step is below
   _EARLY_CLOSE = 1e5 times tol/2, the two counts at x + step +- tol/2 are
   taken at once, not after one more slope sweep has shrunk the step below
-  tol/2.  They are real counts, so a miss only shrinks the bracket.  On
-  the same channels the h grids need 95 slope sweeps instead of 191
-  (1.3 per level), and 2.58 M rows are swept instead of 3.13 M: slope rows
-  fall from 2.20 M to 1.25 M, plain-count rows rise from 0.92 M to 1.33 M.
-  Starting the order fit's 4h and 2h grids from the scouts, and level 0 on
-  h from them, then takes 2.58 M rows to 2.48 M (slope rows 1.16 M).
+  tol/2.  They are real counts, so a miss only shrinks the bracket.
+
+The grid sets the rows per sweep.  On the 18 default ``verify`` channels
+the x-grids below have 24.8 k cells, against 136 k on the uniform r-cells
+they replace, and a full ``verify`` sweeps 0.64 M rows (0.31 M of them in
+slope sweeps, the scout's included) instead of 2.48 M (1.16 M), with the
+worst energy error at 0.40 of its tolerance instead of 0.50.  A second
+scout of 16h would have only about 80 cells and no longer pays for itself.
 
 Two discretizations are available:
 
 * ``scheme="radial"`` (default): conservative cell-centered flux form of the
-  equation for R itself, symmetrized in the r^{N-1} measure.  The origin is
-  a natural boundary (the flux weight r^{N-1} vanishes at the r = 0 face),
-  which keeps second-order convergence even for channels whose reduced
-  u-equation has the critical -1/(4 r^2) coupling (e.g. ell = 0, N = 2).
+  equation for R itself, on cells uniform in x = sqrt(r) (the
+  Kustaanheimo-Stiefel map, under which every Coulomb state is a polynomial
+  times a Gaussian in x), symmetrized in the measure 2 x^{2N-1}.  The grid
+  coordinate is x.  The origin is a natural boundary (the face weight
+  x^{2N-3}/2 vanishes at the x = 0 face), which keeps second-order
+  convergence even for channels whose reduced u-equation has the critical
+  -1/(4 r^2) coupling (e.g. ell = 0, N = 2).
 * ``scheme="u"``: the textbook 3-point stencil for the reduced equation
   -(hbar^2/2M) u'' + V_eff u = E u with hard walls one spacing outside the
-  grid.  Fine for regular channels, measurably non-convergent for the
-  critical ones; kept because the stencil itself is part of the module
-  contract.
+  grid, whose coordinate is r.  Fine for regular channels, measurably
+  non-convergent for the critical ones; kept as the negative control, on
+  grids uniform in r that its callers build.
 """
 
 import math
@@ -145,27 +148,35 @@ def build_tridiagonal(config: OracleConfig, potential, ell: int,
 
 def build_tridiagonal_radial(config: OracleConfig, potential, ell: int,
                              dim: int) -> Tridiagonal:
-    """Conservative flux discretization of the R-equation, symmetrized.
+    """Conservative flux discretization of the R-equation in x = sqrt(r),
+    symmetrized.
 
-    Cells are centered on the grid nodes with faces halfway between; the
-    flux weight is the measure r^{N-1} evaluated on faces.  Use cell_grid()
-    to place the first face exactly at the origin.
+    The grid's nodes are x values.  Under r = x^2 the R-equation reads
+    -(hbar^2/2M) (p R')' / w + V_c(x^2) R = E R, with face weight
+    p = x^{2N-3}/2 and cell measure w = 2 x^{2N-1}, V_c being V plus the
+    l(l+N-2) barrier.  Cells are centered on the nodes with faces halfway
+    between; use cell_grid() to place the first face exactly at the origin,
+    where p vanishes (a natural boundary).  The weights enter only as
+    powers of face/node ratios, so no finite grid overflows them.
     """
     mass, hbar = potential.mass, potential.hbar
     grid = config.grid
     h = grid.spacing
-    r = grid.nodes()
-    faces = np.concatenate(([r[0] - 0.5 * h], r + 0.5 * h))
+    x = grid.nodes()
+    faces = np.concatenate(([x[0] - 0.5 * h], x + 0.5 * h))
     if faces[0] < -1e-12 * h:
         raise ValueError("radial scheme needs r_min >= spacing/2")
     faces[0] = max(faces[0], 0.0)
-    w = r ** (dim - 1.0)
-    wf = faces ** (dim - 1.0)
-    t = hbar**2 / (2.0 * mass * h * h)
+    q = 2.0 * dim - 3.0
+    r = x * x
+    # (hbar^2/2M h^2) p/w on each side of a cell, without the (f/x)^q
+    t = hbar**2 / (8.0 * mass * h * h)
     barrier = ell * (ell + dim - 2)
     vc = potential_value(potential, r) + hbar**2 / (2.0 * mass) * barrier / r**2
-    diag = t * (wf[1:] + wf[:-1]) / w + vc
-    off = -t * wf[1:-1] / np.sqrt(w[:-1] * w[1:])
+    diag = t * ((faces[1:] / x) ** q + (faces[:-1] / x) ** q) / r + vc
+    # p_f / sqrt(w_i w_{i+1}) = (f^2 / (x_i x_{i+1}))^{q/2} / (4 x_i x_{i+1})
+    f = faces[1:-1]
+    off = -t * ((f / x[:-1]) * (f / x[1:])) ** (0.5 * q) / (x[:-1] * x[1:])
     return Tridiagonal(diag=np.ascontiguousarray(diag),
                        offdiag=np.ascontiguousarray(off))
 
@@ -176,28 +187,54 @@ _BUILDERS = {"radial": build_tridiagonal_radial, "u": build_tridiagonal}
 def _build(config: OracleConfig, potential, ell: int, dim: int) -> Tridiagonal:
     """The scheme's matrix.  An entry that leaves the double range is
     refused by Tridiagonal, not warned about on the way; so is an hbar**2
-    that overflows before any entry is formed."""
+    that overflows, or a spacing whose square underflows, before any entry
+    is formed, and a nonzero off-diagonal whose square, which the Sturm
+    counts read, is below the normal range."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
-            return _BUILDERS[config.scheme](config, potential, ell, dim)
+            tri = _BUILDERS[config.scheme](config, potential, ell, dim)
         except OverflowError:
             raise GridResolutionError(
                 "finite-difference matrix entries must be finite; hbar^2 "
                 "leaves the double range") from None
+        except ZeroDivisionError:
+            raise GridResolutionError(
+                "finite-difference matrix entries must be finite; the grid "
+                "spacing squared underflows to zero") from None
+    e = np.abs(tri.offdiag)
+    if np.any((e > 0.0) & (e < _ROOT_TINY)):
+        raise GridResolutionError(
+            "finite-difference matrix entries must have squares in the "
+            "normal double range; the grid or the units leave it")
+    return tri
 
 
 def cell_grid(r_domain: float, count: int) -> RadialGrid:
-    """Cell-centered grid for [0, r_domain]: nodes at (i - 1/2) h."""
+    """Cell-centered grid for [0, r_domain] in the scheme's coordinate (x
+    for the radial scheme, r for the u scheme): nodes at (i - 1/2) h."""
     if r_domain <= 0.0 or count < 3:
         raise ValueError("need positive domain and at least 3 cells")
     h = r_domain / count
     return RadialGrid(r_min=0.5 * h, r_max=r_domain - 0.5 * h, count=count)
 
 
+# default_grid's bounds on the cell count: 4 cells per level on the order
+# fit's 4h rung, and a cost cap of 400,000 rows per sweep
+_CELLS_PER_LEVEL = 16
+_MAX_CELLS = 400000
+
+
 def default_grid(potential, ell: int, dim: int, n_max: int = 3,
                  refine: float = 1.0) -> RadialGrid:
-    """Channel-sized grid: domain covers the slowest decay, spacing resolves
-    the fastest.  ``refine`` scales the node count (2.0 halves the spacing).
+    """Channel-sized grid for the radial scheme, uniform in x = sqrt(r).
+
+    The r-domain covers the slowest decay and the r-spacing h_r resolves
+    the fastest; the x-grid then gets 16 sqrt(r_domain / h_r) cells, times
+    ``refine`` (2.0 halves the spacing).  Under r = x^2 every Coulomb state
+    is a polynomial times a Gaussian in x, which uniform x-cells resolve
+    with far fewer rows than uniform r-cells.  A count outside
+    [16 (n_max + 1), 400000] raises GridResolutionError naming it, rather
+    than being clamped silently.
     """
     if isinstance(potential, PotentialParams):
         k = indicial_root(potential, ell, dim)
@@ -211,9 +248,14 @@ def default_grid(potential, ell: int, dim: int, n_max: int = 3,
     else:
         r_domain = potential.r0 * (10.0 + 6.0 * (n_max + 1.0))
         h = 0.01 * potential.hbar / math.sqrt(2.0 * potential.mass * potential.d0)
-    count = int(math.ceil(r_domain / h * refine))
-    count = min(max(count, 1000), 400000)
-    return cell_grid(r_domain, count)
+    count = math.ceil(16.0 * math.sqrt(r_domain / h) * refine)
+    least = _CELLS_PER_LEVEL * (n_max + 1)
+    if not least <= count <= _MAX_CELLS:
+        raise GridResolutionError(
+            f"the grid for ell={ell}, N={dim} sizes to {count} cells; the "
+            f"oracle needs at least {least} ({_CELLS_PER_LEVEL} per level) "
+            f"and allows at most {_MAX_CELLS}")
+    return cell_grid(math.sqrt(r_domain), count)
 
 
 # -- Sturm-count brackets with model-placed probes ----------------------------
@@ -222,6 +264,7 @@ def default_grid(potential, ell: int, dim: int, n_max: int = 3,
 # counts as negative and never divides by zero.
 
 _TINY = 2.2250738585072014e-308
+_ROOT_TINY = math.sqrt(_TINY)  # the least |e| whose square is normal
 _EPS = 2.220446049250313e-16
 _DENORM = 5e-324  # rounding error of a product in the subnormal range
 # A level is closed by counts once its model step is below _EARLY_CLOSE
@@ -480,11 +523,16 @@ def count_below(tri: Tridiagonal, bound: float) -> int:
     return _negcount(d, esq, float(bound), pivmin)
 
 
-def _ceiling(potential, ell: int, dim: int, grid: RadialGrid) -> float:
+def _ceiling(potential, ell: int, dim: int, config: OracleConfig) -> float:
     """Bound-state ceiling of a grid: the potential's value at infinity or
-    the effective potential at the domain edge, whichever is lower."""
-    return min(energy_offset(potential),
-               float(effective_potential(potential, ell, dim, grid.r_max)))
+    the effective potential at the outer node, whichever is lower.  The
+    radial scheme's nodes are x = sqrt(r), the u scheme's are r.  An r^2
+    past the double range leaves a 1/r^2 term at its limit, zero."""
+    edge = config.grid.r_max
+    r = edge * edge if config.scheme == "radial" else edge
+    with np.errstate(over="ignore"):
+        v_edge = float(effective_potential(potential, ell, dim, r))
+    return min(energy_offset(potential), v_edge)
 
 
 def solve_bound_states(potential, ell: int, dim: int,
@@ -500,6 +548,10 @@ def solve_bound_states(potential, ell: int, dim: int,
     return solve_grids(potential, ell, dim, config, [(1, config.count)])[0]
 
 
+# spacing factor of the scout grid solved in front of the rungs
+_SCOUT = 8
+
+
 def solve_grids(potential, ell: int, dim: int, config: OracleConfig,
                 rungs) -> list:
     """Bound levels on a ladder of grids over the domain of ``config.grid``.
@@ -509,28 +561,30 @@ def solve_grids(potential, ell: int, dim: int, config: OracleConfig,
     its cells.  One level array is returned per rung, each holding the
     levels below that grid's bound-state ceiling, so it may be short.
 
-    Two scout grids of factors 16 and 8 are solved first, at the highest
-    count of any rung, unless the 16h grid would have fewer than 4 cells
-    per level.  On every grid, level j's first slope probe goes to
-    _predict from the grids already solved; a prediction only places a
-    probe, and every grid sees only FD matrices, so the oracle stays
-    independent of the closed form.
+    A scout grid of factor 8 is solved first, at the highest count of any
+    rung, unless a rung already has that factor or the scout would have
+    fewer than 4 cells per level.  On every grid, level j's first slope
+    probe goes to _predict from the grids already solved; a prediction only
+    places a probe, and every grid sees only FD matrices, so the oracle
+    stays independent of the closed form.
     """
     grid = config.grid
-    r_domain = grid.r_max + 0.5 * grid.spacing
+    domain = grid.r_max + 0.5 * grid.spacing
     top = max(count for _, count in rungs)
-    scouts = [] if round(grid.count / 16) < 4 * top else [(16, top), (8, top)]
+    scouts = ([] if any(f == _SCOUT for f, _ in rungs)
+              or round(grid.count / _SCOUT) < 4 * top else [(_SCOUT, top)])
     solved = [[] for _ in range(top)]  # (spacing, value) per level, in order
     out = []
     for factor, count in [*scouts, *rungs]:
-        rung = grid if factor == 1 else cell_grid(r_domain, round(grid.count / factor))
-        tri = _build(replace(config, grid=rung, count=count), potential, ell, dim)
+        rung = replace(config, count=count, grid=grid if factor == 1 else
+                       cell_grid(domain, round(grid.count / factor)))
         levels = eigen_lowest(
-            tri, count, config.tol,
-            _starts=[_predict(solved[j], rung.spacing) for j in range(count)],
+            _build(rung, potential, ell, dim), count, config.tol,
+            _starts=[_predict(solved[j], rung.grid.spacing)
+                     for j in range(count)],
             _ceiling=_ceiling(potential, ell, dim, rung))
         for j, value in enumerate(levels):
-            solved[j].append((rung.spacing, value))
+            solved[j].append((rung.grid.spacing, value))
         out.append(levels)
     return out[len(scouts):]
 
@@ -538,11 +592,15 @@ def solve_grids(potential, ell: int, dim: int, config: OracleConfig,
 def _predict(solved: list, spacing: float) -> float:
     """A level's estimate at ``spacing`` from the (spacing, value) pairs of
     the grids that solved it: the h^2 error model E(s) = E + c s^2
-    (Richardson, 1911) through the last two, the one value, or nan (no
-    start) when none did."""
-    if len(solved) < 2:
-        return solved[0][1] if solved else math.nan
-    (s1, e1), (s2, e2) = solved[-2:]
+    (Richardson, 1911) through the last two, the last value when those two
+    share a spacing or only one grid solved it, or nan (no start) when
+    none did."""
+    if not solved:
+        return math.nan
+    s1, e1 = solved[-2] if len(solved) > 1 else solved[-1]
+    s2, e2 = solved[-1]
+    if s1 == s2:
+        return e2
     w = (spacing * spacing - s2 * s2) / (s1 * s1 - s2 * s2)
     return e2 + w * (e1 - e2)
 
@@ -555,7 +613,8 @@ def convergence_study(potential, ell: int, dim: int, level: int,
 
     ``h_sequence`` must contain at least three spacings, each half the
     previous.  The grids are the rungs of solve_grids over [0, r_domain],
-    and order_fit makes the report.
+    and order_fit makes the report.  Domain and spacings are in the
+    scheme's grid coordinate (x = sqrt(r) for the radial scheme).
     """
     h_sequence = list(h_sequence)
     if len(h_sequence) < 3:

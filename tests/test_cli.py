@@ -168,8 +168,10 @@ class TestVerify:
         assert channel["delta"][0] <= channel["tolerance"][0]
 
     def test_coarse_negative_control(self, tmp_path):
+        # Coulomb N=2, ell=0 is second order on the x-grid; N=3, ell=0 has
+        # a ground state that is a Gaussian in x, nearly exact at any grid
         code = run(tmp_path, "verify", "--preset", "coulomb", "--B", "-1",
-                   "--dims", "3", "--n-max", "1", "--ell-max", "0", "--fast",
+                   "--dims", "2", "--n-max", "1", "--ell-max", "0", "--fast",
                    "--coarse", "16")
         assert code == 3
         payload = json.loads((tmp_path / "verify.json").read_text())
@@ -294,9 +296,9 @@ def test_verify_solves_each_grid_once(tmp_path, monkeypatch, fast):
     kratzer = potentials.kratzer_fues(5.0, 1.0)
     sizes = [oracle.default_grid(kratzer, ell, 3, n_max=1).count
              for ell in (0, 1)]
-    # coarse to fine: the 16h and 8h scouts, the order fit's 4h and 2h,
-    # then the h grid itself
-    fractions = (1 / 16, 1 / 8, 1) if fast else (1 / 16, 1 / 8, 1 / 4, 1 / 2, 1)
+    # coarse to fine: the 8h scout, the order fit's 4h and 2h, then the h
+    # grid itself
+    fractions = (1 / 8, 1) if fast else (1 / 8, 1 / 4, 1 / 2, 1)
     per_channel = len(fractions)
     assert len(rows) == per_channel * len(sizes)
     for i, m in enumerate(sizes):
@@ -318,7 +320,25 @@ def test_verify_slope_row_budget(tmp_path, monkeypatch):
     monkeypatch.setattr(oracle, "_negcount_slope", counted)
     assert run(tmp_path, "verify") == 0
     assert len(json.loads((tmp_path / "verify.json").read_text())["channels"]) == 18
-    assert sum(rows) <= 1.20e6
+    # 0.31 M on the x-grids, 1.16 M on the uniform-r grids
+    assert sum(rows) <= 0.40e6
+
+
+def test_default_verify_stays_within_half_the_tolerance(tmp_path):
+    # the x-grids: 24.8 k cells over the 18 default channels (136 k on the
+    # uniform-r grids), each channel's worst energy error at most 0.40 of
+    # its tolerance (0.50 on the uniform-r grids)
+    assert run(tmp_path, "verify") == 0
+    channels = json.loads((tmp_path / "verify.json").read_text())["channels"]
+    assert len(channels) == 18
+    worst = max(d / t for c in channels for d, t in zip(c["delta"], c["tolerance"]))
+    assert worst <= 0.50
+    for c in channels:
+        assert c["order_status"] in ("ok", "inconclusive")
+        assert c["order_status"] != "ok" or abs(c["order"] - 2.0) <= 0.2
+    suite = [potentials.coulomb(-1.0), potentials.kratzer_fues(5.0, 1.0)]
+    assert sum(oracle.default_grid(p, ell, dim).count for p in suite
+               for dim in (2, 3, 5) for ell in range(3)) <= 30000
 
 
 @pytest.mark.parametrize("argv", [
@@ -338,10 +358,12 @@ def test_norm_constant_overflow_is_a_domain_error(tmp_path, capsys, argv):
 
 
 def test_fd_matrix_overflow_is_a_domain_error(tmp_path, capsys):
-    # mass 1e-300 stretches the grid to r ~ 1.8e301, where the r^{N-1}
-    # weights of the radial scheme overflow
+    # hbar 1e-100 shrinks the grid to x ~ 1e-99, where the kinetic entries
+    # hbar^2 / (8 M h^2 x_i x_j) overflow; a uniform-r grid of that domain
+    # had an h^2 that underflowed to 0, and the build raised
+    # ZeroDivisionError
     assert run(tmp_path, "verify", "--fast", "--n-max", "0", "--ell-max", "0",
-               "--dims", "3", "--mass", "1e-300") == 3
+               "--dims", "3", "--hbar", "1e-100") == 3
     err = capsys.readouterr().err
     assert err.startswith("domain error:") and "finite-difference matrix" in err
     assert not list(tmp_path.iterdir())
@@ -755,7 +777,7 @@ def test_a_non_finite_or_non_positive_number_is_refused(tmp_path, capsys, argv):
       "--hbar", "1e200"], "beta"),
     (["ladder-check", "--hbar", "1e200"], "beta"),
     (["verify", "--fast", "--preset", "mie-general", "--n-max", "0",
-      "--ell-max", "0", "--dims", "3", "--hbar", "1e200"], "hbar^2"),
+      "--ell-max", "0", "--dims", "3", "--hbar", "1e200"], "sizes to 1 cells"),
 ], ids=["spectrum-hbar", "spectrum-mass-hbar", "verify-mass", "wavefunction-hbar",
         "ladder-check-hbar", "verify-mie-hbar"])
 def test_extreme_units_are_a_domain_error(tmp_path, capsys, argv, names):

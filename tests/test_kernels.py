@@ -234,14 +234,8 @@ def rows_reached(d, esq, shift, pivmin, floor=None):
     return len(d)
 
 
-def test_bound_state_solve_sweeps_under_half_the_rows(monkeypatch):
-    hydrogen = coulomb(-1.0)
-    config = OracleConfig(grid=default_grid(hydrogen, 1, 3), count=4)
-    # the kernel without the ceiling count, early exits and pole steps took
-    # 41 counts and 29 slope sweeps here, each over all 7500 rows
-    assert config.grid.count == 7500
-    before = 70 * 7500
-
+def recorded_rows(monkeypatch):
+    """A list that gets the rows of every Sturm sweep from now on."""
     rows = []
     count, slope = oracle._negcount, oracle._negcount_slope
 
@@ -254,12 +248,25 @@ def test_bound_state_solve_sweeps_under_half_the_rows(monkeypatch):
         return slope(d, esq, shift, pivmin)
     monkeypatch.setattr(oracle, "_negcount", counted)
     monkeypatch.setattr(oracle, "_negcount_slope", counted_slope)
+    return rows
+
+
+def test_bound_state_solve_sweeps_under_half_the_rows(monkeypatch):
+    hydrogen = coulomb(-1.0)
+    config = OracleConfig(grid=default_grid(hydrogen, 1, 3), count=4)
+    assert config.grid.count == 1386
+    # plain bisection from the Gershgorin bounds, every sweep full length
+    _, ref_sweeps = reference_bisection(
+        build_tridiagonal_radial(config, hydrogen, 1, 3), 4, 1e-11)
+    before = ref_sweeps * 1386
+
+    rows = recorded_rows(monkeypatch)
     got = solve_bound_states(hydrogen, 1, 3, config)
     monkeypatch.undo()
 
     assert got == pytest.approx([-1 / 8, -1 / 18, -1 / 32, -1 / 50], rel=1e-4)
-    # the scouts' rows included
-    assert sum(rows) <= 0.3 * before
+    # the scout's rows included
+    assert sum(rows) <= 0.1 * before
     tri = build_tridiagonal_radial(config, hydrogen, 1, 3)
     for j, v in enumerate(got):
         assert count_below(tri, v - 0.5e-11) <= j
@@ -388,10 +395,11 @@ def _scout_cases():
     yield ("mie-general", mie, 0, 3,
            OracleConfig(grid=default_grid(mie, 0, 3, n_max=3), count=4))
     hydrogen = coulomb(-1.0)
+    # the u scheme on uniform r-cells over [0, 150]
     yield ("u-scheme", hydrogen, 1, 3,
-           OracleConfig(grid=default_grid(hydrogen, 1, 3), count=4, scheme="u"))
+           OracleConfig(grid=cell_grid(150.0, 7500), count=4, scheme="u"))
     yield ("no-scouts", hydrogen, 0, 3,
-           OracleConfig(grid=cell_grid(0.5, 50), count=1))
+           OracleConfig(grid=cell_grid(0.5, 24), count=1))
 
 
 SCOUT_CASES = {case[0]: case[1:] for case in _scout_cases()}
@@ -414,8 +422,7 @@ def test_scouted_solve_matches_the_unscouted_one(monkeypatch, name):
 
     tri = oracle._build(config, potential, ell, dim)
     plain = eigen_lowest(tri, config.count, config.tol,
-                         _ceiling=oracle._ceiling(potential, ell, dim,
-                                                  config.grid))
+                         _ceiling=oracle._ceiling(potential, ell, dim, config))
     assert len(got) == len(plain)
     assert np.all(np.abs(got - plain) <= config.tol)
     for j, v in enumerate(got):
@@ -423,21 +430,13 @@ def test_scouted_solve_matches_the_unscouted_one(monkeypatch, name):
         assert count_below(tri, v + 0.5 * config.tol) >= j + 1
 
 
-def test_h_grid_levels_close_within_two_slope_sweeps(monkeypatch):
-    # the 18 default verify channels; the scouts have 1/16 and 1/8 of the
-    # rows, so only the h grid's own slope sweeps have its full length
-    slope_rows = []
-    slope = oracle._negcount_slope
-
-    def counted(d, esq, shift, pivmin):
-        slope_rows.append(len(d))
-        return slope(d, esq, shift, pivmin)
-    monkeypatch.setattr(oracle, "_negcount_slope", counted)
-    sweeps = levels = 0
+def test_default_channel_solves_sweep_under_0p7m_rows(monkeypatch):
+    # the 18 default verify channels, scout included: 0.60 M rows on the
+    # x-grids, 2.23 M on the uniform-r grids with two scouts
+    rows = recorded_rows(monkeypatch)
+    levels = 0
     for name, (potential, ell, dim, config) in SCOUT_CASES.items():
         if name.startswith(("coulomb", "kratzer-fues")):
-            slope_rows.clear()
             levels += len(solve_bound_states(potential, ell, dim, config))
-            sweeps += slope_rows.count(config.grid.count)
     assert levels == 72
-    assert sweeps <= 2.0 * levels
+    assert sum(rows) <= 0.7e6

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from miespec import oracle
+from miespec.errors import GridResolutionError
 from miespec.oracle import (OracleConfig, Tridiagonal, build_tridiagonal,
                             build_tridiagonal_radial, cell_grid,
                             convergence_study, count_below, default_grid,
@@ -147,9 +149,9 @@ class TestSolveBoundStates:
             assert abs(g - w) <= max(5e-5, 5e-5 * abs(w))
 
     def test_u_scheme_on_regular_channel(self, hydrogen):
-        grid = default_grid(hydrogen, 0, 3)
-        h = grid.spacing
-        u_grid = RadialGrid(h, grid.r_max, grid.count)
+        # the u scheme's own uniform-r grid, with the spacing and outer node
+        # of this channel's uniform-r cells: r in [h, 108 - h/2], h = 0.01
+        u_grid = RadialGrid(0.01, 107.995, 10800)
         config = OracleConfig(grid=u_grid, count=4, scheme="u")
         got = solve_bound_states(hydrogen, 0, 3, config)
         want = exact_energies(hydrogen, 0, 3, 4)
@@ -170,15 +172,19 @@ class TestSolveBoundStates:
 
     def test_general_mie_42_frozen_regression(self):
         # no closed form for these exponents; values frozen from a run whose
-        # convergence was checked at 2x and 4x refinement
+        # convergence was checked at 2x and 4x refinement (steps 1.9e-5 and
+        # 4.7e-6, order 2); the uniform-r grid froze the second list
         preset = MiePreset(d0=5.0, r0=1.0, a=4.0, b=2.0)
         got = solve_bound_states(preset, 0, 3)
-        frozen = [-2.5148859613, -0.6510081705, -0.1620920426, -0.0397274854]
+        frozen = [-2.5149061760, -0.6510245092, -0.1620986525, -0.0397295523]
         assert got == pytest.approx(frozen, abs=1e-8)
+        uniform_r = [-2.5148859613, -0.6510081705, -0.1620920426, -0.0397274854]
+        assert got == pytest.approx(uniform_r, abs=5e-5)
 
     def test_box_artifacts_filtered(self, hydrogen):
-        # tiny domain: only the ground state fits below V_eff(r_max)
-        grid = cell_grid(14.0, 2000)
+        # tiny domain, r in [0, 14]: only the ground state fits below
+        # V_eff(r_max)
+        grid = cell_grid(math.sqrt(14.0), 2000)
         config = OracleConfig(grid=grid, count=4)
         got = solve_bound_states(hydrogen, 0, 3, config)
         assert 1 <= len(got) < 4
@@ -211,9 +217,10 @@ class TestSturmCensus:
 
 class TestConvergenceStudy:
     def test_hydrogen_second_order(self, hydrogen):
-        grid = default_grid(hydrogen, 0, 3)
+        # N=2, ell=0: the critical channel, second order on the x-grid
+        grid = default_grid(hydrogen, 0, 2)
         h = grid.spacing
-        report = convergence_study(hydrogen, 0, 3, level=0, exact_energy=-0.5,
+        report = convergence_study(hydrogen, 0, 2, level=0, exact_energy=-2.0,
                                    r_domain=grid.r_max + 0.5 * h,
                                    h_sequence=[4 * h, 2 * h, h])
         assert report["status"] == "ok"
@@ -228,19 +235,74 @@ class TestConvergenceStudy:
         assert report["order"] == pytest.approx(2.0, abs=0.2)
 
     def test_rounding_floor_is_inconclusive(self, hydrogen):
-        # the (ell=1, N=3) ground level is nearly exact in this scheme
-        e0 = energy(hydrogen, QuantumNumbers(0, 1, 3))
-        report = convergence_study(hydrogen, 1, 3, level=0, exact_energy=e0,
-                                   r_domain=100.0,
+        # the (ell=0, N=3) ground state is the Gaussian e^{-x^2}, nearly
+        # exact in this scheme; x in [0, 10] is r in [0, 100]
+        report = convergence_study(hydrogen, 0, 3, level=0, exact_energy=-0.5,
+                                   r_domain=10.0,
                                    h_sequence=[0.02, 0.01, 0.005])
         assert report["status"] == "inconclusive"
         assert "floor" in report["reason"]
+
+    def test_five_spacings_solve_each_grid_once(self, hydrogen, monkeypatch):
+        # the rungs hold the scout's factor 8: no grid is solved twice
+        sizes = []
+        solve = oracle.eigen_lowest
+
+        def recorded(tri, *args, **kwargs):
+            sizes.append(tri.size)
+            return solve(tri, *args, **kwargs)
+        monkeypatch.setattr(oracle, "eigen_lowest", recorded)
+        report = convergence_study(hydrogen, 0, 2, level=0, exact_energy=-2.0,
+                                   r_domain=8.0,
+                                   h_sequence=[0.16, 0.08, 0.04, 0.02, 0.01])
+        assert sizes == [50, 100, 200, 400, 800]
+        assert report["status"] == "ok"
+
+    def test_a_repeated_spacing_predicts_without_dividing_by_zero(self, hydrogen):
+        config = OracleConfig(grid=cell_grid(8.0, 800), count=1)
+        rungs = [(4, 1), (4, 1), (2, 1), (1, 1)]
+        levels = oracle.solve_grids(hydrogen, 0, 2, config, rungs)
+        assert abs(levels[0][0] - levels[1][0]) <= config.tol
+        cold = solve_bound_states(hydrogen, 0, 2, config)
+        assert abs(levels[-1][0] - cold[0]) <= config.tol
 
     def test_sequence_validation(self, hydrogen):
         with pytest.raises(ValueError):
             convergence_study(hydrogen, 0, 3, 0, -0.5, 50.0, [0.02, 0.015, 0.0075])
         with pytest.raises(ValueError):
             convergence_study(hydrogen, 0, 3, 0, -0.5, 50.0, [0.02, 0.01])
+
+
+class TestExtremeGrids:
+    def test_far_grid_keeps_every_coupling(self):
+        # mass 1e-100 puts the Bohr radius at 1e100 and the nodes at
+        # x ~ 1e50; r^{N-1} weights multiplied out overflowed there and
+        # left every off-diagonal -0.0
+        light = coulomb(-1.0, mass=1e-100)
+        for dim in (2, 3, 5):
+            config = OracleConfig(grid=default_grid(light, 0, dim), count=4)
+            tri = build_tridiagonal_radial(config, light, 0, dim)
+            assert np.all(np.isfinite(tri.offdiag))
+            assert np.all(tri.offdiag < 0.0)
+
+    def test_underflowing_spacing_squared_is_a_grid_error(self, hydrogen):
+        # h * h underflows to 0 in float arithmetic: no ZeroDivisionError
+        config = OracleConfig(grid=cell_grid(1e-170, 1000), count=1)
+        with pytest.raises(GridResolutionError, match="underflows"):
+            solve_bound_states(hydrogen, 0, 3, config)
+
+    def test_subnormal_coupling_squares_are_refused(self):
+        # hbar 1e100: off-diagonals near 1e-189, whose squares the Sturm
+        # counts would read as 0, a diagonal matrix with no bound level
+        heavy = coulomb(-1.0, hbar=1e100)
+        with pytest.raises(GridResolutionError, match="squares"):
+            solve_bound_states(heavy, 0, 3)
+
+    @pytest.mark.parametrize("refine", [1e-3, 1e4])
+    def test_cell_counts_outside_the_bounds_are_refused(self, hydrogen, refine):
+        # 1,386 cells at refine 1; no silent clamp to [64, 400000]
+        with pytest.raises(GridResolutionError, match="sizes to"):
+            default_grid(hydrogen, 1, 3, refine=refine)
 
 
 class TestInterdimensionalDegeneracyFd:
