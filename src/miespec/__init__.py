@@ -11,7 +11,7 @@ from .errors import (FallToCenterError, GridResolutionError,
 from .ladder import (LadderCoeffs, apply_lowering, apply_raising,
                      bargmann_index, casimir_check, casimir_eigenvalue,
                      commutator_check, commutator_eigenvalue, ladder_coeffs,
-                     ladder_matrices, lowering_coefficient,
+                     ladder_fits, ladder_matrices, lowering_coefficient,
                      raising_coefficient)
 from .oracle import (OracleConfig, Tridiagonal, build_tridiagonal,
                      build_tridiagonal_radial, cell_grid, convergence_study,

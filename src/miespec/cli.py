@@ -224,14 +224,6 @@ def _dims(cfg: dict, default) -> list:
 
 # -- output helpers -----------------------------------------------------------
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
-
-
 def _write_text(path: str, text: str):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -290,11 +282,10 @@ def cmd_spectrum(args) -> int:
                                              q["ell_max"], dim)]
     if fmt == "csv":
         lines = [",".join(_SPECTRUM_FIELDS)]
-        # unpacked, not map(_fmt, row): status is already text, and the
-        # table can hold thousands of rows
-        lines += [",".join([_fmt(dim), _fmt(ell), _fmt(n), _fmt(k), _fmt(eps),
-                            _fmt(energy), status])
-                  for dim, ell, n, k, eps, energy, status in rows]
+        # one %-format per row; a row without values leaves k, eps and
+        # energy empty
+        lines += ["%d,%d,%d,%.17g,%.17g,%.17g,%s" % row if row[3] is not None
+                  else "%d,%d,%d,,,,%s" % (*row[:3], row[-1]) for row in rows]
         text = "\n".join(lines) + "\n"
     else:
         text = _json_dumps({"potential": label,
@@ -320,23 +311,21 @@ def cmd_wavefunction(args) -> int:
     r_min = args.r_min if args.r_min is not None else r_max / points
     grid = _config_value(wavefunction.RadialGrid, r_min=r_min, r_max=r_max,
                          count=points)
-    values = wavefunction.eval_radial(state, grid.nodes())
+    nodes = grid.nodes()
+    values = wavefunction.eval_radial(state, nodes)
 
-    header = (f"# zeta={_fmt(state.zeta)} k={_fmt(state.k)} "
-              f"eps={_fmt(state.eps)} energy={_fmt(state.energy)}")
-    lines = [header]
+    # one %-format per row over .tolist() floats, "%.17g" throughout
+    columns, row = [nodes.tolist(), values.tolist()], "%.17g,%.17g"
     if args.residual:
         res = wavefunction.ode_residual_samples(values, grid, potential, args.ell,
                                                 args.dim, state.energy)
-        pad = (grid.count - res.grid.count) // 2
-        lines.append("r,R,residual")
-        residual_col = [""] * pad + [_fmt(v) for v in res.values] + [""] * pad
-        for r, v, rv in zip(grid.nodes(), values, residual_col):
-            lines.append(f"{_fmt(float(r))},{_fmt(float(v))},{rv}")
-    else:
-        lines.append("r,R")
-        for r, v in zip(grid.nodes(), values):
-            lines.append(f"{_fmt(float(r))},{_fmt(float(v))}")
+        pad = [""] * ((grid.count - res.grid.count) // 2)
+        columns.append(pad + ["%.17g" % v for v in res.values.tolist()] + pad)
+        row += ",%s"
+    lines = ["# zeta=%.17g k=%.17g eps=%.17g energy=%.17g"
+             % (state.zeta, state.k, state.eps, state.energy),
+             "r,R,residual" if args.residual else "r,R"]
+    lines += [row % fields for fields in zip(*columns)]
     _write_text(path, "\n".join(lines) + "\n")
     return 0
 
@@ -352,9 +341,8 @@ def _ladder_channel(potential, ell, dim, n_max, y_points):
             potential, spectrum.QuantumNumbers(n=n, ell=ell, dim=dim))
         grid = ladder.default_y_grid(state, count=y_points)
         entry = {"n": n}
-        for direction, apply in (("lowering", ladder.apply_lowering),
-                                 ("raising", ladder.apply_raising)):
-            _, fit = apply(state, grid)
+        for direction, fit in zip(("lowering", "raising"),
+                                  ladder.ladder_fits(state, grid)):
             entry[direction] = {
                 "fitted": fit.fitted, "residual": fit.residual,
                 "closed_form": fit.closed_form, "derived": fit.derived,

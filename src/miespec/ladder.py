@@ -7,8 +7,9 @@ Two pictures are implemented and compared:
 * the first-order differential operators acting on the eigenfunctions of
   the dimensionless variable y, fitted against the neighboring state.  The
   image and the target share the factor y^{k+2-N} e^{-y/2}, so both are
-  carried in log space from the one Laguerre recurrence and meet in plain
-  doubles only after one common shift.
+  carried in log space from one Laguerre recurrence pass per state (L_{n-1}
+  and L_n, one more step to L_{n+1}) and meet in plain doubles only after
+  one common shift.
 
 The fitted proportionality constant is the ground truth for the
 differential picture; the closed-form coefficients are reported next to it
@@ -213,11 +214,6 @@ def default_y_grid(state: BoundState, count: int = 4001) -> RadialGrid:
     return RadialGrid(r_min=y_max / count, r_max=y_max, count=count)
 
 
-def _sibling(state: BoundState, n: int) -> BoundState:
-    return bound_state(state.params,
-                       QuantumNumbers(n=n, ell=state.q.ell, dim=state.q.dim))
-
-
 def _weighted_pair(y, image, target, dim):
     """image and target, each a (ln|.|, sign) pair, as plain doubles times
     the square root of the y^{N-1} measure, both scaled by the one shift
@@ -248,48 +244,56 @@ def _ladder_image(values, y_dvalues, y, n: int, k: float, dim: int,
     return step * y_dvalues - 0.5 * y * values + number * values
 
 
-def _apply_ladder(state: BoundState, grid_y: RadialGrid, step: int):
-    """Operator image of R_n(y) fitted against R_{n+step}(y).
+def _ladder_pass(state: BoundState, grid_y: RadialGrid):
+    """[(image, fit)] of the lowering, then the raising operator on R_n(y).
 
-    R_n, y dR_n/dy and the image share the factor eta y^{k+2-N} e^{-y/2},
-    so the image is that factor times the operator applied to the
-    polynomial parts: L_n^alpha and (k+2-N - y/2) L_n + y dL_n/dy, with
-    y dL_n/dy = n L_n - (n+alpha) L_{n-1} from the same recurrence pass as
-    L_n (no finite differences).  The fit runs without eta, which
-    eta_n / eta_{n+step} multiplies back in.
+    R_n, y dR_n/dy, both images and both neighbours share the factor
+    eta y^{k+2-N} e^{-y/2}, so each is that factor times a polynomial from
+    one recurrence pass to n: L_{n-1} and L_n, L_{n+1} by one more step,
+    and y dL_n/dy = n L_n - (n+alpha) L_{n-1} (no finite differences).
+    Images and targets are (ln|.|, sign) pairs without eta, which
+    eta_n / eta_{n+step} multiplies back into the fitted constant.
     """
     n, k, dim, alpha = state.q.n, state.k, state.q.dim, state.alpha
     y = grid_y.nodes()
     prev, cur, ln_s = _laguerre_pair(n, alpha, y)
+    after = ((2 * n + alpha + 1 - y) * cur - (n + alpha) * prev) / (n + 1)
     y_d = (k + 2.0 - dim - 0.5 * y + n) * cur - (n + alpha) * prev
-    image = _ln_y_form(state, y, ln_s,
-                       _ladder_image(cur, y_d, y, n, k, dim, step))
-    ln_eta_n = ln_eta(state)
-    sampled = SampledFunction(grid=grid_y,
-                              values=_signed_exp(image[0] + ln_eta_n, image[1]))
-    if step < 0:
-        closed_form, weight = lowering_coefficient(n, k, dim), n + alpha
-    else:
-        closed_form, weight = raising_coefficient(n, k, dim), n + 1.0
+    out = []
+    for step, poly, coefficient, weight in (
+            (-1, cur if n == 0 else prev, lowering_coefficient, n + alpha),
+            (+1, after, raising_coefficient, n + 1.0)):
+        image = _ln_y_form(state, y, ln_s,
+                           _ladder_image(cur, y_d, y, n, k, dim, step))
+        closed_form = coefficient(n, k, dim)
+        wr, wt = _weighted_pair(y, image, _ln_y_form(state, y, ln_s, poly), dim)
+        if n + step < 0:  # annihilation: measured against R_n itself
+            residual = float(np.max(np.abs(wr)) / np.max(np.abs(wt)))
+            out.append((image, LadderFit(
+                fitted=0.0, residual=residual, closed_form=closed_form,
+                derived=0.0, by_convention={c: 0.0 for c in _CONVENTIONS})))
+            continue
+        target = bound_state(state.params, QuantumNumbers(
+            n=n + step, ell=state.q.ell, dim=dim))
+        c = float(np.dot(wr, wt) / np.dot(wt, wt))
+        residual = float(np.max(np.abs(wr - c * wt)) / np.max(np.abs(c * wt)))
+        ratio = math.exp(ln_eta(state) - ln_eta(target))
+        out.append((image, LadderFit(
+            fitted=c * ratio, residual=residual, closed_form=closed_form,
+            derived=weight * ratio,
+            by_convention=_convention_rescale(c * ratio, state, target))))
+    return out
 
-    if n + step < 0:
-        wr, wt = _weighted_pair(y, image, _ln_y_form(state, y, ln_s, cur), dim)
-        residual = float(np.max(np.abs(wr)) / np.max(np.abs(wt)))
-        fit = LadderFit(fitted=0.0, residual=residual, closed_form=closed_form,
-                        derived=0.0,
-                        by_convention={c: 0.0 for c in _CONVENTIONS})
-        return sampled, fit
 
-    target_state = _sibling(state, n + step)
-    wr, wt = _weighted_pair(y, image, _ln_y_form(target_state, y, 0.0), dim)
-    c = float(np.dot(wr, wt) / np.dot(wt, wt))
-    residual = float(np.max(np.abs(wr - c * wt)) / np.max(np.abs(c * wt)))
-    ratio = math.exp(ln_eta_n - ln_eta(target_state))
-    fit = LadderFit(fitted=c * ratio, residual=residual,
-                    closed_form=closed_form, derived=weight * ratio,
-                    by_convention=_convention_rescale(c * ratio, state,
-                                                      target_state))
-    return sampled, fit
+def ladder_fits(state: BoundState, grid_y: RadialGrid):
+    """(lowering, raising) LadderFits of R_n on grid_y, one recurrence pass."""
+    return tuple(fit for _, fit in _ladder_pass(state, grid_y))
+
+
+def _sampled(state: BoundState, grid_y: RadialGrid, index: int):
+    (ln_abs, sign), fit = _ladder_pass(state, grid_y)[index]
+    return SampledFunction(grid=grid_y,
+                           values=_signed_exp(ln_abs + ln_eta(state), sign)), fit
 
 
 def apply_lowering(state: BoundState, grid_y: RadialGrid):
@@ -298,12 +302,12 @@ def apply_lowering(state: BoundState, grid_y: RadialGrid):
     For n = 0 the result is the annihilation check: fitted constant 0 and
     the residual measured against the state itself.
     """
-    return _apply_ladder(state, grid_y, -1)
+    return _sampled(state, grid_y, 0)
 
 
 def apply_raising(state: BoundState, grid_y: RadialGrid):
     """(y d/dy - y/2 + n + k + 1) R_n(y), fitted against R_{n+1}(y)."""
-    return _apply_ladder(state, grid_y, +1)
+    return _sampled(state, grid_y, 1)
 
 
 def apply_ladder_sampled(values, grid_y: RadialGrid, n_index: int, k: float,

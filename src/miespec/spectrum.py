@@ -9,7 +9,8 @@ Chain of derived quantities for V = A/r^2 + B/r + C in N spatial dimensions:
     E        = C - (m / 2 hbar^2) (B / (n + k + (3-N)/2))^2
 
 The k_+ branch is always selected; it controls the small-r power of the
-eigenfunction and hence normalizability.
+eigenfunction and hence normalizability.  beta and k depend on (ell, N)
+alone, so spectrum_table derives them once per ell, eps and E per level.
 """
 
 import math
@@ -142,19 +143,18 @@ def binding_rate(params: PotentialParams) -> float:
     return beta
 
 
-def _closed_form(params: PotentialParams, q: QuantumNumbers):
-    """(beta, k, eps, energy) of one level, binding gate applied.
-
-    Kept apart from bound_state so that energy, decay_rate and
-    spectrum_table do not compute zeta, whose exponential overflows for
-    large m/hbar^2 and ell long before the energy does.
-    """
+def _channel(params: PotentialParams, ell: int, dim: int):
+    """(beta, k) of one (ell, N) channel, binding gate applied."""
     beta = binding_rate(params)
     if beta <= 0.0:
         raise NoBoundStatesError(
             f"B = {params.B:.6g} is not attractive; no bound spectrum")
-    k = indicial_root(params, q.ell, q.dim)
-    eps = beta / (2.0 * q.n + 2.0 * k + 3.0 - q.dim)
+    return beta, indicial_root(params, ell, dim)
+
+
+def _level(params: PotentialParams, beta: float, k: float, n: int, dim: int):
+    """(eps, energy) of level n from its channel's (beta, k)."""
+    eps = beta / (2.0 * n + 2.0 * k + 3.0 - dim)
     m, h = params.mass, params.hbar
     if _LO <= m <= _HI and _LO <= h <= _HI and _LO <= eps <= _HI:
         e = params.C - h**2 * eps**2 / (2.0 * m)
@@ -164,7 +164,14 @@ def _closed_form(params: PotentialParams, q: QuantumNumbers):
     if not math.isfinite(e):
         raise _out_of_range(params, "the energy C - hbar^2 eps^2 / 2 m "
                             "leaves the double range")
-    return beta, k, eps, e
+    return eps, e
+
+
+def _closed_form(params: PotentialParams, q: QuantumNumbers):
+    """(beta, k, eps, energy) of one level without zeta, whose exponential
+    overflows for large m/hbar^2 and ell long before the energy does."""
+    beta, k = _channel(params, q.ell, q.dim)
+    return (beta, k, *_level(params, beta, k, q.n, q.dim))
 
 
 def decay_rate(params: PotentialParams, q: QuantumNumbers) -> float:
@@ -179,7 +186,8 @@ def energy(params: PotentialParams, q: QuantumNumbers) -> float:
 
 def bound_state(params: PotentialParams, q: QuantumNumbers) -> BoundState:
     """Assemble the full derived tuple for one level, gates applied."""
-    beta, k, eps, e = _closed_form(params, q)
+    beta, k = _channel(params, q.ell, q.dim)
+    eps, e = _level(params, beta, k, q.n, q.dim)
     alpha = 2.0 * k + 2.0 - q.dim
     zeta = radial_norm_constant(2.0 * eps, q.n, alpha)
     return BoundState(params=params, q=q, k=k, beta=beta, eps=eps,
@@ -212,16 +220,14 @@ def spectrum_table(params: PotentialParams, n_max: int, ell_max: int,
         raise ValueError("n_max and ell_max must be >= 0")
     rows = []
     for ell in range(ell_max + 1):
-        for n in range(n_max + 1):
-            q = QuantumNumbers(n=n, ell=ell, dim=dim)
-            try:
-                _, k, eps, e = _closed_form(params, q)
-            except (FallToCenterError, NotNormalizableError,
-                    NoBoundStatesError) as exc:
-                rows.append(SpectrumRow(q=q, k=None, eps=None, energy=None,
-                                        status=_STATUS[type(exc)],
-                                        detail=str(exc)))
-            else:
-                rows.append(SpectrumRow(q=q, k=k, eps=eps, energy=e,
-                                        status="ok"))
+        qs = [QuantumNumbers(n=n, ell=ell, dim=dim) for n in range(n_max + 1)]
+        try:
+            beta, k = _channel(params, ell, dim)
+        except tuple(_STATUS) as exc:
+            rows += [SpectrumRow(q=q, k=None, eps=None, energy=None,
+                                 status=_STATUS[type(exc)], detail=str(exc))
+                     for q in qs]
+        else:
+            rows += [SpectrumRow(q, k, *_level(params, beta, k, q.n, dim), "ok")
+                     for q in qs]
     return rows

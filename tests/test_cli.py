@@ -7,9 +7,10 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from miespec import cli, oracle, potentials, spectrum
+from miespec import cli, oracle, potentials, spectrum, wavefunction
 from miespec.cli import main
 
 
@@ -795,3 +796,61 @@ def test_an_energy_in_range_is_returned_for_extreme_units(tmp_path):
     _, rows = read_csv(tmp_path / "spectrum.csv")
     assert [float(r["energy"]) for r in rows] == pytest.approx(
         [-5e299, -1.25e299], rel=1e-15)
+
+
+def _assert_same_lines(text, lines):
+    """text is lines joined and ended by newlines; a mismatch names its first
+    line (pytest's diff of two long texts would take minutes)."""
+    got = text.split("\n")
+    assert got[-1] == "" and len(got) == len(lines) + 1
+    bad = next((i for i, (a, b) in enumerate(zip(got, lines)) if a != b), None)
+    assert bad is None, f"line {bad}: {got[bad]!r} != {lines[bad]!r}"
+
+
+def _per_value(value) -> str:
+    """One CSV field as the commands have always written it: "%.17g" for a
+    float, str for anything else, empty for None."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
+@pytest.mark.parametrize("residual", [False, True], ids=["plain", "residual"])
+def test_wavefunction_csv_is_formatted_value_by_value(tmp_path, residual):
+    # r_domain 3000: R runs through subnormals and underflows to 0 in the tail
+    argv = ["wavefunction", "--n", "2", "--ell", "0", "--dim", "3",
+            "--r-domain", "3000", "--points", "6001"]
+    assert run(tmp_path, *argv, *(["--residual"] if residual else [])) == 0
+    params = potentials.coulomb(-1.0)
+    state = spectrum.bound_state(params, spectrum.QuantumNumbers(2, 0, 3))
+    grid = wavefunction.RadialGrid(r_min=3000 / 6001, r_max=3000.0, count=6001)
+    values = wavefunction.eval_radial(state, grid.nodes())
+    assert values[-1] == 0.0 and np.any((values != 0.0) & (np.abs(values) < 1e-308))
+    lines = [f"# zeta={_per_value(state.zeta)} k={_per_value(state.k)} "
+             f"eps={_per_value(state.eps)} energy={_per_value(state.energy)}"]
+    rows = [[_per_value(float(r)), _per_value(float(v))]
+            for r, v in zip(grid.nodes(), values)]
+    if residual:
+        res = wavefunction.ode_residual_samples(values, grid, params, 0, 3,
+                                                state.energy)
+        pad = [""] * ((grid.count - res.grid.count) // 2)
+        column = pad + [_per_value(v) for v in res.values] + pad
+        rows = [row + [field] for row, field in zip(rows, column)]
+    lines.append("r,R,residual" if residual else "r,R")
+    lines += [",".join(row) for row in rows]
+    _assert_same_lines((tmp_path / "wavefunction_n2_l0_N3.csv").read_text(), lines)
+
+
+def test_spectrum_csv_leaves_the_fields_of_a_row_without_values_empty(tmp_path):
+    assert run(tmp_path, "spectrum", "--A", "-0.3", "--B", "-1", "--n-max", "3",
+               "--ell-max", "2", "--dims", "2,3") == 3
+    lines = ["dim,ell,n,k,eps,energy,status"]
+    params = potentials.PotentialParams(-0.3, -1.0, 0.0)
+    for dim in (2, 3):
+        for r in spectrum.spectrum_table(params, 3, 2, dim):
+            lines.append(",".join(map(_per_value, (
+                r.q.dim, r.q.ell, r.q.n, r.k, r.eps, r.energy, r.status))))
+    assert any(",,,," in line for line in lines)
+    _assert_same_lines((tmp_path / "spectrum.csv").read_text(), lines)

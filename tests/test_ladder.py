@@ -10,10 +10,11 @@ from miespec.errors import LadderAlgebraError
 from miespec.ladder import (apply_ladder_sampled, apply_lowering, apply_raising,
                             bargmann_index, casimir_check, casimir_eigenvalue,
                             commutator_check, commutator_eigenvalue,
-                            default_y_grid, ladder_coeffs, ladder_matrices,
-                            lowering_coefficient, raising_coefficient)
+                            default_y_grid, ladder_coeffs, ladder_fits,
+                            ladder_matrices, lowering_coefficient,
+                            raising_coefficient)
 from miespec.potentials import coulomb, kratzer_fues
-from miespec.specfun import laguerre, laguerre_deriv
+from miespec.specfun import _laguerre_pair, laguerre, laguerre_deriv
 from miespec.spectrum import QuantumNumbers, bound_state, indicial_root
 from miespec.wavefunction import eval_y_form
 
@@ -210,3 +211,47 @@ class TestDifferentialRealization:
         grid = default_y_grid(state)
         fits = [apply_lowering(state, grid)[1].fitted for _ in range(3)]
         assert fits[0] == fits[1] == fits[2]
+
+
+def _fit_on_own_recurrence(state, grid, step):
+    """(fitted, residual) of the operator image against R_{n+step} from the
+    neighbour's own eval_y_form, whose recurrence pass is its own."""
+    y = grid.nodes()
+    image = (apply_lowering if step < 0 else apply_raising)(state, grid)[0].values
+    neighbour = bound_state(state.params, QuantumNumbers(
+        state.q.n + step, state.q.ell, state.q.dim))
+    w = y ** (0.5 * (state.q.dim - 1.0))
+    wr, wt = w * image, w * eval_y_form(neighbour, y)
+    c = float(wr @ wt / (wt @ wt))
+    return c, float(np.max(np.abs(wr - c * wt)) / np.max(np.abs(c * wt)))
+
+
+@pytest.mark.parametrize("params,ell,dim,n", [
+    *[pytest.param(kratzer_fues(50.0, 1.0), 0, 7, n, id=f"kratzer-fues-n{n}")
+      for n in (0, 1, 2, 7, 40, 150)],
+    pytest.param(coulomb(-1.0), 2, 3, 5, id="coulomb-n5"),
+    # alpha = 201: elements at the peak of R pass 2^500 at step n = 157
+    # itself, so the shared pass's L_{n-1} carries a scale there that a
+    # pass to n - 1 would not
+    pytest.param(coulomb(-129.0), 100, 3, 157, id="rescale-at-step-n"),
+])
+def test_shared_pass_matches_neighbours_from_their_own_recurrence(params, ell,
+                                                                  dim, n):
+    state = bound_state(params, QuantumNumbers(n, ell, dim))
+    grid = default_y_grid(state)
+    fits = ladder_fits(state, grid)
+    # apply_lowering and apply_raising are built on the same pass
+    assert fits == (apply_lowering(state, grid)[1], apply_raising(state, grid)[1])
+    if n == 157:
+        y = grid.nodes()
+        ln_s = _laguerre_pair(n, state.alpha, y)[2]
+        assert np.any(ln_s != 0.0)
+        assert np.any(ln_s != _laguerre_pair(n - 1, state.alpha, y)[2])
+    for step, fit in zip((-1, +1), fits):
+        assert fit.residual <= 1e-9
+        if n + step < 0:  # the annihilation branch has no neighbour
+            assert fit.fitted == 0.0
+            continue
+        fitted, residual = _fit_on_own_recurrence(state, grid, step)
+        assert fit.fitted == pytest.approx(fitted, rel=1e-12, abs=0.0)
+        assert residual <= 1e-9

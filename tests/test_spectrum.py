@@ -9,8 +9,9 @@ from hypothesis import given, strategies as st
 
 from miespec.errors import FallToCenterError, NoBoundStatesError, UnitsRangeError
 from miespec.potentials import PotentialParams, coulomb, kratzer_fues, modified_kratzer
-from miespec.spectrum import (QuantumNumbers, bound_state, centrifugal_strength,
-                              decay_rate, energy, indicial_root, spectrum_table)
+from miespec.spectrum import (_STATUS, QuantumNumbers, _closed_form, bound_state,
+                              centrifugal_strength, decay_rate, energy,
+                              indicial_root, spectrum_table)
 
 
 class TestCentrifugalStrength:
@@ -214,6 +215,53 @@ class TestSpectrumTable:
     def test_negative_ranges_rejected(self):
         with pytest.raises(ValueError):
             spectrum_table(coulomb(-1.0), -1, 0, 3)
+
+
+def _rows_one_level_at_a_time(params, n_max, ell_max, dim):
+    """spectrum_table's rows from one _closed_form call per row, as
+    (q, k, eps, energy, status, detail)."""
+    out = []
+    for ell in range(ell_max + 1):
+        for n in range(n_max + 1):
+            q = QuantumNumbers(n, ell, dim)
+            try:
+                _, k, eps, e = _closed_form(params, q)
+            except tuple(_STATUS) as exc:
+                out.append((q, None, None, None, _STATUS[type(exc)], str(exc)))
+            else:
+                out.append((q, k, eps, e, "ok", ""))
+    return out
+
+
+@pytest.mark.parametrize("params,dim,statuses", [
+    (PotentialParams(-0.3, -1.0, 0.0), 2, {"fall-to-center", "ok"}),
+    (PotentialParams(-0.3, -1.0, 0.0), 3, {"fall-to-center", "ok"}),
+    (PotentialParams(0.0, 1.0, 0.0), 3, {"no-bound-states"}),
+    (coulomb(-1.0, mass=1e300), 3, {"ok"}),
+    (coulomb(-1.0, mass=1e300), 5, {"ok"}),
+    (kratzer_fues(5.0, 1.0), 4, {"ok"}),
+], ids=["fall-to-center-N2", "fall-to-center-N3", "repulsive", "mass-N3",
+        "mass-N5", "kratzer-fues"])
+def test_a_table_derives_each_row_as_a_single_level_would(params, dim, statuses):
+    # the table derives beta and k once per ell; every row must still be
+    # what its own _closed_form call, or that call's exception, gives
+    rows = spectrum_table(params, 6, 3, dim)
+    got = [(r.q, r.k, r.eps, r.energy, r.status, r.detail) for r in rows]
+    assert got == _rows_one_level_at_a_time(params, 6, 3, dim)
+    assert {r.status for r in rows} == statuses
+
+
+@pytest.mark.parametrize("params", [
+    coulomb(-1.0, hbar=1e200),
+    PotentialParams(5e7, -1.0, 0.0, mass=1e300),
+    PotentialParams(0.0, -1.0, -1.7e308, mass=5e307),
+], ids=["beta", "discriminant", "energy"])
+def test_a_table_raises_the_units_error_of_its_first_row(params):
+    with pytest.raises(UnitsRangeError) as row:
+        _rows_one_level_at_a_time(params, 2, 1, 3)
+    with pytest.raises(UnitsRangeError) as table:
+        spectrum_table(params, 2, 1, 3)
+    assert str(table.value) == str(row.value)
 
 
 # -- units across the double range --------------------------------------------
