@@ -229,15 +229,8 @@ def _write_text(path: str, text: str):
         fh.write(text)
 
 
-def _scalar(obj):
-    # numpy scalars (bool_, float64, ...) expose .item(); bare objects fail
-    if hasattr(obj, "item"):
-        return obj.item()
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 def _json_dumps(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True, default=_scalar) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _out_path(cfg: dict, args, default_name: str) -> str:

@@ -75,26 +75,6 @@ def commutator_eigenvalue(n: int, k: float, dim: int) -> float:
     return 2.0 * n + 2.0 * k - dim + 3.0
 
 
-@dataclass(frozen=True)
-class LadderCoeffs:
-    """Closed-form ladder data of one basis state."""
-    n: int
-    k: float
-    dim: int
-    lowering: float
-    raising: float
-    commutator: float
-    bargmann_j: float
-
-
-def ladder_coeffs(n: int, k: float, dim: int) -> LadderCoeffs:
-    return LadderCoeffs(n=n, k=k, dim=dim,
-                        lowering=lowering_coefficient(n, k, dim),
-                        raising=raising_coefficient(n, k, dim),
-                        commutator=commutator_eigenvalue(n, k, dim),
-                        bargmann_j=bargmann_index(k, dim))
-
-
 # -- truncated-basis matrices -------------------------------------------------
 
 def ladder_matrices(k: float, dim: int, n_max: int):

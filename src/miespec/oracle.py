@@ -24,7 +24,8 @@ Its cost is rows swept, so it sweeps only rows that decide something:
   h).  On every grid, level j's first slope probe goes to the h^2
   (Richardson) line through the last two grids that solved it, or to the
   one value if only one did, not to a bracket midpoint.
-* A level closes on its first small model step.  Once a step is below
+* A level closes on its first small model step.  Every oracle solve ends
+  on brackets of width tol = _TOL = 1e-11.  Once a step is below
   _EARLY_CLOSE = 1e5 times tol/2, the two counts at x + step +- tol/2 are
   taken at once, not after one more slope sweep has shrunk the step below
   tol/2.  They are real counts, so a miss only shrinks the bracket.
@@ -87,12 +88,9 @@ class Tridiagonal:
 class OracleConfig:
     grid: RadialGrid
     count: int = 4
-    tol: float = 1e-11
     scheme: str = "radial"
 
     def __post_init__(self):
-        if self.tol <= 0.0:
-            raise ValueError("bisection tolerance must be positive")
         if not 1 <= self.count <= self.grid.count:
             raise ValueError("requested eigenvalue count must be in [1, grid.count]")
         if self.scheme not in ("radial", "u"):
@@ -267,6 +265,7 @@ _TINY = 2.2250738585072014e-308
 _ROOT_TINY = math.sqrt(_TINY)  # the least |e| whose square is normal
 _EPS = 2.220446049250313e-16
 _DENORM = 5e-324  # rounding error of a product in the subnormal range
+_TOL = 1e-11  # bracket width of every oracle solve
 # A level is closed by counts once its model step is below _EARLY_CLOSE
 # times tol/2 (see eigen_lowest).  On the 18 default verify channels,
 # thresholds of 1e4, 1e5 and 1e6 sweep 1.46, 1.25 and 1.32 M slope rows and
@@ -387,7 +386,7 @@ def _pole(x1, g1, x2, g2, lo, hi):
     return min(inside, key=lambda lam: abs(g2 - 1.0 / (x2 - lam)), default=None)
 
 
-def eigen_lowest(tri: Tridiagonal, count: int, tol: float = 1e-11, *,
+def eigen_lowest(tri: Tridiagonal, count: int, tol: float = _TOL, *,
                  _ceiling: float | None = None, _starts=()) -> np.ndarray:
     """The ``count`` smallest eigenvalues of ``tri``, each the midpoint of a
     bracket of width ``tol`` whose two ends carry real Sturm counts.
@@ -579,7 +578,7 @@ def solve_grids(potential, ell: int, dim: int, config: OracleConfig,
         rung = replace(config, count=count, grid=grid if factor == 1 else
                        cell_grid(domain, round(grid.count / factor)))
         levels = eigen_lowest(
-            _build(rung, potential, ell, dim), count, config.tol,
+            _build(rung, potential, ell, dim), count, _TOL,
             _starts=[_predict(solved[j], rung.grid.spacing)
                      for j in range(count)],
             _ceiling=_ceiling(potential, ell, dim, rung))
@@ -607,8 +606,7 @@ def _predict(solved: list, spacing: float) -> float:
 
 def convergence_study(potential, ell: int, dim: int, level: int,
                       exact_energy: float, r_domain: float,
-                      h_sequence, scheme: str = "radial",
-                      tol: float = 1e-11) -> dict:
+                      h_sequence, scheme: str = "radial") -> dict:
     """Empirical convergence order of one eigenvalue under grid refinement.
 
     ``h_sequence`` must contain at least three spacings, each half the
@@ -625,7 +623,7 @@ def convergence_study(potential, ell: int, dim: int, level: int,
 
     h = h_sequence[-1]
     config = OracleConfig(grid=cell_grid(r_domain, int(round(r_domain / h))),
-                          count=level + 1, tol=tol, scheme=scheme)
+                          count=level + 1, scheme=scheme)
     levels = solve_grids(potential, ell, dim, config,
                          [(s / h, level + 1) for s in h_sequence])
     return order_fit(h_sequence, levels, level, exact_energy)

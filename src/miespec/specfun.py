@@ -1,7 +1,7 @@
 """Special-function kernel.
 
-Log-gamma, associated Laguerre polynomials, the polynomial confluent
-hypergeometric series, and generalized Gauss-Laguerre quadrature rules.
+Associated Laguerre polynomials, the normalization constant of the radial
+eigenfunctions, and generalized Gauss-Laguerre quadrature rules.
 Everything here is a pure function; ``QuadratureRule`` is immutable.
 One recurrence with a running log scale (Gil, Segura and Temme, Numerical
 Methods for Special Functions, SIAM 2007, ch. 4) is the only loop over the
@@ -19,14 +19,6 @@ from .errors import NotNormalizableError
 _LN_DBL_MAX = math.log(sys.float_info.max)
 _LN_DBL_MIN = math.log(sys.float_info.min)  # the smallest normal double
 _BIG = 2.0**500
-
-
-def ln_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    if x <= 0.0:
-        # math.lgamma answers for negative non-integers; the domain here is x > 0
-        raise ValueError(f"ln_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 def _laguerre_pair(n: int, alpha: float, x):
@@ -61,34 +53,6 @@ def laguerre(n: int, alpha: float, x):
     return out if out.ndim else float(out)
 
 
-def laguerre_deriv(n: int, alpha: float, x):
-    """d/dx L_n^alpha(x) = -L_{n-1}^{alpha+1}(x)."""
-    if n == 0:
-        x = np.asarray(x, dtype=float)
-        return np.zeros_like(x) if x.ndim else 0.0
-    out = laguerre(n - 1, alpha + 1.0, x)
-    return -out
-
-
-def kummer_poly(n: int, b: float, x):
-    """Confluent hypergeometric 1F1(-n, b, x), summed over its n+1 terms.
-
-    Satisfies the Laguerre bridge
-    1F1(-n, alpha+1, x) = n! Gamma(alpha+1) / Gamma(n+alpha+1) * L_n^alpha(x).
-    """
-    if n < 0:
-        raise ValueError("degree n must be >= 0")
-    if b <= 0.0:
-        raise ValueError("second parameter b must be positive")
-    x = np.asarray(x, dtype=float)
-    term = np.ones_like(x)
-    total = np.ones_like(x)
-    for j in range(n):
-        term = term * ((j - n) * x) / ((b + j) * (j + 1))
-        total = total + term
-    return total if total.ndim else float(total)
-
-
 def radial_norm_constant(two_eps: float, n: int, alpha: float,
                          paper_literal: bool = False) -> float:
     """Normalization constant of the bound radial eigenfunctions.
@@ -103,12 +67,14 @@ def radial_norm_constant(two_eps: float, n: int, alpha: float,
     """
     if two_eps <= 0.0:
         raise ValueError("two_eps must be positive")
+    if alpha <= -1.0:
+        raise ValueError("alpha must exceed -1")
     if paper_literal:
-        last = ln_gamma(2 * n + alpha + 2.0)
+        last = math.lgamma(2 * n + alpha + 2.0)
     else:
         last = math.log(2 * n + alpha + 1.0)
-    ln_zeta = (0.5 * (alpha + 2.0) * math.log(two_eps) - ln_gamma(alpha + 1.0)
-               + 0.5 * (ln_gamma(n + alpha + 1.0) - ln_gamma(n + 1.0) - last))
+    ln_zeta = (0.5 * (alpha + 2.0) * math.log(two_eps) - math.lgamma(alpha + 1.0)
+               + 0.5 * (math.lgamma(n + alpha + 1.0) - math.lgamma(n + 1.0) - last))
     if not _LN_DBL_MIN <= ln_zeta <= _LN_DBL_MAX:
         raise NotNormalizableError(
             f"normalization constant is outside the normal double range: "
@@ -173,10 +139,10 @@ def gauss_laguerre(m: int, alpha: float = 0.0) -> QuadratureRule:
         raise ValueError("alpha must exceed -1")
     nodes = _laguerre_zeros(m, alpha)
     prev, _, ln_s = _laguerre_pair(m, alpha, nodes)
-    ln_weights = (ln_gamma(m + alpha + 1.0) - ln_gamma(m + 1.0)
+    ln_weights = (math.lgamma(m + alpha + 1.0) - math.lgamma(m + 1.0)
                   - 2.0 * math.log(m + alpha) + np.log(nodes)
                   - 2.0 * (np.log(np.abs(prev)) + ln_s))
-    ln_mu0 = ln_gamma(alpha + 1.0)
+    ln_mu0 = math.lgamma(alpha + 1.0)
     if not abs(float(np.exp(ln_weights - ln_mu0).sum()) - 1.0) <= 1e-10:
         raise RuntimeError("Gauss-Laguerre weights fail the zeroth moment")
     return QuadratureRule(nodes=nodes, ln_weights=ln_weights, order=m,

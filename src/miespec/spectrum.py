@@ -167,21 +167,12 @@ def _level(params: PotentialParams, beta: float, k: float, n: int, dim: int):
     return eps, e
 
 
-def _closed_form(params: PotentialParams, q: QuantumNumbers):
-    """(beta, k, eps, energy) of one level without zeta, whose exponential
-    overflows for large m/hbar^2 and ell long before the energy does."""
-    beta, k = _channel(params, q.ell, q.dim)
-    return (beta, k, *_level(params, beta, k, q.n, q.dim))
-
-
-def decay_rate(params: PotentialParams, q: QuantumNumbers) -> float:
-    """Inverse decay length eps = beta / (2n + 2k + 3 - N)."""
-    return _closed_form(params, q)[2]
-
-
 def energy(params: PotentialParams, q: QuantumNumbers) -> float:
-    """Bound-state energy E = C - (m / 2 hbar^2) (B / (n + k + (3-N)/2))^2."""
-    return _closed_form(params, q)[3]
+    """Bound-state energy E = C - (m / 2 hbar^2) (B / (n + k + (3-N)/2))^2,
+    without zeta, whose exponential overflows for large m/hbar^2 and ell
+    long before the energy does."""
+    beta, k = _channel(params, q.ell, q.dim)
+    return _level(params, beta, k, q.n, q.dim)[1]
 
 
 def bound_state(params: PotentialParams, q: QuantumNumbers) -> BoundState:

@@ -19,7 +19,7 @@ from .errors import GridResolutionError
 from .potentials import PotentialParams
 from .spectrum import BoundState, binding_rate, centrifugal_strength
 from .specfun import (_laguerre_pair, _laguerre_zeros, default_quadrature_order,
-                      gauss_laguerre, ln_gamma, radial_norm_constant)
+                      gauss_laguerre, radial_norm_constant)
 
 
 @dataclass(frozen=True)
@@ -68,13 +68,13 @@ def ln_eta(state: BoundState, convention: str = "paper") -> float:
     p = state.k + 2.0 - state.q.dim
     if convention == "paper":
         return (math.log(state.zeta) - p * math.log(2.0 * state.eps)
-                + (ln_gamma(n + 1.0) + ln_gamma(alpha + 1.0)
-                   - ln_gamma(n + alpha + 1.0)))
+                + (math.lgamma(n + 1.0) + math.lgamma(alpha + 1.0)
+                   - math.lgamma(n + alpha + 1.0)))
     if convention == "y-orthonormal":
-        return -0.5 * (ln_gamma(n + alpha + 1.0) - ln_gamma(n + 1.0)
+        return -0.5 * (math.lgamma(n + alpha + 1.0) - math.lgamma(n + 1.0)
                        + math.log(2.0 * n + alpha + 1.0))
     if convention == "laguerre-orthonormal":
-        return -0.5 * (ln_gamma(n + alpha + 1.0) - ln_gamma(n + 1.0))
+        return -0.5 * (math.lgamma(n + alpha + 1.0) - math.lgamma(n + 1.0))
     raise ValueError(f"unknown normalization convention {convention!r}")
 
 
@@ -114,10 +114,6 @@ def eval_y_form(state: BoundState, y, convention: str = "paper"):
     if np.any(y <= 0.0):
         raise ValueError("y must be positive")
     return _signed_exp(*_ln_y_form(state, y, ln_eta(state, convention)))
-
-
-def sample_radial(state: BoundState, grid: RadialGrid) -> SampledFunction:
-    return SampledFunction(grid=grid, values=eval_radial(state, grid.nodes()))
 
 
 # -- normalization and overlaps --------------------------------------------
@@ -220,13 +216,6 @@ def ode_residual_samples(values, grid: RadialGrid, params: PotentialParams,
     """Pointwise radial-ODE residual of arbitrary samples at trial energy."""
     inner, terms = _residual_terms(values, grid, params, ell, dim, energy)
     return SampledFunction(grid=inner, values=sum(terms))
-
-
-def ode_residual(state: BoundState, grid: RadialGrid) -> SampledFunction:
-    """Pointwise residual of the closed-form eigenfunction on the grid."""
-    values = eval_radial(state, grid.nodes())
-    return ode_residual_samples(values, grid, state.params, state.q.ell,
-                                state.q.dim, state.energy)
 
 
 def ode_residual_relative(state: BoundState, grid: RadialGrid) -> float:

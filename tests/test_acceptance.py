@@ -8,6 +8,7 @@ import dataclasses
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -16,8 +17,7 @@ from miespec.ladder import (apply_lowering, apply_raising, bargmann_index,
                             lowering_coefficient)
 from miespec.oracle import convergence_study, default_grid, solve_bound_states
 from miespec.potentials import coulomb, kratzer_fues
-from miespec.specfun import (default_quadrature_order, gauss_laguerre,
-                             kummer_poly, laguerre, ln_gamma)
+from miespec.specfun import default_quadrature_order, gauss_laguerre, laguerre
 from miespec.spectrum import QuantumNumbers, bound_state, energy, indicial_root
 from miespec.wavefunction import (RadialGrid, node_count, norm_check,
                                   norm_constant, ode_residual_relative)
@@ -206,7 +206,7 @@ def test_criterion_9_special_function_kernel():
     worst_orth = 0.0
     for alpha in (0.0, 1.0, 2.37):
         rule = gauss_laguerre(default_quadrature_order(8), alpha)
-        norms = [math.exp(ln_gamma(n + alpha + 1.0) - ln_gamma(n + 1.0))
+        norms = [math.exp(math.lgamma(n + alpha + 1.0) - math.lgamma(n + 1.0))
                  for n in range(9)]
         for n in range(9):
             for m in range(n, 9):
@@ -216,26 +216,31 @@ def test_criterion_9_special_function_kernel():
                 scale = math.sqrt(norms[n] * norms[m])
                 worst_orth = max(worst_orth, abs(integral - want) / scale)
 
-    worst_bridge = 0.0
-    for n in range(9):
-        for alpha in (0.0, 0.7, 2.37):
-            for x in (0.2, 1.0, 6.0):
-                bridge = math.exp(ln_gamma(n + 1.0) + ln_gamma(alpha + 1.0)
-                                  - ln_gamma(n + alpha + 1.0)) * laguerre(n, alpha, x)
-                got = kummer_poly(n, alpha + 1.0, x)
-                worst_bridge = max(worst_bridge,
-                                   abs(got - bridge) / max(1e-30, abs(bridge)))
+    # the paper's series 1F1(-n; alpha+1; x) from L_n^alpha against mpmath,
+    # relative to the largest |1F1| sampled for each n
+    samples = [(n, alpha, x) for n in range(9) for alpha in (0.0, 0.7, 2.37)
+               for x in (0.2, 1.0, 6.0)]
+    samples += [(30, 0.5, 40.0), (50, 2.0, 100.0), (150, 0.0, 300.0)]
+    errors, peaks = {}, {}
+    for n, alpha, x in samples:
+        bridge = math.exp(math.lgamma(n + 1.0) + math.lgamma(alpha + 1.0)
+                          - math.lgamma(n + alpha + 1.0)) * laguerre(n, alpha, x)
+        with mpmath.workdps(50):  # zeroprec: 1F1(-1; 1; 1) is exactly 0
+            want = float(mpmath.hyp1f1(-n, alpha + 1.0, x, zeroprec=400))
+        errors[n] = max(errors.get(n, 0.0), abs(bridge - want))
+        peaks[n] = max(peaks.get(n, 0.0), abs(want))
+    worst_bridge = max(errors[n] / peaks[n] for n in errors)
 
     worst_moment = 0.0
     for m, alpha in ((6, 0.0), (6, 1.3), (12, 0.5)):
         rule = gauss_laguerre(m, alpha)
         for j in range(2 * m):
             got = rule.integrate(lambda x: x**j)
-            want = math.exp(ln_gamma(alpha + 1.0 + j))
+            want = math.exp(math.lgamma(alpha + 1.0 + j))
             worst_moment = max(worst_moment, abs(got - want) / want)
 
     ok = worst_orth <= 1e-10 and worst_bridge <= 1e-10 and worst_moment <= 1e-10
     report(9, ok,
-           f"orthogonality {worst_orth:.2e}, Kummer-Laguerre bridge "
+           f"orthogonality {worst_orth:.2e}, Laguerre bridge to mpmath's 1F1 "
            f"{worst_bridge:.2e}, quadrature moments {worst_moment:.2e} "
            f"(all <=1e-10)")

@@ -421,13 +421,13 @@ def test_scouted_solve_matches_the_unscouted_one(monkeypatch, name):
     assert (len(sizes) == 1) == (name == "no-scouts")
 
     tri = oracle._build(config, potential, ell, dim)
-    plain = eigen_lowest(tri, config.count, config.tol,
+    plain = eigen_lowest(tri, config.count, oracle._TOL,
                          _ceiling=oracle._ceiling(potential, ell, dim, config))
     assert len(got) == len(plain)
-    assert np.all(np.abs(got - plain) <= config.tol)
+    assert np.all(np.abs(got - plain) <= oracle._TOL)
     for j, v in enumerate(got):
-        assert count_below(tri, v - 0.5 * config.tol) <= j
-        assert count_below(tri, v + 0.5 * config.tol) >= j + 1
+        assert count_below(tri, v - 0.5 * oracle._TOL) <= j
+        assert count_below(tri, v + 0.5 * oracle._TOL) >= j + 1
 
 
 def test_default_channel_solves_sweep_under_0p7m_rows(monkeypatch):

@@ -10,11 +10,11 @@ from miespec.errors import LadderAlgebraError
 from miespec.ladder import (apply_ladder_sampled, apply_lowering, apply_raising,
                             bargmann_index, casimir_check, casimir_eigenvalue,
                             commutator_check, commutator_eigenvalue,
-                            default_y_grid, ladder_coeffs, ladder_fits,
+                            default_y_grid, ladder_fits,
                             ladder_matrices, lowering_coefficient,
                             raising_coefficient)
 from miespec.potentials import coulomb, kratzer_fues
-from miespec.specfun import _laguerre_pair, laguerre, laguerre_deriv
+from miespec.specfun import _laguerre_pair, laguerre
 from miespec.spectrum import QuantumNumbers, bound_state, indicial_root
 from miespec.wavefunction import eval_y_form
 
@@ -61,11 +61,12 @@ class TestCoefficients:
             raising_coefficient(0, 0.0, 3)
 
     def test_coeffs_bundle(self):
-        c = ladder_coeffs(2, 1.0, 3)
-        assert c.lowering == pytest.approx(2.0)
-        assert c.raising == pytest.approx(raising_coefficient(2, 1.0, 3))
-        assert c.commutator == pytest.approx(2.0 * (2 + c.bargmann_j))
-        assert c.bargmann_j == 1.0
+        # hydrogen's N=3, ell=0 channel at n = 2
+        j = bargmann_index(1.0, 3)
+        assert lowering_coefficient(2, 1.0, 3) == pytest.approx(2.0)
+        assert raising_coefficient(2, 1.0, 3) == pytest.approx(4.0)
+        assert commutator_eigenvalue(2, 1.0, 3) == pytest.approx(2.0 * (2 + j))
+        assert j == 1.0
 
 
 class TestAlgebraChecks:
@@ -118,11 +119,12 @@ class TestAlgebraChecks:
 
 
 def test_laguerre_lowering_recurrence():
-    # x dL/dx = n L_n - (n + alpha) L_{n-1}, the raw lowering ingredient
+    # x dL/dx = n L_n - (n + alpha) L_{n-1}, the raw lowering ingredient,
+    # with dL_n^alpha/dx = -L_{n-1}^{alpha+1}
     for n in range(1, 7):
         for alpha in (0.4, 1.0, 3.7):
             x = np.linspace(0.05, 30.0, 301)
-            lhs = x * laguerre_deriv(n, alpha, x)
+            lhs = -x * laguerre(n - 1, alpha + 1.0, x)
             rhs = n * laguerre(n, alpha, x) - (n + alpha) * laguerre(n - 1, alpha, x)
             scale = np.max(np.abs(rhs)) or 1.0
             assert np.max(np.abs(lhs - rhs)) <= 1e-10 * scale

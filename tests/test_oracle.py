@@ -226,6 +226,25 @@ class TestConvergenceStudy:
         assert report["status"] == "ok"
         assert report["order"] == pytest.approx(2.0, abs=0.2)
 
+    def test_u_scheme_is_the_negative_control(self, hydrogen):
+        # the u'' stencil on the critical -1/(4 r^2) channel (N=2, ell=0):
+        # the error grows under refinement (23, 57, 160), where the radial
+        # scheme fits order 2.00 on the same spacings
+        critical = convergence_study(hydrogen, 0, 2, level=0, exact_energy=-2.0,
+                                     r_domain=40.0,
+                                     h_sequence=[0.04, 0.02, 0.01], scheme="u")
+        errors = critical["errors"]
+        assert all(b > a for a, b in zip(errors, errors[1:]))
+        assert min(errors) > 1.0
+        assert critical["status"] == "inconclusive"
+        # a regular channel (N=3, ell=1) converges at second order
+        e0 = energy(hydrogen, QuantumNumbers(0, 1, 3))
+        regular = convergence_study(hydrogen, 1, 3, level=0, exact_energy=e0,
+                                    r_domain=60.0,
+                                    h_sequence=[0.04, 0.02, 0.01], scheme="u")
+        assert regular["status"] == "ok"
+        assert regular["order"] == pytest.approx(2.0, abs=0.2)
+
     def test_kratzer_second_order(self, kratzer):
         e0 = energy(kratzer, QuantumNumbers(0, 0, 3))
         report = convergence_study(kratzer, 0, 3, level=0, exact_energy=e0,
@@ -262,9 +281,9 @@ class TestConvergenceStudy:
         config = OracleConfig(grid=cell_grid(8.0, 800), count=1)
         rungs = [(4, 1), (4, 1), (2, 1), (1, 1)]
         levels = oracle.solve_grids(hydrogen, 0, 2, config, rungs)
-        assert abs(levels[0][0] - levels[1][0]) <= config.tol
+        assert abs(levels[0][0] - levels[1][0]) <= oracle._TOL
         cold = solve_bound_states(hydrogen, 0, 2, config)
-        assert abs(levels[-1][0] - cold[0]) <= config.tol
+        assert abs(levels[-1][0] - cold[0]) <= oracle._TOL
 
     def test_sequence_validation(self, hydrogen):
         with pytest.raises(ValueError):
@@ -321,8 +340,6 @@ class TestConfigTypes:
             OracleConfig(grid=grid, count=0)
         with pytest.raises(ValueError):
             OracleConfig(grid=grid, count=2000)
-        with pytest.raises(ValueError):
-            OracleConfig(grid=grid, count=4, tol=0.0)
         with pytest.raises(ValueError):
             OracleConfig(grid=grid, count=4, scheme="spectral")
 

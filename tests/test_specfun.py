@@ -2,42 +2,21 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from miespec import specfun
 from miespec.specfun import (default_quadrature_order, gauss_laguerre,
-                             kummer_poly, laguerre, laguerre_deriv, ln_gamma)
-
-
-class TestLnGamma:
-    def test_gamma_one(self):
-        assert ln_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
-
-    def test_gamma_five_is_factorial(self):
-        assert ln_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-14)
-
-    def test_gamma_half(self):
-        assert ln_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-13)
-
-    def test_against_libm_over_range(self):
-        # math.lgamma is the independent reference
-        for x in np.logspace(-3, 4, 500):
-            assert ln_gamma(float(x)) == pytest.approx(
-                math.lgamma(float(x)), rel=1e-13, abs=1e-13)
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5])
-    def test_domain_error(self, bad):
-        with pytest.raises(ValueError):
-            ln_gamma(bad)
+                             laguerre, radial_norm_constant)
 
 
 def laguerre_direct(n, alpha, x):
     """Monomial-basis evaluation, independent of the recurrence."""
     total = 0.0
     for j in range(n + 1):
-        ln_binom = (ln_gamma(n + alpha + 1.0) - ln_gamma(alpha + j + 1.0)
-                    - ln_gamma(n - j + 1.0))
+        ln_binom = (math.lgamma(n + alpha + 1.0) - math.lgamma(alpha + j + 1.0)
+                    - math.lgamma(n - j + 1.0))
         total += (-1.0) ** j * math.exp(ln_binom) * x**j / math.factorial(j)
     return total
 
@@ -67,7 +46,8 @@ class TestLaguerre:
         alpha, step = 1.3, 1e-6
         for x in (0.5, 2.0, 9.0):
             fd = (laguerre(n, alpha, x + step) - laguerre(n, alpha, x - step)) / (2 * step)
-            assert laguerre_deriv(n, alpha, x) == pytest.approx(fd, abs=1e-6)
+            # d/dx L_n^alpha = -L_{n-1}^{alpha+1}
+            assert -laguerre(n - 1, alpha + 1.0, x) == pytest.approx(fd, abs=1e-6)
 
     def test_vectorized_matches_scalar(self):
         x = np.array([0.1, 1.0, 4.0])
@@ -82,29 +62,52 @@ class TestLaguerre:
 
 
 class TestKummerPoly:
+    """The paper's Kummer polynomial 1F1(-n; alpha+1; x) through the
+    Laguerre bridge n! Gamma(alpha+1) / Gamma(n+alpha+1) L_n^alpha(x).
+    Each error is relative to the largest |1F1| sampled for that n."""
+
     @pytest.mark.parametrize("b,x", [(1.0, 0.5), (3.5, 2.0)])
     def test_degree_zero(self, b, x):
-        assert kummer_poly(0, b, x) == 1.0
+        assert laguerre(0, b - 1.0, x) == 1.0  # the bridge factor is 1
 
     def test_degree_two_value(self):
-        # 1 - x + x^2/6 at x = 1
-        assert kummer_poly(2, 2.0, 1.0) == pytest.approx(1.0 / 6.0, rel=1e-14)
+        # 1F1(-2; 2; x) = 1 - x + x^2/6 is 1/6 at x = 1; the factor is 1/3
+        assert laguerre(2, 1.0, 1.0) / 3.0 == pytest.approx(1.0 / 6.0, rel=1e-14)
 
     def test_zero_at_x_equals_b(self):
-        assert kummer_poly(1, 3.0, 3.0) == pytest.approx(0.0, abs=1e-15)
+        # 1F1(-1; 3; x) = 1 - x/3; the factor is 1/3
+        assert laguerre(1, 2.0, 3.0) / 3.0 == pytest.approx(0.0, abs=1e-15)
 
     @pytest.mark.parametrize("n", range(9))
     @pytest.mark.parametrize("alpha", [0.0, 0.7, 2.37])
     def test_laguerre_bridge(self, n, alpha):
-        for x in (0.2, 1.0, 6.0):
-            bridge = math.exp(ln_gamma(n + 1.0) + ln_gamma(alpha + 1.0)
-                              - ln_gamma(n + alpha + 1.0)) * laguerre(n, alpha, x)
-            assert kummer_poly(n, alpha + 1.0, x) == pytest.approx(
-                bridge, rel=1e-12, abs=1e-14)
+        xs = np.array([0.2, 1.0, 6.0])
+        bridge = math.exp(math.lgamma(n + 1.0) + math.lgamma(alpha + 1.0)
+                          - math.lgamma(n + alpha + 1.0)) * laguerre(n, alpha, xs)
+        with mpmath.workdps(50):  # zeroprec: 1F1(-1; 1; 1) is exactly 0
+            want = np.array([float(mpmath.hyp1f1(-n, alpha + 1.0, x, zeroprec=400))
+                             for x in xs])
+        assert np.max(np.abs(bridge - want)) <= 1e-12 * np.max(np.abs(want))
 
-    def test_domain_error(self):
+    @pytest.mark.parametrize("n,alpha,x", [(30, 0.5, 40.0), (50, 2.0, 100.0),
+                                           (150, 0.0, 300.0)])
+    def test_laguerre_bridge_at_high_degree(self, n, alpha, x):
+        # the term-by-term series cancels here: summed in doubles it gives
+        # 6.9e22 for 1F1(-50; 3; 100) = 4.3e16 and 1.7e115 for
+        # 1F1(-150; 1; 300) = -4.5e63
+        bridge = math.exp(math.lgamma(n + 1.0) + math.lgamma(alpha + 1.0)
+                          - math.lgamma(n + alpha + 1.0)) * laguerre(n, alpha, x)
+        with mpmath.workdps(50):
+            want = float(mpmath.hyp1f1(-n, alpha + 1.0, x))
+        assert abs(bridge - want) <= 1e-12 * abs(want)
+
+
+class TestRadialNormConstant:
+    @pytest.mark.parametrize("two_eps,alpha", [(1.0, -1.5), (1.0, -1.0),
+                                               (0.0, 1.0)])
+    def test_preconditions(self, two_eps, alpha):
         with pytest.raises(ValueError):
-            kummer_poly(2, 0.0, 1.0)
+            radial_norm_constant(two_eps, 0, alpha)
 
 
 class TestGaussLaguerre:
@@ -123,23 +126,23 @@ class TestGaussLaguerre:
     def test_weight_sum_is_zeroth_moment(self, m, alpha):
         rule = gauss_laguerre(m, alpha)
         assert float(rule.weights.sum()) == pytest.approx(
-            math.exp(ln_gamma(alpha + 1.0)), rel=1e-12)
+            math.exp(math.lgamma(alpha + 1.0)), rel=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.3])
     def test_polynomial_exactness(self, alpha):
         m = 6
         rule = gauss_laguerre(m, alpha)
-        mu0 = math.exp(ln_gamma(alpha + 1.0))
+        mu0 = math.exp(math.lgamma(alpha + 1.0))
         for j in range(2 * m):
             got = rule.integrate(lambda x: x**j) / mu0
-            want = math.exp(ln_gamma(alpha + 1.0 + j) - ln_gamma(alpha + 1.0))
+            want = math.exp(math.lgamma(alpha + 1.0 + j) - math.lgamma(alpha + 1.0))
             assert got * mu0 == pytest.approx(want * mu0, rel=1e-10)
 
     @pytest.mark.parametrize("alpha", [0.0, 2.37])
     def test_laguerre_orthogonality(self, alpha):
         n_top = 6
         rule = gauss_laguerre(default_quadrature_order(n_top), alpha)
-        norms = [math.exp(ln_gamma(n + alpha + 1.0) - ln_gamma(n + 1.0))
+        norms = [math.exp(math.lgamma(n + alpha + 1.0) - math.lgamma(n + 1.0))
                  for n in range(n_top + 1)]
         for n in range(n_top + 1):
             for m in range(n, n_top + 1):
@@ -153,7 +156,7 @@ class TestGaussLaguerre:
         # Gamma(201) passes the double range, so the weights themselves
         # are inf; the integral of x^200 e^-x 1e-300 x^2 is not
         rule = gauss_laguerre(10, 200.0)
-        want = math.exp(ln_gamma(203.0) - 300.0 * math.log(10.0))
+        want = math.exp(math.lgamma(203.0) - 300.0 * math.log(10.0))
         got = rule.integrate(lambda x: 1e-300 * x**2)
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -190,5 +193,5 @@ def test_gauss_laguerre_large_orders_are_valid_rules(m, alpha):
     rule = gauss_laguerre(m, alpha)
     assert rule.nodes[0] > 0.0 and np.all(np.diff(rule.nodes) > 0.0)
     assert np.all(np.isfinite(rule.ln_weights))
-    moment = np.exp(rule.ln_weights - ln_gamma(alpha + 1.0)).sum()
+    moment = np.exp(rule.ln_weights - math.lgamma(alpha + 1.0)).sum()
     assert abs(moment - 1.0) <= 1e-10

@@ -9,8 +9,8 @@ from hypothesis import given, strategies as st
 
 from miespec.errors import FallToCenterError, NoBoundStatesError, UnitsRangeError
 from miespec.potentials import PotentialParams, coulomb, kratzer_fues, modified_kratzer
-from miespec.spectrum import (_STATUS, QuantumNumbers, _closed_form, bound_state,
-                              centrifugal_strength, decay_rate, energy,
+from miespec.spectrum import (_STATUS, QuantumNumbers, _channel, _level,
+                              bound_state, centrifugal_strength, energy,
                               indicial_root, spectrum_table)
 
 
@@ -65,23 +65,26 @@ class TestIndicialRoot:
 
 
 class TestDecayRate:
+    # eps as a spectrum_table row reports it; the last row is (n_max, ell_max)
     def test_hydrogen_ground(self):
-        assert decay_rate(coulomb(-1.0), QuantumNumbers(0, 0, 3)) == pytest.approx(1.0)
+        assert spectrum_table(coulomb(-1.0), 0, 0, 3)[-1].eps == pytest.approx(1.0)
 
     def test_hydrogen_first_excited(self):
-        assert decay_rate(coulomb(-1.0), QuantumNumbers(1, 0, 3)) == pytest.approx(0.5)
+        assert spectrum_table(coulomb(-1.0), 1, 0, 3)[-1].eps == pytest.approx(0.5)
 
     def test_kratzer_ground(self):
         params = kratzer_fues(5.0, 1.0)
         k = indicial_root(params, 0, 3)
-        got = decay_rate(params, QuantumNumbers(0, 0, 3))
+        got = spectrum_table(params, 0, 0, 3)[-1].eps
         assert got == pytest.approx(20.0 / (2.0 * k), rel=1e-13)
         assert got == pytest.approx(2.7016, abs=5e-5)
 
     @pytest.mark.parametrize("B", [0.0, 0.5, 2.0])
     def test_non_attractive_gate(self, B):
+        row, = spectrum_table(PotentialParams(0.0, B, 0.0), 0, 0, 3)
+        assert (row.status, row.eps) == ("no-bound-states", None)
         with pytest.raises(NoBoundStatesError):
-            decay_rate(PotentialParams(0.0, B, 0.0), QuantumNumbers(0, 0, 3))
+            energy(PotentialParams(0.0, B, 0.0), QuantumNumbers(0, 0, 3))
 
 
 class TestEnergy:
@@ -112,7 +115,7 @@ class TestEnergy:
             for dim in (2, 3, 5):
                 for n in (0, 2):
                     q = QuantumNumbers(n, 1, dim)
-                    eps = decay_rate(params, q)
+                    eps = spectrum_table(params, n, 1, dim)[-1].eps
                     via_eps = params.C - params.hbar**2 * eps**2 / (2.0 * params.mass)
                     assert energy(params, q) == pytest.approx(via_eps, rel=1e-12)
 
@@ -139,12 +142,14 @@ class TestEnergy:
             assert got == pytest.approx(want, rel=1e-12)
 
     def test_finite_where_the_norm_constant_overflows(self):
-        # zeta = e^{~2600} here; energy and decay_rate must not need it
+        # zeta = e^{~2600} here; energy and the table's eps must not need it
         params = coulomb(-1.0, mass=1e12)
         q = QuantumNumbers(0, 200, 3)
         assert energy(params, q) == pytest.approx(-1e12 / (2.0 * 201.0**2),
                                                   rel=1e-12)
-        assert decay_rate(params, q) == pytest.approx(2e12 / 402.0, rel=1e-12)
+        row = spectrum_table(params, 0, 200, 3)[-1]
+        assert (row.q, row.status) == (q, "ok")
+        assert row.eps == pytest.approx(2e12 / 402.0, rel=1e-12)
 
 
 class TestInterdimensionalDegeneracy:
@@ -218,14 +223,15 @@ class TestSpectrumTable:
 
 
 def _rows_one_level_at_a_time(params, n_max, ell_max, dim):
-    """spectrum_table's rows from one _closed_form call per row, as
-    (q, k, eps, energy, status, detail)."""
+    """spectrum_table's rows with the channel derived again for every row,
+    as (q, k, eps, energy, status, detail)."""
     out = []
     for ell in range(ell_max + 1):
         for n in range(n_max + 1):
             q = QuantumNumbers(n, ell, dim)
             try:
-                _, k, eps, e = _closed_form(params, q)
+                beta, k = _channel(params, ell, dim)
+                eps, e = _level(params, beta, k, n, dim)
             except tuple(_STATUS) as exc:
                 out.append((q, None, None, None, _STATUS[type(exc)], str(exc)))
             else:
@@ -244,7 +250,7 @@ def _rows_one_level_at_a_time(params, n_max, ell_max, dim):
         "mass-N5", "kratzer-fues"])
 def test_a_table_derives_each_row_as_a_single_level_would(params, dim, statuses):
     # the table derives beta and k once per ell; every row must still be
-    # what its own _closed_form call, or that call's exception, gives
+    # what its own channel derivation, or that derivation's exception, gives
     rows = spectrum_table(params, 6, 3, dim)
     got = [(r.q, r.k, r.eps, r.energy, r.status, r.detail) for r in rows]
     assert got == _rows_one_level_at_a_time(params, 6, 3, dim)

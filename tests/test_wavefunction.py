@@ -9,10 +9,10 @@ import pytest
 from miespec.errors import GridResolutionError, NotNormalizableError
 from miespec.potentials import PotentialParams, coulomb, kratzer_fues
 from miespec.spectrum import QuantumNumbers, bound_state
-from miespec.wavefunction import (RadialGrid, eval_radial, eval_y_form,
-                                  node_count, norm_check, norm_constant,
-                                  ode_residual, ode_residual_relative,
-                                  ode_residual_samples, overlap, sample_radial)
+from miespec.wavefunction import (RadialGrid, SampledFunction, eval_radial,
+                                  eval_y_form, node_count, norm_check,
+                                  norm_constant, ode_residual_relative,
+                                  ode_residual_samples, overlap)
 
 
 def make_state(params, n, ell, dim):
@@ -184,13 +184,14 @@ class TestOdeResidual:
     def test_coarse_grid_rejected(self, kratzer):
         state = make_state(kratzer, 0, 0, 3)  # eps ~ 2.7
         with pytest.raises(GridResolutionError):
-            ode_residual(state, RadialGrid(0.1, 30.0, 100))
+            ode_residual_relative(state, RadialGrid(0.1, 30.0, 100))
 
     def test_interior_grid_alignment(self, hydrogen):
         state = make_state(hydrogen, 0, 0, 3)
         grid = RadialGrid(0.1, 20.0, 2000)
-        res = ode_residual(state, grid)
         nodes = grid.nodes()
+        res = ode_residual_samples(eval_radial(state, nodes), grid, hydrogen,
+                                   0, 3, state.energy)
         assert res.grid.count == grid.count - 4
         assert res.grid.nodes()[0] == pytest.approx(nodes[2])
         assert res.grid.nodes()[-1] == pytest.approx(nodes[-3])
@@ -215,8 +216,7 @@ class TestGridTypes:
     def test_sampled_function_length_gate(self, hydrogen):
         state = make_state(hydrogen, 0, 0, 3)
         grid = RadialGrid(0.1, 5.0, 64)
-        sampled = sample_radial(state, grid)
+        sampled = SampledFunction(grid=grid, values=eval_radial(state, grid.nodes()))
         assert len(sampled.values) == 64
-        from miespec.wavefunction import SampledFunction
         with pytest.raises(ValueError):
             SampledFunction(grid=grid, values=np.zeros(3))
