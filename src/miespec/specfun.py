@@ -6,6 +6,8 @@ Everything here is a pure function; ``QuadratureRule`` is immutable.
 One recurrence with a running log scale (Gil, Segura and Temme, Numerical
 Methods for Special Functions, SIAM 2007, ch. 4) is the only loop over the
 Laguerre degree: values, quadrature nodes and weights all read its output.
+It tests its values against the scale's threshold at each step only where
+Szego's bound on |L_n^alpha| cannot rule a rescale out.
 """
 
 import math
@@ -19,6 +21,23 @@ from .errors import NotNormalizableError
 _LN_DBL_MAX = math.log(sys.float_info.max)
 _LN_DBL_MIN = math.log(sys.float_info.min)  # the smallest normal double
 _BIG = 2.0**500
+_LN_UNCHECKED = 400.0 * math.log(2.0)  # 2^100 under _BIG covers the rounding
+
+
+def _stays_below_big(n: int, alpha: float, x: np.ndarray) -> bool:
+    """True when no L_j^alpha(x), j <= n, can pass 2^400.
+
+    Szego's bound |L_j^alpha(x)| <= C(j+alpha, j) e^{x/2} for alpha >= 0,
+    and <= 2 e^{x/2} for -1 < alpha < 0, at x >= 0 (Abramowitz and Stegun
+    22.14.13-14; DLMF 18.14.8) grows with j.  An empty x, a negative, NaN
+    or infinite element, and alpha past 1e12 (where the lgamma difference
+    cancels to more than 1e-2) give False.
+    """
+    if not (x.size and -1.0 < alpha <= 1e12 and x.min() >= 0.0):
+        return False
+    ln_c = (math.lgamma(n + alpha + 1.0) - math.lgamma(n + 1.0)
+            - math.lgamma(alpha + 1.0)) if alpha >= 0.0 else math.log(2.0)
+    return bool(ln_c + 0.5 * x.max() < _LN_UNCHECKED)
 
 
 def _laguerre_pair(n: int, alpha: float, x):
@@ -26,15 +45,17 @@ def _laguerre_pair(n: int, alpha: float, x):
 
     Forward recurrence (j+1) L_{j+1} = (2j + alpha + 1 - x) L_j
     - (j + alpha) L_{j-1} from L_{-1} = 0; an element past 2^500 is divided
-    by 2^500, found by one max and one min per step.
+    by 2^500.  One max and one min per step look for such elements, unless
+    _stays_below_big rules them out for the whole call.
     """
     x = np.asarray(x, dtype=float)
     prev = np.zeros_like(x)
     cur = np.ones_like(x)
     ln_s = np.zeros_like(x)
+    checked = not _stays_below_big(n, alpha, x)
     for j in range(n):
         prev, cur = cur, ((2 * j + alpha + 1 - x) * cur - (j + alpha) * prev) / (j + 1)
-        if cur.max(initial=0.0) > _BIG or cur.min(initial=0.0) < -_BIG:
+        if checked and (cur.max(initial=0.0) > _BIG or cur.min(initial=0.0) < -_BIG):
             scale = np.where(np.abs(cur) > _BIG, _BIG, 1.0)
             prev, cur, ln_s = prev / scale, cur / scale, ln_s + np.log(scale)
     return prev, cur, ln_s
@@ -47,6 +68,8 @@ def laguerre(n: int, alpha: float, x):
         raise ValueError("degree n must be >= 0")
     if alpha <= -1.0:
         raise ValueError("alpha must exceed -1")
+    if n >= 1 and not np.all(np.isfinite(x)):
+        raise ValueError("x must be finite")
     _, cur, ln_s = _laguerre_pair(n, alpha, x)
     with np.errstate(over="ignore"):
         out = cur * np.exp(ln_s)

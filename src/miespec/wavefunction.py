@@ -103,16 +103,16 @@ def eval_radial(state: BoundState, r):
     """Normalized radial eigenfunction R(r), eval_y_form at y = 2 eps r;
     scalar or array argument."""
     r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
-        raise ValueError("radius must be positive")
+    if not np.all((r > 0.0) & (r < np.inf)):  # NaN fails both
+        raise ValueError("radius must be positive and finite")
     return eval_y_form(state, 2.0 * state.eps * r)
 
 
 def eval_y_form(state: BoundState, y, convention: str = "paper"):
     """y-form eigenfunction eta y^{k+2-N} e^{-y/2} L_n^alpha(y) at y > 0."""
     y = np.asarray(y, dtype=float)
-    if np.any(y <= 0.0):
-        raise ValueError("y must be positive")
+    if not np.all((y > 0.0) & (y < np.inf)):
+        raise ValueError("y must be positive and finite")
     return _signed_exp(*_ln_y_form(state, y, ln_eta(state, convention)))
 
 
@@ -132,8 +132,9 @@ def norm_constant(state: BoundState, paper_literal: bool = False) -> float:
 def norm_check(state: BoundState) -> float:
     """Integral of |R|^2 r^{N-1} dr by generalized Gauss-Laguerre; expect 1.
 
-    This is overlap(state, state, "r").  Uses the state's own zeta, so a
-    tampered constant scales the result quadratically.
+    This is overlap(state, state, "r"), which evaluates the state once.
+    Uses the state's own zeta, so a tampered constant scales the result
+    quadratically.
     """
     return overlap(state, state, "r")
 
@@ -170,7 +171,7 @@ def overlap(a: BoundState, b: BoundState, space: str = "r") -> float:
                           a.alpha + 1.0)
     t = rule.nodes
     la, sa = _ln_y_form(a, c_a * t, ln_eta(a))
-    lb, sb = _ln_y_form(b, c_b * t, ln_eta(b))
+    lb, sb = (la, sa) if b is a else _ln_y_form(b, c_b * t, ln_eta(b))
     ln_g = (la + lb + (a.q.dim - 1.0) * np.log(u * t) + math.log(u)
             - (a.alpha + 1.0) * np.log(t) + t + rule.ln_weights)
     return float(np.sum(sa * sb * np.exp(ln_g)))

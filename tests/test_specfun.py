@@ -7,8 +7,12 @@ import numpy as np
 import pytest
 
 from miespec import specfun
-from miespec.specfun import (default_quadrature_order, gauss_laguerre,
-                             laguerre, radial_norm_constant)
+from miespec.ladder import default_y_grid
+from miespec.potentials import coulomb
+from miespec.specfun import (_laguerre_pair, default_quadrature_order,
+                             gauss_laguerre, laguerre, radial_norm_constant)
+from miespec.spectrum import QuantumNumbers, bound_state
+from miespec.wavefunction import eval_radial, norm_check, overlap
 
 
 def laguerre_direct(n, alpha, x):
@@ -59,6 +63,12 @@ class TestLaguerre:
             laguerre(-1, 0.0, 1.0)
         with pytest.raises(ValueError):
             laguerre(2, -1.0, 1.0)
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                laguerre(5, 0.5, bad)
+            with pytest.raises(ValueError, match="finite"):
+                laguerre(5, 0.5, np.array([1.0, bad]))
+            assert laguerre(0, 0.5, bad) == 1.0  # L_0 = 1 everywhere
 
 
 class TestKummerPoly:
@@ -195,3 +205,91 @@ def test_gauss_laguerre_large_orders_are_valid_rules(m, alpha):
     assert np.all(np.isfinite(rule.ln_weights))
     moment = np.exp(rule.ln_weights - math.lgamma(alpha + 1.0)).sum()
     assert abs(moment - 1.0) <= 1e-10
+
+
+# -- the recurrence's single overflow test ---------------------------------
+
+def laguerre_pair_checked(n, alpha, x):
+    """The recurrence with its max/min test for 2^500 at every step: the
+    reference that the unchecked path must match bit for bit."""
+    x = np.asarray(x, dtype=float)
+    prev, cur, ln_s = np.zeros_like(x), np.ones_like(x), np.zeros_like(x)
+    for j in range(n):
+        prev, cur = cur, ((2 * j + alpha + 1 - x) * cur - (j + alpha) * prev) / (j + 1)
+        if cur.max(initial=0.0) > specfun._BIG or cur.min(initial=0.0) < -specfun._BIG:
+            scale = np.where(np.abs(cur) > specfun._BIG, specfun._BIG, 1.0)
+            prev, cur, ln_s = prev / scale, cur / scale, ln_s + np.log(scale)
+    return prev, cur, ln_s
+
+
+def assert_matches_checked(n, alpha, x):
+    with np.errstate(all="ignore"):
+        got, want = _laguerre_pair(n, alpha, x), laguerre_pair_checked(n, alpha, x)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w, equal_nan=True), (n, alpha)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_unchecked_path_is_bit_identical(seed):
+    # n <= 400, alpha in (-1, 1e4] (log-uniform above 0), x in [0, 1.6e3]
+    rng = np.random.default_rng(2100 + seed)
+    unchecked = 0
+    for _ in range(40):
+        n = int(rng.integers(0, 401))
+        alpha = (-float(rng.uniform(0.0, 1.0)) if rng.random() < 0.2
+                 else math.expm1(rng.uniform(0.0, math.log1p(1e4))))
+        x = rng.uniform(0.0, math.exp(rng.uniform(math.log(1e-3), math.log(1.6e3))),
+                        size=int(rng.integers(1, 30)))
+        assert_matches_checked(n, alpha, x)
+        unchecked += specfun._stays_below_big(n, alpha, x)
+    assert 0 < unchecked < 40  # both paths are taken
+
+
+@pytest.mark.parametrize("n,alpha,x", [
+    (30, 0.5, [-50.0, -1.0, 0.0, 2.0]),
+    (30, 0.5, [1.0, math.nan]),
+    (30, 0.5, [1.0, math.inf]),
+    (30, 0.5, [-math.inf]),
+    (30, 0.5, []),
+    # the binomial alone passes 2^500 (ln C = 541) while x/2 stays below 1
+    (150, 2000.0, np.linspace(0.0, 1.0, 7)),
+    (400, 1e4, np.linspace(0.0, 1.0, 7)),
+    (20, 1e20, [0.0, 1.0]),
+], ids=["negative", "nan", "inf", "minus-inf", "empty", "binomial", "overflow",
+        "huge-alpha"])
+def test_checked_path_cases(n, alpha, x):
+    assert not specfun._stays_below_big(n, alpha, np.asarray(x, dtype=float))
+    assert_matches_checked(n, alpha, x)
+
+
+def test_rescale_at_step_n_takes_the_checked_path():
+    # alpha = 201: elements at the peak of R pass 2^500 at step n = 157
+    state = bound_state(coulomb(-129.0), QuantumNumbers(157, 100, 3))
+    y = default_y_grid(state).nodes()
+    assert not specfun._stays_below_big(157, state.alpha, y)
+    assert np.any(_laguerre_pair(157, state.alpha, y)[2] != 0.0)
+    assert_matches_checked(157, state.alpha, y)
+
+
+def test_norm_and_overlap_nodes_take_the_unchecked_path(monkeypatch, hydrogen,
+                                                        kratzer):
+    # every recurrence behind norm_check, overlap and eval_radial (at the
+    # extent `miespec wavefunction` samples by default) for n <= 20
+    seen = []
+
+    def recording(n, alpha, x, test=specfun._stays_below_big):
+        seen.append(test(n, alpha, x))
+        return seen[-1]
+
+    monkeypatch.setattr(specfun, "_stays_below_big", recording)
+    for params in (hydrogen, kratzer):
+        for dim in (2, 3, 5):
+            for ell in range(3):
+                for n in range(21):
+                    state = bound_state(params, QuantumNumbers(n, ell, dim))
+                    upper = bound_state(params, QuantumNumbers(n + 1, ell, dim))
+                    norm_check(state)
+                    overlap(state, upper, "r")
+                    r_max = (2.0 * n + 2.0 * state.k + 16.0) / state.eps
+                    eval_radial(state, np.linspace(r_max / 2001, r_max, 2001))
+    assert len(seen) > 378 and all(seen)

@@ -63,6 +63,16 @@ class TestEvalRadial:
         with pytest.raises(ValueError):
             eval_radial(make_state(hydrogen, 0, 0, 3), 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_argument_refused(self, hydrogen, bad):
+        # a NaN sample must not come back silently among good ones
+        state = make_state(hydrogen, 2, 0, 3)
+        for evaluate in (eval_radial, eval_y_form):
+            with pytest.raises(ValueError, match="finite"):
+                evaluate(state, bad)
+            with pytest.raises(ValueError, match="finite"):
+                evaluate(state, np.array([0.5, bad, 2.0]))
+
 
 class TestNormCheck:
     @pytest.mark.parametrize("dim", [2, 3, 5])
@@ -112,6 +122,16 @@ class TestNormCheck:
         # it is 0.0
         with pytest.raises(NotNormalizableError, match="ln zeta"):
             make_state(hydrogen, 0, ell, 3)
+
+    @pytest.mark.parametrize("n", range(21))
+    def test_equals_an_overlap_of_two_distinct_states(self, hydrogen, kratzer,
+                                                      n):
+        # overlap evaluates a state passed twice once; a copy of it takes
+        # the path of two states
+        for params in (hydrogen, kratzer):
+            state = make_state(params, n, 1, 3)
+            assert norm_check(state) == overlap(
+                state, dataclasses.replace(state), "r")
 
     def test_doubled_constant_scales_quadratically(self, hydrogen):
         state = make_state(hydrogen, 0, 0, 3)
