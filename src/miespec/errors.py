@@ -30,5 +30,6 @@ class LadderAlgebraError(ValueError):
 
 class UnitsRangeError(ValueError):
     """The units put a closed-form quantity outside the double range: mass
-    and hbar so extreme that 2 m A / hbar^2, beta = -2 m B / hbar^2 or the
-    energy itself cannot be represented."""
+    and hbar so extreme that hbar^2 / 2M is not a normal double, or that
+    beta = -2 m B / hbar^2, the indicial discriminant or the energy cannot
+    be represented."""

@@ -48,10 +48,10 @@ Two discretizations are available:
   convergence even for channels whose reduced u-equation has the critical
   -1/(4 r^2) coupling (e.g. ell = 0, N = 2).
 * ``scheme="u"``: the textbook 3-point stencil for the reduced equation
-  -(hbar^2/2M) u'' + V_eff u = E u with hard walls one spacing outside the
-  grid, whose coordinate is r.  Fine for regular channels, measurably
-  non-convergent for the critical ones; kept as the negative control, on
-  grids uniform in r that its callers build.
+  -K u'' + V_eff u = E u, K = hbar^2/2M, with hard walls one spacing
+  outside the grid, whose coordinate is r.  Fine for regular channels,
+  measurably non-convergent for the critical ones; kept as the negative
+  control, on grids uniform in r that its callers build.
 """
 
 import math
@@ -112,17 +112,16 @@ def energy_offset(potential) -> float:
 
 
 def effective_potential(potential, ell: int, dim: int, r):
-    """V(r) + (hbar^2/2M) [l(l+N-2) + (N-1)(N-3)/4] / r^2.
+    """V(r) + K [l(l+N-2) + (N-1)(N-3)/4] / r^2, K = hbar^2/2M.
 
     The barrier term is what reduces the radial equation to
-    -(hbar^2/2M) u'' + V_eff u = E u after u = r^{(N-1)/2} R.
+    -K u'' + V_eff u = E u after u = r^{(N-1)/2} R.
     """
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):
         raise ValueError("radius must be positive")
     barrier = ell * (ell + dim - 2) + (dim - 1.0) * (dim - 3.0) / 4.0
-    out = (potential_value(potential, r)
-           + potential.hbar**2 / (2.0 * potential.mass) * barrier / r**2)
+    out = potential_value(potential, r) + potential.kinetic * barrier / r**2
     return out if out.ndim else float(out)
 
 
@@ -130,14 +129,14 @@ def build_tridiagonal(config: OracleConfig, potential, ell: int,
                       dim: int) -> Tridiagonal:
     """3-point u-form stencil over the grid nodes.
 
-    diag_i = hbar^2/(M h^2) + V_eff(r_i), offdiag = -hbar^2/(2 M h^2);
+    diag_i = 2K/h^2 + V_eff(r_i), offdiag = -K/h^2, K = hbar^2/2M;
     Dirichlet walls sit one spacing outside the grid, so with r_min equal to
     the spacing the left wall is exactly at the origin.
     """
     grid = config.grid
     h = grid.spacing
     r = grid.nodes()
-    t = potential.hbar**2 / (2.0 * potential.mass * h * h)
+    t = potential.kinetic / (h * h)
     diag = 2.0 * t + effective_potential(potential, ell, dim, r)
     off = np.full(grid.count - 1, -t)
     return Tridiagonal(diag=np.ascontiguousarray(diag),
@@ -150,14 +149,13 @@ def build_tridiagonal_radial(config: OracleConfig, potential, ell: int,
     symmetrized.
 
     The grid's nodes are x values.  Under r = x^2 the R-equation reads
-    -(hbar^2/2M) (p R')' / w + V_c(x^2) R = E R, with face weight
+    -K (p R')' / w + V_c(x^2) R = E R, K = hbar^2/2M, with face weight
     p = x^{2N-3}/2 and cell measure w = 2 x^{2N-1}, V_c being V plus the
     l(l+N-2) barrier.  Cells are centered on the nodes with faces halfway
     between; use cell_grid() to place the first face exactly at the origin,
     where p vanishes (a natural boundary).  The weights enter only as
     powers of face/node ratios, so no finite grid overflows them.
     """
-    mass, hbar = potential.mass, potential.hbar
     grid = config.grid
     h = grid.spacing
     x = grid.nodes()
@@ -167,10 +165,10 @@ def build_tridiagonal_radial(config: OracleConfig, potential, ell: int,
     faces[0] = max(faces[0], 0.0)
     q = 2.0 * dim - 3.0
     r = x * x
-    # (hbar^2/2M h^2) p/w on each side of a cell, without the (f/x)^q
-    t = hbar**2 / (8.0 * mass * h * h)
+    # (K/h^2) p/w on each side of a cell, without the (f/x)^q
+    t = potential.kinetic / (4.0 * h * h)
     barrier = ell * (ell + dim - 2)
-    vc = potential_value(potential, r) + hbar**2 / (2.0 * mass) * barrier / r**2
+    vc = potential_value(potential, r) + potential.kinetic * barrier / r**2
     diag = t * ((faces[1:] / x) ** q + (faces[:-1] / x) ** q) / r + vc
     # p_f / sqrt(w_i w_{i+1}) = (f^2 / (x_i x_{i+1}))^{q/2} / (4 x_i x_{i+1})
     f = faces[1:-1]
@@ -184,17 +182,13 @@ _BUILDERS = {"radial": build_tridiagonal_radial, "u": build_tridiagonal}
 
 def _build(config: OracleConfig, potential, ell: int, dim: int) -> Tridiagonal:
     """The scheme's matrix.  An entry that leaves the double range is
-    refused by Tridiagonal, not warned about on the way; so is an hbar**2
-    that overflows, or a spacing whose square underflows, before any entry
-    is formed, and a nonzero off-diagonal whose square, which the Sturm
-    counts read, is below the normal range."""
+    refused by Tridiagonal, not warned about on the way; so is a spacing
+    whose square underflows, before any entry is formed, and a nonzero
+    off-diagonal whose square, which the Sturm counts read, is below the
+    normal range."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
             tri = _BUILDERS[config.scheme](config, potential, ell, dim)
-        except OverflowError:
-            raise GridResolutionError(
-                "finite-difference matrix entries must be finite; hbar^2 "
-                "leaves the double range") from None
         except ZeroDivisionError:
             raise GridResolutionError(
                 "finite-difference matrix entries must be finite; the grid "
@@ -230,7 +224,8 @@ def default_grid(potential, ell: int, dim: int, n_max: int = 3,
     the fastest; the x-grid then gets 16 sqrt(r_domain / h_r) cells, times
     ``refine`` (2.0 halves the spacing).  Under r = x^2 every Coulomb state
     is a polynomial times a Gaussian in x, which uniform x-cells resolve
-    with far fewer rows than uniform r-cells.  A count outside
+    with far fewer rows than uniform r-cells; the Mie form's h_r is
+    0.01 sqrt(K / d0), K = hbar^2/2M.  A count outside
     [16 (n_max + 1), 400000] raises GridResolutionError naming it, rather
     than being clamped silently.
     """
@@ -245,8 +240,11 @@ def default_grid(potential, ell: int, dim: int, n_max: int = 3,
         h = 0.01 / eps_max
     else:
         r_domain = potential.r0 * (10.0 + 6.0 * (n_max + 1.0))
-        h = 0.01 * potential.hbar / math.sqrt(2.0 * potential.mass * potential.d0)
-    count = math.ceil(16.0 * math.sqrt(r_domain / h) * refine)
+        h = 0.01 * math.sqrt(potential.kinetic / potential.d0)
+    # a spacing that underflows to 0 or a domain past the double range
+    # sizes to inf cells, a spacing that overflows to 0 cells
+    cells = 16.0 * math.sqrt(r_domain / h) * refine if h else math.inf
+    count = math.ceil(cells) if cells < math.inf else cells
     least = _CELLS_PER_LEVEL * (n_max + 1)
     if not least <= count <= _MAX_CELLS:
         raise GridResolutionError(

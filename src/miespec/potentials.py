@@ -3,13 +3,18 @@
 The workhorse form is V(r) = A/r^2 + B/r + C; the two-exponent Mie form is
 kept for generality (it has no closed-form spectrum unless (a, b) = (2, 1)).
 Natural units hbar = mass = 1 are the default everywhere; callers doing
-physical spectroscopy pass explicit values.
+physical spectroscopy pass explicit values.  The units enter every formula
+only through ``kinetic`` = hbar^2 / 2M.
 """
 
 import math
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+from .errors import UnitsRangeError
 
 
 def _require(positive: dict, **finite):
@@ -21,6 +26,22 @@ def _require(positive: dict, **finite):
     bad = [k for k, v in positive.items() if not v > 0.0]
     if bad:
         raise ValueError(f"{' and '.join(bad)} must be positive")
+
+
+def _kinetic(self) -> float:
+    """K = hbar^2 / 2M, formed from frexp mantissas and exponents so that
+    neither hbar^2 nor 2M leaves the double range on the way; with no
+    subnormal on the way it has the bits of hbar**2 / (2 * mass).
+    UnitsRangeError unless K is a normal double."""
+    mh, eh = math.frexp(self.hbar)
+    mm, em = math.frexp(self.mass)
+    e = 2 * eh - em - 1  # 2.0**e is exact wherever K is normal
+    k = mh * mh / mm * 2.0**e if e < 1024 else math.inf
+    if not sys.float_info.min <= k < math.inf:
+        raise UnitsRangeError(
+            f"hbar^2 / 2M leaves the normal double range for mass = "
+            f"{self.mass:g}, hbar = {self.hbar:g}")
+    return k
 
 
 @dataclass(frozen=True)
@@ -41,10 +62,13 @@ class PotentialParams:
         _require({"mass": self.mass, "hbar": self.hbar},
                  A=self.A, B=self.B, C=self.C)
 
+    kinetic = cached_property(_kinetic)
+
 
 @dataclass(frozen=True)
 class MiePreset:
-    """Two-exponent Mie form, well depth d0 at r0, in units mass and hbar."""
+    """Two-exponent Mie form, a, b > 0, well depth d0 at r0, in units mass
+    and hbar."""
     d0: float
     r0: float
     a: float = 2.0
@@ -54,9 +78,11 @@ class MiePreset:
 
     def __post_init__(self):
         _require({"d0": self.d0, "r0": self.r0, "mass": self.mass,
-                  "hbar": self.hbar}, a=self.a, b=self.b)
+                  "hbar": self.hbar, "a": self.a, "b": self.b})
         if self.a == self.b:
             raise ValueError("exponents a and b must differ")
+
+    kinetic = cached_property(_kinetic)
 
 
 def _check_radius(r):

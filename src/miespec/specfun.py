@@ -22,6 +22,7 @@ _LN_DBL_MAX = math.log(sys.float_info.max)
 _LN_DBL_MIN = math.log(sys.float_info.min)  # the smallest normal double
 _BIG = 2.0**500
 _LN_UNCHECKED = 400.0 * math.log(2.0)  # 2^100 under _BIG covers the rounding
+_FAR = 2.0**400  # past it, one step's factor x can carry _BIG past the range
 
 
 def _stays_below_big(n: int, alpha: float, x: np.ndarray) -> bool:
@@ -46,18 +47,24 @@ def _laguerre_pair(n: int, alpha: float, x):
     Forward recurrence (j+1) L_{j+1} = (2j + alpha + 1 - x) L_j
     - (j + alpha) L_{j-1} from L_{-1} = 0; an element past 2^500 is divided
     by 2^500.  One max and one min per step look for such elements, unless
-    _stays_below_big rules them out for the whole call.
+    _stays_below_big rules them out for the whole call.  At a finite |x|
+    past 2^400 that would not keep the next step in range, so there the
+    pair is scaled into [0.5, 1) after every step.
     """
     x = np.asarray(x, dtype=float)
     prev = np.zeros_like(x)
     cur = np.ones_like(x)
     ln_s = np.zeros_like(x)
     checked = not _stays_below_big(n, alpha, x)
+    far = np.isfinite(x) & (np.abs(x) > _FAR) if checked else None
     for j in range(n):
         prev, cur = cur, ((2 * j + alpha + 1 - x) * cur - (j + alpha) * prev) / (j + 1)
         if checked and (cur.max(initial=0.0) > _BIG or cur.min(initial=0.0) < -_BIG):
             scale = np.where(np.abs(cur) > _BIG, _BIG, 1.0)
             prev, cur, ln_s = prev / scale, cur / scale, ln_s + np.log(scale)
+        if far is not None and far.any():
+            e = np.where(far, np.frexp(np.maximum(np.abs(prev), np.abs(cur)))[1], 0)
+            prev, cur, ln_s = np.ldexp(prev, -e), np.ldexp(cur, -e), ln_s + e * math.log(2.0)
     return prev, cur, ln_s
 
 
@@ -66,7 +73,7 @@ def laguerre(n: int, alpha: float, x):
     range; accepts scalars or arrays."""
     if n < 0:
         raise ValueError("degree n must be >= 0")
-    if alpha <= -1.0:
+    if not alpha > -1.0:
         raise ValueError("alpha must exceed -1")
     if n >= 1 and not np.all(np.isfinite(x)):
         raise ValueError("x must be finite")
@@ -88,9 +95,9 @@ def radial_norm_constant(two_eps: float, n: int, alpha: float,
     is exposed only as a diagnostic.  Raises NotNormalizableError when the
     constant lies outside the normal double range.
     """
-    if two_eps <= 0.0:
+    if not two_eps > 0.0:
         raise ValueError("two_eps must be positive")
-    if alpha <= -1.0:
+    if not alpha > -1.0:
         raise ValueError("alpha must exceed -1")
     if paper_literal:
         last = math.lgamma(2 * n + alpha + 2.0)
@@ -158,18 +165,21 @@ def gauss_laguerre(m: int, alpha: float = 0.0) -> QuadratureRule:
     """
     if m < 1:
         raise ValueError("node count m must be >= 1")
-    if alpha <= -1.0:
+    if not alpha > -1.0:
         raise ValueError("alpha must exceed -1")
     nodes = _laguerre_zeros(m, alpha)
     prev, _, ln_s = _laguerre_pair(m, alpha, nodes)
-    ln_weights = (math.lgamma(m + alpha + 1.0) - math.lgamma(m + 1.0)
-                  - 2.0 * math.log(m + alpha) + np.log(nodes)
-                  - 2.0 * (np.log(np.abs(prev)) + ln_s))
-    ln_mu0 = math.lgamma(alpha + 1.0)
-    if not abs(float(np.exp(ln_weights - ln_mu0).sum()) - 1.0) <= 1e-10:
+    def ln_w(ln_top):  # ln w_j with ln_top for ln Gamma(m+alpha+1)
+        return (ln_top - math.lgamma(m + 1.0) - 2.0 * math.log(m + alpha)
+                + np.log(nodes) - 2.0 * (np.log(np.abs(prev)) + ln_s))
+    # the check reads w_j / Gamma(alpha+1), whose ln Gamma(m+alpha+1) -
+    # ln Gamma(alpha+1) is summed as ln(alpha+1) + ... + ln(alpha+m): the
+    # difference of the two lgammas cancels to about 1e-10 at alpha = 1e5
+    ln_rel = ln_w(math.fsum(math.log(alpha + j) for j in range(1, m + 1)))
+    if not abs(float(np.exp(ln_rel).sum()) - 1.0) <= 1e-10:
         raise RuntimeError("Gauss-Laguerre weights fail the zeroth moment")
-    return QuadratureRule(nodes=nodes, ln_weights=ln_weights, order=m,
-                          alpha=alpha)
+    return QuadratureRule(nodes=nodes, ln_weights=ln_w(math.lgamma(m + alpha + 1.0)),
+                          order=m, alpha=alpha)
 
 
 def default_quadrature_order(n_max: int) -> int:

@@ -2,11 +2,12 @@
 
 Chain of derived quantities for V = A/r^2 + B/r + C in N spatial dimensions:
 
-    nu(nu+1) = l(l+N-2) + 2 m A / hbar^2        centrifugal strength
+    K        = hbar^2 / 2M                       params.kinetic, the units
+    nu(nu+1) = l(l+N-2) + A / K                  centrifugal strength
     k        = positive root of k^2 - (N-2) k - nu(nu+1) = 0
-    beta     = -2 m B / hbar^2                   (> 0 for binding)
+    beta     = -B / K                            (> 0 for binding)
     eps      = beta / (2n + 2k + 3 - N)          inverse decay length
-    E        = C - (m / 2 hbar^2) (B / (n + k + (3-N)/2))^2
+    E        = C - K eps^2 = C - (m / 2 hbar^2) (B / (n + k + (3-N)/2))^2
 
 The k_+ branch is always selected; it controls the small-r power of the
 eigenfunction and hence normalizability.  beta and k depend on (ell, N)
@@ -55,47 +56,16 @@ class BoundState:
     zeta: float
 
 
-# With every factor 0 or within [_LO, _HI] in magnitude, each partial
-# product of the formulas below (at most six factor powers) stays in the
-# normal double range, so they are evaluated as written.
-_LO, _HI = 2.0 ** -170, 2.0 ** 170
-
-
 def _out_of_range(params: PotentialParams, what: str) -> UnitsRangeError:
     return UnitsRangeError(f"{what} for mass = {params.mass:g}, "
                            f"hbar = {params.hbar:g}")
 
 
-def _frexp_product(params: PotentialParams, name: str, *factors) -> float:
-    """prod(x ** p for x, p in factors) for factors outside [_LO, _HI].
-
-    There hbar**2 or eps**2 alone may leave the double range although the
-    product does not, so the product is formed from frexp mantissas and
-    exponents.  A product above the double range raises UnitsRangeError
-    naming ``name``; one below it rounds to a subnormal or zero.
-    """
-    mant, exp = 1.0, 0
-    for x, p in factors:
-        m, e = math.frexp(x)
-        mant *= m**p
-        exp += e * p
-    try:
-        return math.ldexp(mant, exp)
-    except OverflowError:
-        raise _out_of_range(params, f"{name} leaves the double range") from None
-
-
 def centrifugal_strength(params: PotentialParams, ell: int, dim: int) -> float:
-    """nu(nu+1): angular barrier plus the scaled 1/r^2 coefficient."""
+    """nu(nu+1): angular barrier plus the scaled 1/r^2 coefficient A/K."""
     if dim < 2:
         raise ValueError("spatial dimension must be >= 2")
-    m, h, a = params.mass, params.hbar, params.A
-    if _LO <= m <= _HI and _LO <= h <= _HI and (not a or _LO <= abs(a) <= _HI):
-        scaled = 2.0 * m * a / h**2
-    else:
-        scaled = _frexp_product(params, "2 m A / hbar^2",
-                                (2.0, 1), (m, 1), (a, 1), (h, -2))
-    return ell * (ell + dim - 2) + scaled
+    return ell * (ell + dim - 2) + params.A / params.kinetic
 
 
 def indicial_root(params: PotentialParams, ell: int, dim: int) -> float:
@@ -126,20 +96,17 @@ def indicial_root(params: PotentialParams, ell: int, dim: int) -> float:
 
 
 def binding_rate(params: PotentialParams) -> float:
-    """beta = -2 m B / hbar^2; positive exactly when the potential binds.
+    """beta = -B/K = -2 m B / hbar^2; positive exactly when the potential
+    binds.
 
-    UnitsRangeError when an attractive B gives a beta outside the normal
-    double range, where no decay length is representable.
+    UnitsRangeError when beta overflows, or when an attractive B gives a
+    beta below the normal double range, where no decay length is
+    representable.
     """
-    m, h, b = params.mass, params.hbar, params.B
-    name = "beta = -2 m B / hbar^2"
-    if _LO <= m <= _HI and _LO <= h <= _HI and (not b or _LO <= abs(b) <= _HI):
-        beta = -2.0 * m * b / h**2
-    else:
-        beta = _frexp_product(params, name, (-2.0, 1), (m, 1), (b, 1), (h, -2))
-    if b < 0.0 and beta < sys.float_info.min:
-        raise _out_of_range(params, f"{name} = {beta:g} is below the normal "
-                            "double range")
+    beta = -params.B / params.kinetic
+    if math.isinf(beta) or (params.B < 0.0 and beta < sys.float_info.min):
+        raise _out_of_range(params, f"beta = -2 m B / hbar^2 = {beta:g} is "
+                            "outside the normal double range")
     return beta
 
 
@@ -155,12 +122,8 @@ def _channel(params: PotentialParams, ell: int, dim: int):
 def _level(params: PotentialParams, beta: float, k: float, n: int, dim: int):
     """(eps, energy) of level n from its channel's (beta, k)."""
     eps = beta / (2.0 * n + 2.0 * k + 3.0 - dim)
-    m, h = params.mass, params.hbar
-    if _LO <= m <= _HI and _LO <= h <= _HI and _LO <= eps <= _HI:
-        e = params.C - h**2 * eps**2 / (2.0 * m)
-    else:
-        e = params.C - _frexp_product(params, "hbar^2 eps^2 / 2 m", (h, 2),
-                                      (eps, 2), (2.0, -1), (m, -1))
+    # K eps = -B / D stays within |B|; only the last product can overflow
+    e = params.C - params.kinetic * eps * eps
     if not math.isfinite(e):
         raise _out_of_range(params, "the energy C - hbar^2 eps^2 / 2 m "
                             "leaves the double range")
@@ -168,9 +131,8 @@ def _level(params: PotentialParams, beta: float, k: float, n: int, dim: int):
 
 
 def energy(params: PotentialParams, q: QuantumNumbers) -> float:
-    """Bound-state energy E = C - (m / 2 hbar^2) (B / (n + k + (3-N)/2))^2,
-    without zeta, whose exponential overflows for large m/hbar^2 and ell
-    long before the energy does."""
+    """Bound-state energy E = C - K eps^2, without zeta, whose exponential
+    overflows for large m/hbar^2 and ell long before the energy does."""
     beta, k = _channel(params, q.ell, q.dim)
     return _level(params, beta, k, q.n, q.dim)[1]
 

@@ -196,7 +196,7 @@ def _residual_terms(values: np.ndarray, grid: RadialGrid,
     """(interior grid, five terms of the radial ODE there), 4th-order stencils."""
     r, inner, d1 = _interior_d1(values, grid)
     h = grid.spacing
-    eps2 = 2.0 * params.mass * (params.C - energy) / params.hbar**2
+    eps2 = (params.C - energy) / params.kinetic
     if h * h * abs(eps2) > 0.1:
         raise GridResolutionError(
             f"grid spacing {h:.4g} cannot resolve the decay scale")

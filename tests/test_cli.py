@@ -426,6 +426,30 @@ def test_verify_mie_general_section_uses_the_given_preset(tmp_path, argv,
     assert first["fd"][:len(fd)] == pytest.approx(fd, abs=1e-3)
 
 
+@pytest.mark.parametrize("exponents", [["--mie-a", "0", "--mie-b", "1"],
+                                       ["--mie-a", "-1"]], ids=["zero", "negative"])
+def test_non_positive_mie_exponents_are_a_configuration_error(tmp_path, capsys,
+                                                             exponents):
+    # V(infinity) = 0 holds only for a, b > 0; the oracle's verify section
+    # once reported passed: true with no level found
+    assert run(tmp_path, "verify", "--fast", "--preset", "mie-general",
+               *exponents) == 2
+    assert capsys.readouterr().err.startswith("configuration error:")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("units", [
+    ["--d0", "1e30", "--mass", "1e300"],
+    ["--d0", "1e300", "--mass", "1e10"],
+    ["--r0", "1e308"],
+], ids=["spacing-underflows", "spacing-too-fine", "domain-overflows"])
+def test_mie_grids_out_of_range_are_a_domain_error(tmp_path, capsys, units):
+    assert run(tmp_path, "verify", "--fast", "--preset", "mie-general",
+               "--n-max", "0", "--ell-max", "0", "--dims", "3", *units) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("domain error: the grid") and "Traceback" not in err
+
+
 def _mie_levels(tmp_path, *units):
     assert run(tmp_path, "verify", "--preset", "mie-general", "--d0", "3",
                "--r0", "2", "--mie-a", "6", "--mie-b", "3", "--fast",
@@ -770,17 +794,24 @@ def test_a_non_finite_or_non_positive_number_is_refused(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("argv,names", [
-    (["spectrum", "--hbar", "1e200"], "beta"),
-    (["spectrum", "--mass", "1e300", "--hbar", "1e-300"], "beta"),
+    (["spectrum", "--hbar", "1e200"], "hbar^2 / 2M leaves"),
+    (["spectrum", "--mass", "1e300", "--hbar", "1e-300"], "hbar^2 / 2M leaves"),
     (["verify", "--fast", "--n-max", "0", "--ell-max", "0", "--dims", "3",
       "--mass", "1e300"], "finite-difference matrix entries"),
     (["wavefunction", "--n", "0", "--ell", "0", "--dim", "3",
-      "--hbar", "1e200"], "beta"),
-    (["ladder-check", "--hbar", "1e200"], "beta"),
+      "--hbar", "1e200"], "hbar^2 / 2M leaves"),
+    (["ladder-check", "--B=-1e20", "--mass", "1e-10", "--hbar", "1e-150"],
+     "beta = -2 m B / hbar^2 = inf is outside"),
     (["verify", "--fast", "--preset", "mie-general", "--n-max", "0",
-      "--ell-max", "0", "--dims", "3", "--hbar", "1e200"], "sizes to 1 cells"),
+      "--ell-max", "0", "--dims", "3", "--hbar", "1e200"], "hbar^2 / 2M leaves"),
+    (["spectrum", "--B=-1e-300", "--mass", "1e-10"],
+     "beta = -2 m B / hbar^2 = 2e-310 is outside"),
+    (["spectrum", "--A", "1e300", "--B=-1", "--mass", "1e10"],
+     "indicial discriminant leaves"),
+    (["spectrum", "--B=-1e154", "--C=-1.7e308"], "the energy"),
 ], ids=["spectrum-hbar", "spectrum-mass-hbar", "verify-mass", "wavefunction-hbar",
-        "ladder-check-hbar", "verify-mie-hbar"])
+        "ladder-check-hbar", "verify-mie-hbar", "spectrum-beta-under",
+        "spectrum-discriminant", "spectrum-energy"])
 def test_extreme_units_are_a_domain_error(tmp_path, capsys, argv, names):
     assert run(tmp_path, *argv) == 3
     err = capsys.readouterr().err

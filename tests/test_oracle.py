@@ -317,6 +317,17 @@ class TestExtremeGrids:
         with pytest.raises(GridResolutionError, match="squares"):
             solve_bound_states(heavy, 0, 3)
 
+    @pytest.mark.parametrize("potential", [
+        MiePreset(1e30, 1.0, mass=1e300),
+        MiePreset(1e-300, 1.0, hbar=1e150),
+        MiePreset(1.0, 1e308),
+        coulomb(-3e-308),
+    ], ids=["mie-spacing-zero", "mie-spacing-inf", "mie-domain-inf",
+            "coulomb-domain-inf"])
+    def test_a_domain_or_spacing_out_of_range_is_refused(self, potential):
+        with pytest.raises(GridResolutionError, match="sizes to (0|inf) cells"):
+            default_grid(potential, 0, 3)
+
     @pytest.mark.parametrize("refine", [1e-3, 1e4])
     def test_cell_counts_outside_the_bounds_are_refused(self, hydrogen, refine):
         # 1,386 cells at refine 1; no silent clamp to [64, 400000]

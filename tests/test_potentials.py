@@ -129,6 +129,15 @@ class TestPresetMaps:
 NAN, INF = float("nan"), float("inf")
 
 
+@pytest.mark.parametrize("a,b", [(0.0, 1.0), (2.0, 0.0), (-1.0, 1.0),
+                                 (2.0, -6.0)])
+def test_mie_exponents_must_be_positive(a, b):
+    # the oracle takes V(infinity) = 0 for the Mie form, true only for
+    # a, b > 0
+    with pytest.raises(ValueError, match="must be positive"):
+        MiePreset(1.0, 1.0, a=a, b=b)
+
+
 @pytest.mark.parametrize("make", [
     lambda: PotentialParams(NAN, -1.0, 0.0),
     lambda: PotentialParams(0.0, -INF, 0.0),

@@ -63,6 +63,8 @@ class TestLaguerre:
             laguerre(-1, 0.0, 1.0)
         with pytest.raises(ValueError):
             laguerre(2, -1.0, 1.0)
+        with pytest.raises(ValueError, match="alpha must exceed -1"):
+            laguerre(5, math.nan, 1.0)
         for bad in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match="finite"):
                 laguerre(5, 0.5, bad)
@@ -114,10 +116,12 @@ class TestKummerPoly:
 
 class TestRadialNormConstant:
     @pytest.mark.parametrize("two_eps,alpha", [(1.0, -1.5), (1.0, -1.0),
-                                               (0.0, 1.0)])
+                                               (0.0, 1.0), (1.0, math.nan),
+                                               (math.nan, 1.0)])
     def test_preconditions(self, two_eps, alpha):
-        with pytest.raises(ValueError):
-            radial_norm_constant(two_eps, 0, alpha)
+        # named as the argument at fault, not as an ln zeta out of range
+        with pytest.raises(ValueError, match="alpha must|two_eps must"):
+            radial_norm_constant(two_eps, 2, alpha)
 
 
 class TestGaussLaguerre:
@@ -180,6 +184,8 @@ class TestGaussLaguerre:
             gauss_laguerre(0, 0.0)
         with pytest.raises(ValueError):
             gauss_laguerre(3, -1.5)
+        with pytest.raises(ValueError, match="alpha must exceed -1"):
+            gauss_laguerre(5, math.nan)
 
 
 def test_gauss_laguerre_rejects_nan_nodes_and_weights(monkeypatch):
@@ -205,6 +211,26 @@ def test_gauss_laguerre_large_orders_are_valid_rules(m, alpha):
     assert np.all(np.isfinite(rule.ln_weights))
     moment = np.exp(rule.ln_weights - math.lgamma(alpha + 1.0)).sum()
     assert abs(moment - 1.0) <= 1e-10
+
+
+@pytest.mark.parametrize("m", [2, 22])
+@pytest.mark.parametrize("alpha", [1e5, 1e6, 6.3e6])
+def test_gauss_laguerre_at_large_alpha_matches_mpmath(alpha, m):
+    # the zeroth-moment check reads the weights relative to Gamma(alpha+1);
+    # measured: nodes within 7.4e-17, and ln weights within 1.3 ulp of
+    # ln Gamma(alpha+1), which the stored absolute weights carry
+    rule = gauss_laguerre(m, alpha)
+    with mpmath.workdps(50):
+        a = mpmath.mpf(alpha)
+        for x, ln_w in zip(rule.nodes, rule.ln_weights):
+            t = mpmath.mpf(x)
+            for _ in range(6):  # Newton on L_m, with L_m' = -L_{m-1}^{alpha+1}
+                t += mpmath.laguerre(m, a, t) / mpmath.laguerre(m - 1, a + 1, t)
+            want = mpmath.log(mpmath.gamma(m + a + 1) * t / (
+                mpmath.factorial(m) * (m + a) ** 2
+                * mpmath.laguerre(m - 1, a, t) ** 2))
+            assert abs(x / t - 1) <= 1e-15
+            assert abs(ln_w - want) <= 4.0 * math.ulp(math.lgamma(alpha + 1.0))
 
 
 # -- the recurrence's single overflow test ---------------------------------
@@ -269,6 +295,24 @@ def test_rescale_at_step_n_takes_the_checked_path():
     assert not specfun._stays_below_big(157, state.alpha, y)
     assert np.any(_laguerre_pair(157, state.alpha, y)[2] != 0.0)
     assert_matches_checked(157, state.alpha, y)
+
+
+@pytest.mark.parametrize("n", [2, 5, 20])
+def test_arguments_past_2_400_keep_a_finite_log_scale(n):
+    # one step multiplies by about x, which would carry an element from
+    # 2^500 past the double range; L_n itself may still be representable
+    x = np.array([-1e300, 3e120, 1e150, 7e200, 1e300, 1.7e308])
+    prev, cur, ln_s = _laguerre_pair(n, 0.5, x)
+    assert np.all(np.isfinite(cur)) and np.all(np.isfinite(ln_s))
+    with mpmath.workdps(50):
+        want = [mpmath.laguerre(n, 0.5, mpmath.mpf(v)) for v in x]
+    for c, s, w in zip(cur, ln_s, want):
+        assert np.sign(c) == mpmath.sign(w)
+        ln_want = float(mpmath.log(abs(w)))
+        assert abs(math.log(abs(c)) + s - ln_want) <= 1e-13 * abs(ln_want)
+    if n == 2:
+        # e^{ln s} with ln s near 350 carries about 6e-14 of its rounding
+        assert laguerre(n, 0.5, 1e150) == pytest.approx(float(want[2]), rel=2e-13)
 
 
 def test_norm_and_overlap_nodes_take_the_unchecked_path(monkeypatch, hydrogen,

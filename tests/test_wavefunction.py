@@ -19,6 +19,15 @@ def make_state(params, n, ell, dim):
     return bound_state(params, QuantumNumbers(n, ell, dim))
 
 
+@pytest.mark.parametrize("n", [2, 5, 20])
+def test_eval_radial_underflows_to_zero_at_large_finite_r(hydrogen, n):
+    # the Laguerre recurrence at y = 2 eps r up to 1e307 once overflowed to
+    # -inf or nan; R underflows there
+    state = make_state(hydrogen, n, 0, 3)
+    values = eval_radial(state, np.logspace(100, 308, 53))
+    assert np.all(values == 0.0)
+
+
 class TestNormConstant:
     def test_hydrogen_ground_state(self, hydrogen):
         state = make_state(hydrogen, 0, 0, 3)
