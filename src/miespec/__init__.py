@@ -12,13 +12,11 @@ from .ladder import (apply_lowering, apply_raising, bargmann_index,
                      casimir_check, casimir_eigenvalue, commutator_check,
                      commutator_eigenvalue, ladder_fits, ladder_matrices,
                      lowering_coefficient, raising_coefficient)
-from .oracle import (OracleConfig, Tridiagonal, build_tridiagonal,
-                     build_tridiagonal_radial, cell_grid, convergence_study,
-                     count_below, default_grid, effective_potential,
-                     eigen_lowest, solve_bound_states)
-from .potentials import (MiePreset, PotentialParams, coulomb,
-                         eval_mie_general, eval_potential, kratzer_fues,
-                         modified_kratzer)
+from .oracle import (Tridiagonal, build_tridiagonal, build_tridiagonal_radial,
+                     cell_grid, convergence_study, count_below, default_grid,
+                     effective_potential, eigen_lowest, solve_bound_states)
+from .potentials import (MiePreset, PotentialParams, coulomb, kratzer_fues,
+                         mie_general, modified_kratzer)
 from .specfun import QuadratureRule, gauss_laguerre, laguerre
 from .spectrum import (BoundState, QuantumNumbers, SpectrumRow, bound_state,
                        centrifugal_strength, energy, indicial_root,

@@ -125,9 +125,9 @@ _PRESETS = {
         potentials.coulomb, {"B": -1.0},
         "B               A = C = 0"),
     "mie-general": (
-        potentials.MiePreset, {"d0": 1.0, "r0": 1.0, "a": 2.0, "b": 1.0},
-        "d0, r0, a, b    two-exponent Mie form"
-        " (numeric oracle only unless (a, b) = (2, 1))"),
+        potentials.mie_general, {"d0": 1.0, "r0": 1.0, "a": 2.0, "b": 1.0},
+        "d0, r0, a, b    two-exponent Mie form: kratzer-fues at"
+        " {a, b} = {1, 2}, else numeric oracle only"),
 }
 # a section without a preset is raw A/B/C, one more entry with no listing
 _RAW = (potentials.PotentialParams, {"A": 0.0, "B": 0.0, "C": 0.0})
@@ -377,10 +377,9 @@ def _verify_channel(potential, label, ell, dim, n_max, refine, fast):
     mie = isinstance(potential, potentials.MiePreset)
     exact = None if mie else [spectrum.energy(potential, q) for q in q_list]
     grid = oracle.default_grid(potential, ell, dim, n_max=n_max, refine=refine)
-    config = oracle.OracleConfig(grid=grid, count=n_max + 1)
     # the order fit's 4h and 2h grids need level 0 only
     rungs = [(1, n_max + 1)] if fast or mie else [(4, 1), (2, 1), (1, n_max + 1)]
-    levels = oracle.solve_grids(potential, ell, dim, config, rungs)
+    levels = oracle.solve_grids(potential, ell, dim, grid, rungs)
     fd = levels[-1]
 
     entry = {"potential": label, "ell": ell, "dim": dim,

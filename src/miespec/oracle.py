@@ -37,6 +37,9 @@ slope sweeps, the scout's included) instead of 2.48 M (1.16 M), with the
 worst energy error at 0.40 of its tolerance instead of 0.50.  A second
 scout of 16h would have only about 80 cells and no longer pays for itself.
 
+A potential is read only through ``value(r)``, ``at_infinity`` and
+``kinetic`` = hbar^2/2M; only default_grid asks which form it has.
+
 Two discretizations are available:
 
 * ``scheme="radial"`` (default): conservative cell-centered flux form of the
@@ -55,12 +58,12 @@ Two discretizations are available:
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GridResolutionError
-from .potentials import MiePreset, PotentialParams, eval_mie_general, eval_potential
+from .potentials import PotentialParams
 from .spectrum import binding_rate, indicial_root
 from .wavefunction import RadialGrid
 
@@ -84,33 +87,6 @@ class Tridiagonal:
         return len(self.diag)
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    grid: RadialGrid
-    count: int = 4
-    scheme: str = "radial"
-
-    def __post_init__(self):
-        if not 1 <= self.count <= self.grid.count:
-            raise ValueError("requested eigenvalue count must be in [1, grid.count]")
-        if self.scheme not in ("radial", "u"):
-            raise ValueError(f"unknown discretization scheme {self.scheme!r}")
-
-
-def potential_value(potential, r):
-    """V(r) for either potential representation."""
-    if isinstance(potential, PotentialParams):
-        return eval_potential(potential, r)
-    if isinstance(potential, MiePreset):
-        return eval_mie_general(potential, r)
-    raise TypeError(f"unsupported potential type {type(potential).__name__}")
-
-
-def energy_offset(potential) -> float:
-    """Potential value at infinity; bound states lie below it."""
-    return potential.C if isinstance(potential, PotentialParams) else 0.0
-
-
 def effective_potential(potential, ell: int, dim: int, r):
     """V(r) + K [l(l+N-2) + (N-1)(N-3)/4] / r^2, K = hbar^2/2M.
 
@@ -118,14 +94,12 @@ def effective_potential(potential, ell: int, dim: int, r):
     -K u'' + V_eff u = E u after u = r^{(N-1)/2} R.
     """
     r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
-        raise ValueError("radius must be positive")
     barrier = ell * (ell + dim - 2) + (dim - 1.0) * (dim - 3.0) / 4.0
-    out = potential_value(potential, r) + potential.kinetic * barrier / r**2
+    out = potential.value(r) + potential.kinetic * barrier / r**2
     return out if out.ndim else float(out)
 
 
-def build_tridiagonal(config: OracleConfig, potential, ell: int,
+def build_tridiagonal(grid: RadialGrid, potential, ell: int,
                       dim: int) -> Tridiagonal:
     """3-point u-form stencil over the grid nodes.
 
@@ -133,7 +107,6 @@ def build_tridiagonal(config: OracleConfig, potential, ell: int,
     Dirichlet walls sit one spacing outside the grid, so with r_min equal to
     the spacing the left wall is exactly at the origin.
     """
-    grid = config.grid
     h = grid.spacing
     r = grid.nodes()
     t = potential.kinetic / (h * h)
@@ -143,7 +116,7 @@ def build_tridiagonal(config: OracleConfig, potential, ell: int,
                        offdiag=np.ascontiguousarray(off))
 
 
-def build_tridiagonal_radial(config: OracleConfig, potential, ell: int,
+def build_tridiagonal_radial(grid: RadialGrid, potential, ell: int,
                              dim: int) -> Tridiagonal:
     """Conservative flux discretization of the R-equation in x = sqrt(r),
     symmetrized.
@@ -156,7 +129,6 @@ def build_tridiagonal_radial(config: OracleConfig, potential, ell: int,
     where p vanishes (a natural boundary).  The weights enter only as
     powers of face/node ratios, so no finite grid overflows them.
     """
-    grid = config.grid
     h = grid.spacing
     x = grid.nodes()
     faces = np.concatenate(([x[0] - 0.5 * h], x + 0.5 * h))
@@ -168,7 +140,7 @@ def build_tridiagonal_radial(config: OracleConfig, potential, ell: int,
     # (K/h^2) p/w on each side of a cell, without the (f/x)^q
     t = potential.kinetic / (4.0 * h * h)
     barrier = ell * (ell + dim - 2)
-    vc = potential_value(potential, r) + potential.kinetic * barrier / r**2
+    vc = potential.value(r) + potential.kinetic * barrier / r**2
     diag = t * ((faces[1:] / x) ** q + (faces[:-1] / x) ** q) / r + vc
     # p_f / sqrt(w_i w_{i+1}) = (f^2 / (x_i x_{i+1}))^{q/2} / (4 x_i x_{i+1})
     f = faces[1:-1]
@@ -180,7 +152,8 @@ def build_tridiagonal_radial(config: OracleConfig, potential, ell: int,
 _BUILDERS = {"radial": build_tridiagonal_radial, "u": build_tridiagonal}
 
 
-def _build(config: OracleConfig, potential, ell: int, dim: int) -> Tridiagonal:
+def _build(grid: RadialGrid, scheme: str, potential, ell: int,
+           dim: int) -> Tridiagonal:
     """The scheme's matrix.  An entry that leaves the double range is
     refused by Tridiagonal, not warned about on the way; so is a spacing
     whose square underflows, before any entry is formed, and a nonzero
@@ -188,7 +161,7 @@ def _build(config: OracleConfig, potential, ell: int, dim: int) -> Tridiagonal:
     normal range."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
-            tri = _BUILDERS[config.scheme](config, potential, ell, dim)
+            tri = _BUILDERS[scheme](grid, potential, ell, dim)
         except ZeroDivisionError:
             raise GridResolutionError(
                 "finite-difference matrix entries must be finite; the grid "
@@ -520,43 +493,48 @@ def count_below(tri: Tridiagonal, bound: float) -> int:
     return _negcount(d, esq, float(bound), pivmin)
 
 
-def _ceiling(potential, ell: int, dim: int, config: OracleConfig) -> float:
+def _ceiling(potential, ell: int, dim: int, grid: RadialGrid,
+             scheme: str) -> float:
     """Bound-state ceiling of a grid: the potential's value at infinity or
     the effective potential at the outer node, whichever is lower.  The
     radial scheme's nodes are x = sqrt(r), the u scheme's are r.  An r^2
     past the double range leaves a 1/r^2 term at its limit, zero."""
-    edge = config.grid.r_max
-    r = edge * edge if config.scheme == "radial" else edge
+    edge = grid.r_max
+    r = edge * edge if scheme == "radial" else edge
     with np.errstate(over="ignore"):
         v_edge = float(effective_potential(potential, ell, dim, r))
-    return min(energy_offset(potential), v_edge)
+    return min(potential.at_infinity, v_edge)
 
 
 def solve_bound_states(potential, ell: int, dim: int,
-                       config: OracleConfig | None = None) -> np.ndarray:
-    """Lowest discrete eigenvalues that qualify as bound.
+                       grid: RadialGrid | None = None, count: int = 4,
+                       scheme: str = "radial") -> np.ndarray:
+    """Up to ``count`` lowest discrete eigenvalues that qualify as bound.
 
     Eigenvalues are kept only below the potential's value at infinity and
     below the effective potential at the domain edge (anything above is box
-    artifact, not physics).  The grid is the one rung of solve_grids.
+    artifact, not physics).  The grid, default_grid's when none is given,
+    is the one rung of solve_grids.
     """
-    if config is None:
-        config = OracleConfig(grid=default_grid(potential, ell, dim))
-    return solve_grids(potential, ell, dim, config, [(1, config.count)])[0]
+    if grid is None:
+        grid = default_grid(potential, ell, dim)
+    return solve_grids(potential, ell, dim, grid, [(1, count)], scheme)[0]
 
 
 # spacing factor of the scout grid solved in front of the rungs
 _SCOUT = 8
 
 
-def solve_grids(potential, ell: int, dim: int, config: OracleConfig,
-                rungs) -> list:
-    """Bound levels on a ladder of grids over the domain of ``config.grid``.
+def solve_grids(potential, ell: int, dim: int, grid: RadialGrid, rungs,
+                scheme: str = "radial") -> list:
+    """Bound levels on a ladder of grids over the domain of ``grid``, each
+    discretized by ``scheme`` ("radial" or "u"; any other is a ValueError).
 
     ``rungs`` are (spacing factor, level count) pairs, listed coarse to
-    fine; factor 1 is ``config.grid`` itself and factor f has about 1/f of
-    its cells.  One level array is returned per rung, each holding the
-    levels below that grid's bound-state ceiling, so it may be short.
+    fine; factor 1 is ``grid`` itself and factor f has about 1/f of its
+    cells.  One level array is returned per rung, each holding the levels
+    below that grid's bound-state ceiling, so it may be short; a count
+    outside [1, cells] is eigen_lowest's ValueError.
 
     A scout grid of factor 8 is solved first, at the highest count of any
     rung, unless a rung already has that factor or the scout would have
@@ -565,7 +543,8 @@ def solve_grids(potential, ell: int, dim: int, config: OracleConfig,
     places a probe, and every grid sees only FD matrices, so the oracle
     stays independent of the closed form.
     """
-    grid = config.grid
+    if scheme not in _BUILDERS:
+        raise ValueError(f"unknown discretization scheme {scheme!r}")
     domain = grid.r_max + 0.5 * grid.spacing
     top = max(count for _, count in rungs)
     scouts = ([] if any(f == _SCOUT for f, _ in rungs)
@@ -573,15 +552,14 @@ def solve_grids(potential, ell: int, dim: int, config: OracleConfig,
     solved = [[] for _ in range(top)]  # (spacing, value) per level, in order
     out = []
     for factor, count in [*scouts, *rungs]:
-        rung = replace(config, count=count, grid=grid if factor == 1 else
-                       cell_grid(domain, round(grid.count / factor)))
+        rung = (grid if factor == 1 else
+                cell_grid(domain, round(grid.count / factor)))
         levels = eigen_lowest(
-            _build(rung, potential, ell, dim), count, _TOL,
-            _starts=[_predict(solved[j], rung.grid.spacing)
-                     for j in range(count)],
-            _ceiling=_ceiling(potential, ell, dim, rung))
+            _build(rung, scheme, potential, ell, dim), count, _TOL,
+            _starts=[_predict(solved[j], rung.spacing) for j in range(count)],
+            _ceiling=_ceiling(potential, ell, dim, rung, scheme))
         for j, value in enumerate(levels):
-            solved[j].append((rung.grid.spacing, value))
+            solved[j].append((rung.spacing, value))
         out.append(levels)
     return out[len(scouts):]
 
@@ -620,10 +598,9 @@ def convergence_study(potential, ell: int, dim: int, level: int,
             raise ValueError("each spacing must halve the previous one")
 
     h = h_sequence[-1]
-    config = OracleConfig(grid=cell_grid(r_domain, int(round(r_domain / h))),
-                          count=level + 1, scheme=scheme)
-    levels = solve_grids(potential, ell, dim, config,
-                         [(s / h, level + 1) for s in h_sequence])
+    levels = solve_grids(potential, ell, dim,
+                         cell_grid(r_domain, int(round(r_domain / h))),
+                         [(s / h, level + 1) for s in h_sequence], scheme)
     return order_fit(h_sequence, levels, level, exact_energy)
 
 

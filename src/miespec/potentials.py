@@ -1,7 +1,9 @@
 """Mie-type potential family and named presets.
 
 The workhorse form is V(r) = A/r^2 + B/r + C; the two-exponent Mie form is
-kept for generality (it has no closed-form spectrum unless (a, b) = (2, 1)).
+kept for generality (mie_general turns its one closed-form pair,
+{a, b} = {1, 2}, into the Kratzer-Fues well).  Each form evaluates itself:
+the finite-difference oracle reads only value(r), at_infinity and kinetic.
 Natural units hbar = mass = 1 are the default everywhere; callers doing
 physical spectroscopy pass explicit values.  The units enter every formula
 only through ``kinetic`` = hbar^2 / 2M.
@@ -44,6 +46,13 @@ def _kinetic(self) -> float:
     return k
 
 
+def _check_radius(r):
+    r = np.asarray(r, dtype=float)
+    if np.any(r <= 0.0):
+        raise ValueError("radius must be positive")
+    return r
+
+
 @dataclass(frozen=True)
 class PotentialParams:
     """Coefficients of V(r) = A/r^2 + B/r + C plus the particle units.
@@ -64,6 +73,17 @@ class PotentialParams:
 
     kinetic = cached_property(_kinetic)
 
+    @property
+    def at_infinity(self) -> float:
+        """V(infinity) = C; bound states lie below it."""
+        return self.C
+
+    def value(self, r):
+        """V(r) = A/r^2 + B/r + C at r > 0 (scalar or array)."""
+        r = _check_radius(r)
+        out = self.A / r**2 + self.B / r + self.C
+        return out if out.ndim else float(out)
+
 
 @dataclass(frozen=True)
 class MiePreset:
@@ -83,29 +103,15 @@ class MiePreset:
             raise ValueError("exponents a and b must differ")
 
     kinetic = cached_property(_kinetic)
+    at_infinity = 0.0  # a class attribute, not a field: a, b > 0
 
-
-def _check_radius(r):
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
-        raise ValueError("radius must be positive")
-    return r
-
-
-def eval_potential(params: PotentialParams, r):
-    """V(r) = A/r^2 + B/r + C at r > 0 (scalar or array)."""
-    r = _check_radius(r)
-    out = params.A / r**2 + params.B / r + params.C
-    return out if out.ndim else float(out)
-
-
-def eval_mie_general(preset: MiePreset, r):
-    """d0 * [ a/(b-a) (r0/r)^b - b/(b-a) (r0/r)^a ] at r > 0."""
-    r = _check_radius(r)
-    q = preset.r0 / r
-    span = preset.b - preset.a
-    out = preset.d0 * (preset.a / span * q**preset.b - preset.b / span * q**preset.a)
-    return out if out.ndim else float(out)
+    def value(self, r):
+        """d0 * [ a/(b-a) (r0/r)^b - b/(b-a) (r0/r)^a ] at r > 0."""
+        r = _check_radius(r)
+        q = self.r0 / r
+        span = self.b - self.a
+        out = self.d0 * (self.a / span * q**self.b - self.b / span * q**self.a)
+        return out if out.ndim else float(out)
 
 
 def kratzer_fues(d0: float, r0: float, mass: float = 1.0,
@@ -119,6 +125,15 @@ def kratzer_fues(d0: float, r0: float, mass: float = 1.0,
     # PotentialParams can name the coefficient that is not finite
     return PotentialParams(A=d0 * (r0 * r0), B=-2.0 * d0 * r0, C=0.0,
                            mass=mass, hbar=hbar)
+
+
+def mie_general(d0: float, r0: float, a: float = 2.0, b: float = 1.0,
+                mass: float = 1.0, hbar: float = 1.0):
+    """The two-exponent Mie well: kratzer_fues when {a, b} = {1, 2}, the
+    one pair where it is A/r^2 + B/r + C, and a MiePreset otherwise."""
+    if {a, b} == {1.0, 2.0}:
+        return kratzer_fues(d0, r0, mass, hbar)
+    return MiePreset(d0, r0, a, b, mass, hbar)
 
 
 def modified_kratzer(d0: float, r0: float, mass: float = 1.0, hbar: float = 1.0,

@@ -11,6 +11,7 @@ by mpmath at 50 digits in the tests.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,11 +102,14 @@ def _signed_exp(ln_abs, sign):
 
 def eval_radial(state: BoundState, r):
     """Normalized radial eigenfunction R(r), eval_y_form at y = 2 eps r;
-    scalar or array argument."""
+    scalar or array argument.  A y past the double range is the largest
+    double, where R is 0."""
     r = np.asarray(r, dtype=float)
     if not np.all((r > 0.0) & (r < np.inf)):  # NaN fails both
         raise ValueError("radius must be positive and finite")
-    return eval_y_form(state, 2.0 * state.eps * r)
+    with np.errstate(over="ignore"):
+        y = np.minimum(2.0 * state.eps * r, sys.float_info.max)
+    return eval_y_form(state, y)
 
 
 def eval_y_form(state: BoundState, y, convention: str = "paper"):

@@ -104,6 +104,16 @@ class TestWavefunction:
         interior = [float(r["residual"]) for r in rows if r["residual"]]
         assert interior and max(abs(v) for v in interior) < 1e-5
 
+    def test_far_domain_past_the_y_range_is_zero(self, tmp_path, capsys):
+        # y = 2 eps r overflows at r = 1e308 for eps = 2; this once ended in
+        # a traceback
+        assert run(tmp_path, "wavefunction", "--B", "-2", "--n", "0", "--ell",
+                   "0", "--dim", "3", "--r-domain", "1e308", "--points",
+                   "11") == 0
+        _, rows = read_csv(tmp_path / "wavefunction_n0_l0_N3.csv")
+        assert len(rows) == 11 and all(float(r["R"]) == 0.0 for r in rows)
+        assert capsys.readouterr().err == ""
+
     def test_bad_grid_is_config_error(self, tmp_path):
         code = run(tmp_path, "wavefunction", "--preset", "coulomb", "--B", "-1",
                    "--n", "0", "--ell", "0", "--dim", "3", "--r-min", "-0.5")
@@ -445,9 +455,44 @@ def test_non_positive_mie_exponents_are_a_configuration_error(tmp_path, capsys,
 ], ids=["spacing-underflows", "spacing-too-fine", "domain-overflows"])
 def test_mie_grids_out_of_range_are_a_domain_error(tmp_path, capsys, units):
     assert run(tmp_path, "verify", "--fast", "--preset", "mie-general",
-               "--n-max", "0", "--ell-max", "0", "--dims", "3", *units) == 3
+               "--mie-a", "4", "--mie-b", "2", "--n-max", "0", "--ell-max",
+               "0", "--dims", "3", *units) == 3
     err = capsys.readouterr().err
     assert err.startswith("domain error: the grid") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("units, code, message", [
+    (["--d0", "1e30", "--mass", "1e300"], 3, "domain error: beta"),
+    (["--d0", "1e300", "--mass", "1e10"], 3, "domain error: beta"),
+    (["--r0", "1e308"], 2, "configuration error: A, B must be finite"),
+], ids=["beta-overflows-mass", "beta-overflows-depth", "coefficients-overflow"])
+def test_kratzer_fues_exponents_of_mie_general_out_of_range(tmp_path, capsys,
+                                                           units, code, message):
+    # at the default (a, b) = (2, 1) mie-general is the Kratzer-Fues well,
+    # refused by the closed form's own range checks
+    assert run(tmp_path, "verify", "--fast", "--preset", "mie-general",
+               "--n-max", "0", "--ell-max", "0", "--dims", "3", *units) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message) and "Traceback" not in err
+
+
+def test_mie_general_at_exponents_one_two_is_kratzer_fues(tmp_path):
+    assert run(tmp_path, "spectrum", "--preset", "mie-general", "--d0", "5",
+               "--r0", "1", "--mie-a", "1", "--mie-b", "2",
+               "--out", str(tmp_path / "mie.csv")) == 0
+    assert run(tmp_path, "spectrum", "--preset", "kratzer-fues", "--d0", "5",
+               "--r0", "1", "--out", str(tmp_path / "kf.csv")) == 0
+    assert (tmp_path / "mie.csv").read_bytes() == (tmp_path / "kf.csv").read_bytes()
+
+
+def test_verify_of_default_mie_general_checks_the_closed_form(tmp_path):
+    # (a, b) = (2, 1) once went to the numeric-only section: no channel was
+    # checked and passed was true
+    assert run(tmp_path, "verify", "--fast", "--preset", "mie-general") == 0
+    payload = json.loads((tmp_path / "verify.json").read_text())
+    assert "mie_general" not in payload
+    assert len(payload["channels"]) == 9
+    assert all(c["passed"] and c["closed_form"] for c in payload["channels"])
 
 
 def _mie_levels(tmp_path, *units):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from miespec import oracle
-from miespec.oracle import (OracleConfig, Tridiagonal, build_tridiagonal_radial,
-                            cell_grid, convergence_study, count_below,
-                            default_grid, eigen_lowest, solve_bound_states)
+from miespec.oracle import (Tridiagonal, build_tridiagonal_radial, cell_grid,
+                            convergence_study, count_below, default_grid,
+                            eigen_lowest, solve_bound_states)
 from miespec.potentials import MiePreset, coulomb, kratzer_fues
 
 
@@ -147,8 +147,7 @@ def test_solver_brackets_reference_and_sweep_bound(monkeypatch, name):
 
 def test_solver_halves_the_sweeps_on_an_oracle_matrix(monkeypatch):
     hydrogen = coulomb(-1.0)
-    config = OracleConfig(grid=default_grid(hydrogen, 1, 3), count=4)
-    tri = build_tridiagonal_radial(config, hydrogen, 1, 3)
+    tri = build_tridiagonal_radial(default_grid(hydrogen, 1, 3), hydrogen, 1, 3)
     got, sweeps = counted_eigen_lowest(monkeypatch, tri, 4, 1e-11)
     want, ref_sweeps = reference_bisection(tri, 4, 1e-11)
     assert got == pytest.approx(want, abs=1e-11)
@@ -194,8 +193,8 @@ def full_count(d, esq, shift, pivmin):
 
 def oracle_matrices():
     hydrogen = coulomb(-1.0)
-    config = OracleConfig(grid=cell_grid(30.0, 400), count=4)
-    return {scheme: oracle._BUILDERS[scheme](config, hydrogen, 1, 3)
+    grid = cell_grid(30.0, 400)
+    return {scheme: oracle._BUILDERS[scheme](grid, hydrogen, 1, 3)
             for scheme in ("radial", "u")}
 
 
@@ -253,21 +252,21 @@ def recorded_rows(monkeypatch):
 
 def test_bound_state_solve_sweeps_under_half_the_rows(monkeypatch):
     hydrogen = coulomb(-1.0)
-    config = OracleConfig(grid=default_grid(hydrogen, 1, 3), count=4)
-    assert config.grid.count == 1386
+    grid = default_grid(hydrogen, 1, 3)
+    assert grid.count == 1386
     # plain bisection from the Gershgorin bounds, every sweep full length
     _, ref_sweeps = reference_bisection(
-        build_tridiagonal_radial(config, hydrogen, 1, 3), 4, 1e-11)
+        build_tridiagonal_radial(grid, hydrogen, 1, 3), 4, 1e-11)
     before = ref_sweeps * 1386
 
     rows = recorded_rows(monkeypatch)
-    got = solve_bound_states(hydrogen, 1, 3, config)
+    got = solve_bound_states(hydrogen, 1, 3, grid)
     monkeypatch.undo()
 
     assert got == pytest.approx([-1 / 8, -1 / 18, -1 / 32, -1 / 50], rel=1e-4)
     # the scout's rows included
     assert sum(rows) <= 0.1 * before
-    tri = build_tridiagonal_radial(config, hydrogen, 1, 3)
+    tri = build_tridiagonal_radial(grid, hydrogen, 1, 3)
     for j, v in enumerate(got):
         assert count_below(tri, v - 0.5e-11) <= j
         assert count_below(tri, v + 0.5e-11) >= j + 1
@@ -287,16 +286,14 @@ def test_ceiling_count_keeps_the_levels_below_it():
 def test_started_level_matches_the_unstarted_one(ell, dim):
     # the order fit's rungs: each level 0 starts from the grids before it
     kratzer = kratzer_fues(5.0, 1.0)
-    config = OracleConfig(grid=default_grid(kratzer, ell, dim), count=1)
-    grid = config.grid
+    grid = default_grid(kratzer, ell, dim)
     rungs = [(4, 1), (2, 1), (1, 1)]
-    started = oracle.solve_grids(kratzer, ell, dim, config, rungs)
+    started = oracle.solve_grids(kratzer, ell, dim, grid, rungs)
     for (factor, _), levels in zip(rungs, started):
         rung = (grid if factor == 1 else
                 cell_grid(grid.r_max + 0.5 * grid.spacing,
                           round(grid.count / factor)))
-        tri = build_tridiagonal_radial(OracleConfig(grid=rung, count=1),
-                                       kratzer, ell, dim)
+        tri = build_tridiagonal_radial(rung, kratzer, ell, dim)
         assert len(levels) == 1
         assert abs(levels[0] - eigen_lowest(tri, 1)[0]) <= 1e-11
 
@@ -309,8 +306,7 @@ def test_a_box_level_above_the_ceiling_makes_the_order_inconclusive():
                                r_domain=0.5, h_sequence=[0.04, 0.02, 0.01])
     assert report["status"] == "inconclusive"
     assert "ceiling" in report["reason"]
-    config = OracleConfig(grid=cell_grid(0.5, 50), count=1)
-    assert len(solve_bound_states(hydrogen, 0, 3, config)) == 0
+    assert len(solve_bound_states(hydrogen, 0, 3, cell_grid(0.5, 50), 1)) == 0
 
 
 # -- scout grids: per-level starts only place probes --------------------------
@@ -390,16 +386,14 @@ def _scout_cases():
             for ell in range(3):
                 grid = default_grid(potential, ell, dim, n_max=3)
                 yield (f"{label}-N{dim}-ell{ell}", potential, ell, dim,
-                       OracleConfig(grid=grid, count=4))
+                       grid, 4, "radial")
     mie = MiePreset(d0=5.0, r0=1.0, a=4.0, b=2.0)
-    yield ("mie-general", mie, 0, 3,
-           OracleConfig(grid=default_grid(mie, 0, 3, n_max=3), count=4))
+    yield ("mie-general", mie, 0, 3, default_grid(mie, 0, 3, n_max=3), 4,
+           "radial")
     hydrogen = coulomb(-1.0)
     # the u scheme on uniform r-cells over [0, 150]
-    yield ("u-scheme", hydrogen, 1, 3,
-           OracleConfig(grid=cell_grid(150.0, 7500), count=4, scheme="u"))
-    yield ("no-scouts", hydrogen, 0, 3,
-           OracleConfig(grid=cell_grid(0.5, 24), count=1))
+    yield ("u-scheme", hydrogen, 1, 3, cell_grid(150.0, 7500), 4, "u")
+    yield ("no-scouts", hydrogen, 0, 3, cell_grid(0.5, 24), 1, "radial")
 
 
 SCOUT_CASES = {case[0]: case[1:] for case in _scout_cases()}
@@ -407,7 +401,7 @@ SCOUT_CASES = {case[0]: case[1:] for case in _scout_cases()}
 
 @pytest.mark.parametrize("name", SCOUT_CASES)
 def test_scouted_solve_matches_the_unscouted_one(monkeypatch, name):
-    potential, ell, dim, config = SCOUT_CASES[name]
+    potential, ell, dim, grid, count, scheme = SCOUT_CASES[name]
     sizes = []  # rows of every grid solved
     solve = oracle.eigen_lowest
 
@@ -415,14 +409,14 @@ def test_scouted_solve_matches_the_unscouted_one(monkeypatch, name):
         sizes.append(tri.size)
         return solve(tri, *args, **kwargs)
     monkeypatch.setattr(oracle, "eigen_lowest", recorded)
-    got, = oracle.solve_grids(potential, ell, dim, config, [(1, config.count)])
+    got, = oracle.solve_grids(potential, ell, dim, grid, [(1, count)], scheme)
     monkeypatch.undo()
-    assert sizes[-1] == config.grid.count
+    assert sizes[-1] == grid.count
     assert (len(sizes) == 1) == (name == "no-scouts")
 
-    tri = oracle._build(config, potential, ell, dim)
-    plain = eigen_lowest(tri, config.count, oracle._TOL,
-                         _ceiling=oracle._ceiling(potential, ell, dim, config))
+    tri = oracle._build(grid, scheme, potential, ell, dim)
+    ceiling = oracle._ceiling(potential, ell, dim, grid, scheme)
+    plain = eigen_lowest(tri, count, oracle._TOL, _ceiling=ceiling)
     assert len(got) == len(plain)
     assert np.all(np.abs(got - plain) <= oracle._TOL)
     for j, v in enumerate(got):
@@ -435,8 +429,8 @@ def test_default_channel_solves_sweep_under_0p7m_rows(monkeypatch):
     # x-grids, 2.23 M on the uniform-r grids with two scouts
     rows = recorded_rows(monkeypatch)
     levels = 0
-    for name, (potential, ell, dim, config) in SCOUT_CASES.items():
+    for name, (potential, ell, dim, grid, _, _) in SCOUT_CASES.items():
         if name.startswith(("coulomb", "kratzer-fues")):
-            levels += len(solve_bound_states(potential, ell, dim, config))
+            levels += len(solve_bound_states(potential, ell, dim, grid))
     assert levels == 72
     assert sum(rows) <= 0.7e6

@@ -7,7 +7,7 @@ import pytest
 
 from miespec import oracle
 from miespec.errors import GridResolutionError
-from miespec.oracle import (OracleConfig, Tridiagonal, build_tridiagonal,
+from miespec.oracle import (Tridiagonal, build_tridiagonal,
                             build_tridiagonal_radial, cell_grid,
                             convergence_study, count_below, default_grid,
                             effective_potential, eigen_lowest,
@@ -59,16 +59,14 @@ class TestBuildTridiagonal:
     def test_stencil_entries(self):
         free = PotentialParams(0.0, 0.0, 0.0)
         grid = RadialGrid(1.0, 3.0, 3)  # h = 1
-        config = OracleConfig(grid=grid, count=1, scheme="u")
-        tri = build_tridiagonal(config, free, 0, 5)
+        tri = build_tridiagonal(grid, free, 0, 5)
         r = grid.nodes()
         assert tri.offdiag == pytest.approx([-0.5, -0.5])
         assert tri.diag == pytest.approx(1.0 + 0.5 * 2.0 / r**2)
 
     def test_symmetric_by_construction(self, kratzer):
         grid = RadialGrid(0.05, 20.0, 400)
-        tri = build_tridiagonal(OracleConfig(grid=grid, count=1, scheme="u"),
-                                kratzer, 1, 3)
+        tri = build_tridiagonal(grid, kratzer, 1, 3)
         assert tri.size == 400
         assert np.all(tri.offdiag == tri.offdiag[0])
 
@@ -81,8 +79,7 @@ class TestBuildTridiagonal:
             length = 1.0
             h = length / (m + 1)
             grid = RadialGrid(h, length * m / (m + 1), m)
-            config = OracleConfig(grid=grid, count=1, scheme="u")
-            tri = build_tridiagonal(config, free, 0, 3)
+            tri = build_tridiagonal(grid, free, 0, 3)
             e0 = eigen_lowest(tri, 1)[0]
             errors.append(abs(e0 - math.pi**2 / 2.0))
         assert errors[0] < 1e-3
@@ -152,8 +149,7 @@ class TestSolveBoundStates:
         # the u scheme's own uniform-r grid, with the spacing and outer node
         # of this channel's uniform-r cells: r in [h, 108 - h/2], h = 0.01
         u_grid = RadialGrid(0.01, 107.995, 10800)
-        config = OracleConfig(grid=u_grid, count=4, scheme="u")
-        got = solve_bound_states(hydrogen, 0, 3, config)
+        got = solve_bound_states(hydrogen, 0, 3, u_grid, scheme="u")
         want = exact_energies(hydrogen, 0, 3, 4)
         for g, w in zip(got, want):
             assert abs(g - w) <= max(5e-5, 5e-5 * abs(w))
@@ -163,8 +159,8 @@ class TestSolveBoundStates:
             preset = MiePreset(d0=5.0, r0=1.0, a=2.0, b=1.0, mass=mass,
                                hbar=hbar)
             kratzer = kratzer_fues(5.0, 1.0, mass, hbar)
-            config = OracleConfig(grid=default_grid(kratzer, 0, 3), count=3)
-            got = solve_bound_states(preset, 0, 3, config)
+            got = solve_bound_states(preset, 0, 3,
+                                     default_grid(kratzer, 0, 3), count=3)
             want = exact_energies(kratzer, 0, 3, 3)
             assert len(got) == 3
             for g, w in zip(got, want):
@@ -185,8 +181,7 @@ class TestSolveBoundStates:
         # tiny domain, r in [0, 14]: only the ground state fits below
         # V_eff(r_max)
         grid = cell_grid(math.sqrt(14.0), 2000)
-        config = OracleConfig(grid=grid, count=4)
-        got = solve_bound_states(hydrogen, 0, 3, config)
+        got = solve_bound_states(hydrogen, 0, 3, grid)
         assert 1 <= len(got) < 4
         assert got[0] == pytest.approx(-0.5, abs=1e-3)
 
@@ -195,8 +190,7 @@ class TestSturmCensus:
     def test_count_below_offset_bounds_fitting_levels(self, kratzer):
         ell, dim = 0, 3
         grid = default_grid(kratzer, ell, dim, n_max=3)
-        config = OracleConfig(grid=grid, count=4)
-        tri = build_tridiagonal_radial(config, kratzer, ell, dim)
+        tri = build_tridiagonal_radial(grid, kratzer, ell, dim)
         fitting = 0
         for n in range(12):
             state = bound_state(kratzer, QuantumNumbers(n, ell, dim))
@@ -208,8 +202,7 @@ class TestSturmCensus:
 
     def test_count_matches_bisection(self, hydrogen):
         grid = default_grid(hydrogen, 0, 3)
-        config = OracleConfig(grid=grid, count=6)
-        tri = build_tridiagonal_radial(config, hydrogen, 0, 3)
+        tri = build_tridiagonal_radial(grid, hydrogen, 0, 3)
         levels = eigen_lowest(tri, 6)
         mid = 0.5 * (levels[3] + levels[4])
         assert count_below(tri, mid) == 4
@@ -278,11 +271,11 @@ class TestConvergenceStudy:
         assert report["status"] == "ok"
 
     def test_a_repeated_spacing_predicts_without_dividing_by_zero(self, hydrogen):
-        config = OracleConfig(grid=cell_grid(8.0, 800), count=1)
+        grid = cell_grid(8.0, 800)
         rungs = [(4, 1), (4, 1), (2, 1), (1, 1)]
-        levels = oracle.solve_grids(hydrogen, 0, 2, config, rungs)
+        levels = oracle.solve_grids(hydrogen, 0, 2, grid, rungs)
         assert abs(levels[0][0] - levels[1][0]) <= oracle._TOL
-        cold = solve_bound_states(hydrogen, 0, 2, config)
+        cold = solve_bound_states(hydrogen, 0, 2, grid, count=1)
         assert abs(levels[-1][0] - cold[0]) <= oracle._TOL
 
     def test_sequence_validation(self, hydrogen):
@@ -299,16 +292,15 @@ class TestExtremeGrids:
         # left every off-diagonal -0.0
         light = coulomb(-1.0, mass=1e-100)
         for dim in (2, 3, 5):
-            config = OracleConfig(grid=default_grid(light, 0, dim), count=4)
-            tri = build_tridiagonal_radial(config, light, 0, dim)
+            tri = build_tridiagonal_radial(default_grid(light, 0, dim),
+                                           light, 0, dim)
             assert np.all(np.isfinite(tri.offdiag))
             assert np.all(tri.offdiag < 0.0)
 
     def test_underflowing_spacing_squared_is_a_grid_error(self, hydrogen):
         # h * h underflows to 0 in float arithmetic: no ZeroDivisionError
-        config = OracleConfig(grid=cell_grid(1e-170, 1000), count=1)
         with pytest.raises(GridResolutionError, match="underflows"):
-            solve_bound_states(hydrogen, 0, 3, config)
+            solve_bound_states(hydrogen, 0, 3, cell_grid(1e-170, 1000), count=1)
 
     def test_subnormal_coupling_squares_are_refused(self):
         # hbar 1e100: off-diagonals near 1e-189, whose squares the Sturm
@@ -345,14 +337,28 @@ class TestInterdimensionalDegeneracyFd:
 
 
 class TestConfigTypes:
-    def test_oracle_config_validation(self):
+    def test_solve_arguments_are_validated(self, hydrogen):
         grid = cell_grid(10.0, 1000)
-        with pytest.raises(ValueError):
-            OracleConfig(grid=grid, count=0)
-        with pytest.raises(ValueError):
-            OracleConfig(grid=grid, count=2000)
-        with pytest.raises(ValueError):
-            OracleConfig(grid=grid, count=4, scheme="spectral")
+        with pytest.raises(ValueError, match="count must be in"):
+            solve_bound_states(hydrogen, 0, 3, grid, count=0)
+        with pytest.raises(ValueError, match="count must be in"):
+            solve_bound_states(hydrogen, 0, 3, grid, count=2000)
+        with pytest.raises(ValueError, match="unknown discretization scheme"):
+            solve_bound_states(hydrogen, 0, 3, grid, scheme="spectral")
+
+    def test_a_potential_is_read_only_through_the_protocol(self):
+        # value, at_infinity and kinetic are all the oracle reads
+        class Stub:
+            kinetic = 0.5
+            at_infinity = 0.0
+
+            def value(self, r):
+                return -1.0 / r
+
+        grid = cell_grid(math.sqrt(60.0), 1500)
+        got = solve_bound_states(Stub(), 0, 3, grid)
+        want = solve_bound_states(coulomb(-1.0), 0, 3, grid)
+        assert len(got) == 4 and np.array_equal(got, want)
 
     def test_cell_grid_geometry(self):
         grid = cell_grid(10.0, 1000)

@@ -1,46 +1,47 @@
 """Potential family, presets, and their parameter maps."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from miespec.potentials import (MiePreset, PotentialParams, coulomb,
-                                eval_mie_general, eval_potential, kratzer_fues,
-                                modified_kratzer)
+                                kratzer_fues, mie_general, modified_kratzer)
 
 positive = st.floats(min_value=0.05, max_value=50.0, allow_nan=False)
 
 
 def test_constant_potential():
-    assert eval_potential(PotentialParams(0.0, 0.0, 5.0), 2.0) == 5.0
+    assert PotentialParams(0.0, 0.0, 5.0).value(2.0) == 5.0
 
 
 def test_direct_arithmetic():
-    assert eval_potential(PotentialParams(1.0, -2.0, 0.0), 1.0) == -1.0
+    assert PotentialParams(1.0, -2.0, 0.0).value(1.0) == -1.0
 
 
 def test_kratzer_minimum_depth():
     params = kratzer_fues(5.0, 1.0)
-    assert eval_potential(params, 1.0) == pytest.approx(-5.0, rel=1e-14)
+    assert params.value(1.0) == pytest.approx(-5.0, rel=1e-14)
 
 
 @pytest.mark.parametrize("r", [0.0, -1.0])
 def test_radius_domain_error(r):
     with pytest.raises(ValueError):
-        eval_potential(PotentialParams(0.0, -1.0, 0.0), r)
+        PotentialParams(0.0, -1.0, 0.0).value(r)
     with pytest.raises(ValueError):
-        eval_mie_general(MiePreset(1.0, 1.0, 2.0, 1.0), r)
+        MiePreset(1.0, 1.0, 2.0, 1.0).value(r)
 
 
 class TestMieGeneral:
     def test_depth_at_equilibrium(self):
         preset = MiePreset(d0=5.0, r0=2.0, a=2.0, b=1.0)
-        assert eval_mie_general(preset, 2.0) == pytest.approx(-5.0, rel=1e-14)
+        assert preset.value(2.0) == pytest.approx(-5.0, rel=1e-14)
 
     def test_vanishes_monotonically_at_infinity(self):
         preset = MiePreset(d0=3.0, r0=1.0, a=4.0, b=2.0)
         r = np.linspace(5.0, 500.0, 50)
-        values = eval_mie_general(preset, r)
+        values = preset.value(r)
         assert np.all(np.diff(np.abs(values)) < 0.0)
         assert abs(values[-1]) < 1e-4
 
@@ -49,8 +50,8 @@ class TestMieGeneral:
         preset = MiePreset(d0=d0, r0=r0, a=2.0, b=1.0)
         params = kratzer_fues(d0, r0)
         r = np.logspace(np.log10(0.01 * r0), np.log10(100.0 * r0), 200)
-        mie = eval_mie_general(preset, r)
-        closed = eval_potential(params, r)
+        mie = preset.value(r)
+        closed = params.value(r)
         scale = np.maximum(np.abs(mie), np.abs(closed))
         assert np.all(np.abs(mie - closed) <= 1e-12 * scale)
 
@@ -58,9 +59,23 @@ class TestMieGeneral:
     def test_two_exponent_form_equals_abc_form(self, d0, r0, r):
         preset = MiePreset(d0=d0, r0=r0, a=2.0, b=1.0)
         params = kratzer_fues(d0, r0)
-        got = eval_mie_general(preset, r)
-        want = eval_potential(params, r)
+        got = preset.value(r)
+        want = params.value(r)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("a,b", [(2.0, 1.0), (1.0, 2.0)])
+    def test_closed_form_exponents_give_kratzer_fues(self, a, b):
+        params = mie_general(5.0, 1.3, a, b, mass=2.0, hbar=0.5)
+        assert params == kratzer_fues(5.0, 1.3, mass=2.0, hbar=0.5)
+
+    def test_other_exponents_give_the_two_exponent_form(self):
+        assert mie_general(5.0, 1.3, 4.0, 2.0) == MiePreset(5.0, 1.3, 4.0, 2.0)
+
+    def test_value_at_infinity(self):
+        assert PotentialParams(1.0, -2.0, 0.75).at_infinity == 0.75
+        # a class constant of the Mie form, not a field
+        assert MiePreset(1.0, 1.0, 4.0, 2.0).at_infinity == 0.0
+        assert "at_infinity" not in {f.name for f in fields(MiePreset)}
 
     def test_equal_exponents_rejected(self):
         with pytest.raises(ValueError):
@@ -83,12 +98,12 @@ class TestPresetMaps:
     def test_modified_paper_literal_map(self):
         params = modified_kratzer(1.0, 1.0, convention="paper-literal")
         assert (params.A, params.B, params.C) == (-1.0, 2.0, -1.0)
-        assert eval_potential(params, 1.0) == pytest.approx(0.0, abs=1e-15)
+        assert params.value(1.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_modified_standard_map(self):
         params = modified_kratzer(1.0, 1.0)
         assert (params.A, params.B, params.C) == (1.0, -2.0, 1.0)
-        assert eval_potential(params, 1.0) == pytest.approx(0.0, abs=1e-15)
+        assert params.value(1.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_modified_conventions_differ_in_binding(self):
         assert modified_kratzer(1.0, 1.0).B < 0.0
@@ -97,9 +112,9 @@ class TestPresetMaps:
     def test_standard_form_is_nonnegative(self):
         params = modified_kratzer(2.0, 1.5)
         r = np.linspace(0.05, 30.0, 400)
-        values = eval_potential(params, r)
+        values = params.value(r)
         assert np.all(values >= 0.0)
-        assert eval_potential(params, 1.5) == pytest.approx(0.0, abs=1e-12)
+        assert params.value(1.5) == pytest.approx(0.0, abs=1e-12)
         away = np.abs(r - 1.5) > 0.05
         assert np.all(values[away] > 0.0)
 
@@ -110,7 +125,7 @@ class TestPresetMaps:
     def test_coulomb_map(self):
         params = coulomb(-1.0)
         assert (params.A, params.B, params.C) == (0.0, -1.0, 0.0)
-        assert eval_potential(params, 2.0) == -0.5
+        assert params.value(2.0) == -0.5
 
     @pytest.mark.parametrize("d0,r0", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)])
     def test_preset_parameter_gates(self, d0, r0):

@@ -28,6 +28,15 @@ def test_eval_radial_underflows_to_zero_at_large_finite_r(hydrogen, n):
     assert np.all(values == 0.0)
 
 
+def test_eval_radial_is_zero_where_y_overflows():
+    # y = 2 eps r = 4e308 is past the double range; it was refused with an
+    # overflow warning where R is simply 0
+    state = make_state(coulomb(-2.0), 0, 0, 3)
+    assert eval_radial(state, 1e308) == 0.0
+    values = eval_radial(state, np.array([1.0, 1e308]))
+    assert values[0] > 0.0 and values[1] == 0.0
+
+
 class TestNormConstant:
     def test_hydrogen_ground_state(self, hydrogen):
         state = make_state(hydrogen, 0, 0, 3)
