@@ -12,6 +12,8 @@ read is an argparse error, and a config-file key without a flag there is
 refused unless it holds its default.
 Each potential is declared once, with the keys it reads, in ``_PRESETS``
 (raw A/B/C in ``_RAW``); any other potential key is a configuration error.
+Every preset is an A/r^2 + B/r + C well, so every command reads its closed
+form, and every ``verify`` channel is gated against it.
 
 Exit codes: 0 success, 2 configuration error, 3 domain error (invalid or
 unbound channels, or a grid that cannot carry them), 4 output I/O error,
@@ -124,10 +126,6 @@ _PRESETS = {
     "coulomb": (
         potentials.coulomb, {"B": -1.0},
         "B               A = C = 0"),
-    "mie-general": (
-        potentials.mie_general, {"d0": 1.0, "r0": 1.0, "a": 2.0, "b": 1.0},
-        "d0, r0, a, b    two-exponent Mie form: kratzer-fues at"
-        " {a, b} = {1, 2}, else numeric oracle only"),
 }
 # a section without a preset is raw A/B/C, one more entry with no listing
 _RAW = (potentials.PotentialParams, {"A": 0.0, "B": 0.0, "C": 0.0})
@@ -206,16 +204,6 @@ def build_potential(cfg: dict):
         raise ConfigError(str(exc)) from exc
 
 
-def _closed_form_potential(cfg: dict, what: str):
-    """build_potential, refusing the general Mie form that has no closed
-    form; ``what`` names the closed-form quantity in the message."""
-    potential, label = build_potential(cfg)
-    if isinstance(potential, potentials.MiePreset):
-        raise ConfigError(f"{what} needs a Mie-type potential "
-                          "(use 'verify' for general exponents)")
-    return potential, label
-
-
 def _dims(cfg: dict, default) -> list:
     """Sorted quantum.dims, or the command's own default when unset."""
     dims = cfg["quantum"]["dims"]
@@ -264,7 +252,7 @@ _SPECTRUM_FIELDS = ("dim", "ell", "n", "k", "eps", "energy", "status")
 
 def cmd_spectrum(args) -> int:
     cfg = resolve_config(args)
-    potential, label = _closed_form_potential(cfg, "closed-form spectrum")
+    potential, label = build_potential(cfg)
     fmt = cfg["output"]["format"]
     path = _out_path(cfg, args, f"spectrum.{fmt}")
     q = cfg["quantum"]
@@ -290,7 +278,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_wavefunction(args) -> int:
     cfg = resolve_config(args)
-    potential, label = _closed_form_potential(cfg, "the closed-form eigenfunction")
+    potential, label = build_potential(cfg)
     if args.r_min is not None and not 0.0 < args.r_min < math.inf:
         raise ConfigError("grid r_min must be positive")
     q = _config_value(spectrum.QuantumNumbers, n=args.n, ell=args.ell, dim=args.dim)
@@ -358,7 +346,7 @@ def _ladder_channel(potential, ell, dim, n_max, y_points):
 
 def cmd_ladder_check(args) -> int:
     cfg = resolve_config(args)
-    potential, label = _closed_form_potential(cfg, "the ladder structure")
+    potential, label = build_potential(cfg)
     path = _out_path(cfg, args, "ladder_check.json")
     q = cfg["quantum"]
     channels = [_ladder_channel(potential, ell, dim, q["n_max"],
@@ -374,26 +362,22 @@ def cmd_ladder_check(args) -> int:
 def _verify_channel(potential, label, ell, dim, n_max, refine, fast):
     q_list = [spectrum.QuantumNumbers(n=n, ell=ell, dim=dim)
               for n in range(n_max + 1)]
-    mie = isinstance(potential, potentials.MiePreset)
-    exact = None if mie else [spectrum.energy(potential, q) for q in q_list]
+    exact = [spectrum.energy(potential, q) for q in q_list]
     grid = oracle.default_grid(potential, ell, dim, n_max=n_max, refine=refine)
     # the order fit's 4h and 2h grids need level 0 only
-    rungs = [(1, n_max + 1)] if fast or mie else [(4, 1), (2, 1), (1, n_max + 1)]
+    rungs = [(1, n_max + 1)] if fast else [(4, 1), (2, 1), (1, n_max + 1)]
     levels = oracle.solve_grids(potential, ell, dim, grid, rungs)
     fd = levels[-1]
 
     entry = {"potential": label, "ell": ell, "dim": dim,
              "closed_form": exact, "fd": list(map(float, fd))}
-    if mie:  # no closed form: the FD levels are the whole entry
-        entry.update(potential=f"{label}(a={potential.a:g}, b={potential.b:g})",
-                     note="no closed-form spectrum for these exponents")
-        return entry
     ok = len(fd) == len(exact)
     deltas, tols = [], []
     for i, e in enumerate(exact):
         if i < len(fd):
             delta = abs(float(fd[i]) - e)
-            tol = max(5e-5, 5e-5 * abs(e))
+            # relative to the binding energy, not to the offset C
+            tol = max(5e-5, 5e-5 * min(abs(e), abs(e - potential.C)))
             deltas.append(delta)
             tols.append(tol)
             ok = ok and delta <= tol
@@ -425,43 +409,33 @@ def _verify_channel(potential, label, ell, dim, n_max, refine, fast):
     return entry
 
 
-# verify's potentials when none is given, and its --mie-general addition
+# verify's potentials when none is given
 _VERIFY_SUITE = ({"preset": "coulomb", "B": -1.0},
                  {"preset": "kratzer-fues", "d0": 5.0, "r0": 1.0})
-_VERIFY_MIE = {"preset": "mie-general", "d0": 5.0, "r0": 1.0, "a": 4.0, "b": 2.0}
 
 
 def cmd_verify(args) -> int:
     cfg = resolve_config(args)
     q = cfg["quantum"]
-    refine = cfg["grid"]["refine"]
-    if args.coarse is not None:
-        if not 0.0 < args.coarse < math.inf:
-            raise ConfigError("--coarse must be a finite positive factor")
-        refine /= args.coarse
-
+    dims = _dims(cfg, [2, 3, 5])
+    if not dims:  # no channel: a pass would check nothing
+        raise ConfigError("verify needs at least one dimension in quantum.dims")
     # a config file or any potential flag selects one potential, else the suite
     explicit_potential = bool(getattr(args, "config", None)) or any(
         value is not None for dest, value in vars(args).items()
         if dest.startswith("potential."))
-    sections = [cfg["potential"]] if explicit_potential else list(_VERIFY_SUITE)
-    if args.mie_general and sections[0].get("preset") != "mie-general":
-        sections.append(_VERIFY_MIE)
+    sections = [cfg["potential"]] if explicit_potential else _VERIFY_SUITE
     # built like any other section, so the suite reads units too
     suite = [build_potential({**cfg, "potential": pot}) for pot in sections]
     path = _out_path(cfg, args, "verify.json")
 
-    entries = [_verify_channel(potential, label, ell, dim, q["n_max"],
-                               refine, args.fast)
-               for potential, label in suite
-               for dim in _dims(cfg, [2, 3, 5])
-               for ell in range(q["ell_max"] + 1)]
-    channels = [e for e in entries if e["closed_form"] is not None]
-    mie = [e for e in entries if e["closed_form"] is None]
+    channels = [_verify_channel(potential, label, ell, dim, q["n_max"],
+                                cfg["grid"]["refine"], args.fast)
+                for potential, label in suite
+                for dim in dims
+                for ell in range(q["ell_max"] + 1)]
 
     payload = {"channels": channels, "passed": all(c["passed"] for c in channels)}
-    if mie:
-        payload["mie_general"] = mie
     _write_text(path, _json_dumps(payload))
     if not payload["passed"]:
         failed = [f"{c['potential']} N={c['dim']} ell={c['ell']}"
@@ -496,8 +470,6 @@ def _add_common(parser: argparse.ArgumentParser, *reads):
     parser.add_argument("--A", dest="potential.A", type=float)
     parser.add_argument("--B", dest="potential.B", type=float)
     parser.add_argument("--C", dest="potential.C", type=float)
-    parser.add_argument("--mie-a", dest="potential.a", type=float)
-    parser.add_argument("--mie-b", dest="potential.b", type=float)
     parser.add_argument("--convention", dest="potential.convention",
                         choices=("standard", "paper-literal"))
     parser.add_argument("--mass", dest="units.mass", type=float)
@@ -509,7 +481,8 @@ def _add_common(parser: argparse.ArgumentParser, *reads):
     add("--points", "grid.points", type=int, help="radial grid size")
     add("--r-domain", "grid.r_domain", type=float)
     add("--y-points", "grid.y_points", type=int)
-    add("--refine", "grid.refine", type=float, help="grid refinement factor")
+    add("--refine", "grid.refine", type=float,
+        help="grid refinement factor (below 1 coarsens the grids)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -540,10 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="closed form vs finite-difference oracle")
     _add_common(p, "quantum", "grid.refine")
     p.add_argument("--fast", action="store_true", help="skip convergence studies")
-    p.add_argument("--coarse", type=float, default=None,
-                   help="coarsen grids by this factor (negative control)")
-    p.add_argument("--mie-general", dest="mie_general", action="store_true",
-                   help="append the numeric-only general-Mie section")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("presets", help="list built-in potential presets")

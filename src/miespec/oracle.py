@@ -38,7 +38,8 @@ worst energy error at 0.40 of its tolerance instead of 0.50.  A second
 scout of 16h would have only about 80 cells and no longer pays for itself.
 
 A potential is read only through ``value(r)``, ``at_infinity`` and
-``kinetic`` = hbar^2/2M; only default_grid asks which form it has.
+``kinetic`` = hbar^2/2M; only default_grid sizes its grid from the
+closed-form decay rates, and so needs a PotentialParams.
 
 Two discretizations are available:
 
@@ -63,7 +64,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridResolutionError
-from .potentials import PotentialParams
 from .spectrum import binding_rate, indicial_root
 from .wavefunction import RadialGrid
 
@@ -197,23 +197,18 @@ def default_grid(potential, ell: int, dim: int, n_max: int = 3,
     the fastest; the x-grid then gets 16 sqrt(r_domain / h_r) cells, times
     ``refine`` (2.0 halves the spacing).  Under r = x^2 every Coulomb state
     is a polynomial times a Gaussian in x, which uniform x-cells resolve
-    with far fewer rows than uniform r-cells; the Mie form's h_r is
-    0.01 sqrt(K / d0), K = hbar^2/2M.  A count outside
+    with far fewer rows than uniform r-cells.  A count outside
     [16 (n_max + 1), 400000] raises GridResolutionError naming it, rather
     than being clamped silently.
     """
-    if isinstance(potential, PotentialParams):
-        k = indicial_root(potential, ell, dim)
-        beta = binding_rate(potential)
-        if beta <= 0.0:
-            raise ValueError("default grid sizing needs an attractive tail (B < 0)")
-        eps_min = beta / (2.0 * n_max + 2.0 * k + 3.0 - dim)
-        eps_max = beta / (2.0 * k + 3.0 - dim)
-        r_domain = 1.5 * (2.0 * n_max + 2.0 * k + 10.0) / eps_min
-        h = 0.01 / eps_max
-    else:
-        r_domain = potential.r0 * (10.0 + 6.0 * (n_max + 1.0))
-        h = 0.01 * math.sqrt(potential.kinetic / potential.d0)
+    k = indicial_root(potential, ell, dim)
+    beta = binding_rate(potential)
+    if beta <= 0.0:
+        raise ValueError("default grid sizing needs an attractive tail (B < 0)")
+    eps_min = beta / (2.0 * n_max + 2.0 * k + 3.0 - dim)
+    eps_max = beta / (2.0 * k + 3.0 - dim)
+    r_domain = 1.5 * (2.0 * n_max + 2.0 * k + 10.0) / eps_min
+    h = 0.01 / eps_max
     # a spacing that underflows to 0 or a domain past the double range
     # sizes to inf cells, a spacing that overflows to 0 cells
     cells = 16.0 * math.sqrt(r_domain / h) * refine if h else math.inf

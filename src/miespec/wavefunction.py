@@ -197,22 +197,33 @@ def _interior_d1(values, grid: RadialGrid):
 def _residual_terms(values: np.ndarray, grid: RadialGrid,
                     params: PotentialParams, ell: int, dim: int,
                     energy: float):
-    """(interior grid, five terms of the radial ODE there), 4th-order stencils."""
+    """(interior grid, five terms of the radial ODE there), 4th-order stencils.
+
+    GridResolutionError when the squared spacing is below the normal double
+    range or a term is not finite, rather than a non-finite residual."""
     r, inner, d1 = _interior_d1(values, grid)
     h = grid.spacing
+    if h * h < sys.float_info.min:
+        raise GridResolutionError(
+            f"grid spacing {h:.4g} squared underflows the double range")
     eps2 = (params.C - energy) / params.kinetic
     if h * h * abs(eps2) > 0.1:
         raise GridResolutionError(
             f"grid spacing {h:.4g} cannot resolve the decay scale")
     v = np.asarray(values, dtype=float)
-    d2 = (-v[4:] + 16.0 * v[3:-1] - 30.0 * v[2:-2] + 16.0 * v[1:-3] - v[:-4]) / (12.0 * h * h)
     nu = centrifugal_strength(params, ell, dim)
     beta = binding_rate(params)
-    terms = (d2,
-             (dim - 1.0) / r * d1,
-             -nu / r**2 * v[2:-2],
-             -eps2 * v[2:-2],
-             beta / r * v[2:-2])
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = (-v[4:] + 16.0 * v[3:-1] - 30.0 * v[2:-2] + 16.0 * v[1:-3] - v[:-4]) / (12.0 * h * h)
+        terms = (d2,
+                 (dim - 1.0) / r * d1,
+                 -nu / r**2 * v[2:-2],
+                 -eps2 * v[2:-2],
+                 beta / r * v[2:-2])
+    if not all(np.all(np.isfinite(t)) for t in terms):
+        raise GridResolutionError(
+            "ODE residual terms must be finite; the grid or the samples "
+            "leave the double range")
     return inner, terms
 
 

@@ -30,8 +30,9 @@ def read_csv(path):
 def test_presets_listing(capsys):
     assert main(["presets"]) == 0
     out = capsys.readouterr().out
-    for name in ("kratzer-fues", "modified-kratzer", "coulomb", "mie-general"):
+    for name in ("kratzer-fues", "modified-kratzer", "coulomb"):
         assert name in out
+    assert "mie" not in out
 
 
 class TestSpectrum:
@@ -114,6 +115,20 @@ class TestWavefunction:
         assert len(rows) == 11 and all(float(r["R"]) == 0.0 for r in rows)
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["--n", "1", "--ell", "1", "--r-domain", "1e-160"],
+        ["--n", "0", "--ell", "0", "--r-domain", "1e-300"],
+    ], ids=["centrifugal-overflows", "spacing-squared-underflows"])
+    def test_residual_past_the_double_range_is_a_domain_error(
+            self, tmp_path, capsys, argv):
+        # nu / r^2 overflows or 12 h^2 underflows: refused, not written as
+        # -inf or nan
+        assert run(tmp_path, "wavefunction", *argv, "--dim", "3", "--points",
+                   "11", "--residual") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("domain error:") and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
     def test_bad_grid_is_config_error(self, tmp_path):
         code = run(tmp_path, "wavefunction", "--preset", "coulomb", "--B", "-1",
                    "--n", "0", "--ell", "0", "--dim", "3", "--r-min", "-0.5")
@@ -183,29 +198,11 @@ class TestVerify:
         # a ground state that is a Gaussian in x, nearly exact at any grid
         code = run(tmp_path, "verify", "--preset", "coulomb", "--B", "-1",
                    "--dims", "2", "--n-max", "1", "--ell-max", "0", "--fast",
-                   "--coarse", "16")
+                   "--refine", "0.0625")
         assert code == 3
         payload = json.loads((tmp_path / "verify.json").read_text())
         assert not payload["passed"]
         assert any(not c["passed"] for c in payload["channels"])
-
-    def test_mie_general_section(self, tmp_path):
-        code = run(tmp_path, "verify", "--preset", "coulomb", "--B", "-1",
-                   "--dims", "3,5", "--n-max", "1", "--ell-max", "1", "--fast",
-                   "--mie-general")
-        assert code == 0
-        payload = json.loads((tmp_path / "verify.json").read_text())
-        section = payload["mie_general"]
-        assert [(e["dim"], e["ell"]) for e in section] == \
-            [(3, 0), (3, 1), (5, 0), (5, 1)]
-        assert all(e["closed_form"] is None and len(e["fd"]) == 2
-                   for e in section)
-        assert [c["potential"] for c in payload["channels"]] == ["coulomb"] * 4
-        # interdimensional degeneracy (N, ell + 1) ~ (N + 2, ell), which
-        # holds for every central potential
-        by_channel = {(e["dim"], e["ell"]): e["fd"] for e in section}
-        for a, b in zip(by_channel[(3, 1)], by_channel[(5, 0)]):
-            assert abs(a - b) <= 2.0 * max(5e-5, 5e-5 * abs(a))
 
     def test_convergence_order_reported(self, tmp_path):
         code = run(tmp_path, "verify", "--preset", "kratzer-fues", "--d0", "5",
@@ -416,101 +413,68 @@ def test_a_missing_output_directory_fails_before_the_work(tmp_path, capsys,
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("argv,label,count,fd", [
-    (["--preset", "mie-general", "--d0", "3", "--r0", "2", "--mie-a", "6",
-      "--mie-b", "3"], "mie-general(a=6, b=3)", 9, [-1.5118, -0.2806, -0.0236]),
-    (["--preset", "coulomb", "--B", "-1", "--dims", "3", "--n-max", "0",
-      "--ell-max", "0", "--mie-general"], "mie-general(a=4, b=2)", 1,
-     [-2.5149]),
-], ids=["given-preset", "default-preset"])
-def test_verify_mie_general_section_uses_the_given_preset(tmp_path, argv,
-                                                          label, count, fd):
-    # one entry per (dim, ell) of the quantum section: dims 2, 3, 5 and
-    # ell 0-2 unless given
-    assert run(tmp_path, "verify", *argv, "--fast") == 0
-    section = json.loads((tmp_path / "verify.json").read_text())["mie_general"]
-    assert len(section) == count
-    assert all(e["potential"] == label and e["closed_form"] is None
-               for e in section)
-    first = next(e for e in section if (e["dim"], e["ell"]) == (3, 0))
-    assert first["fd"][:len(fd)] == pytest.approx(fd, abs=1e-3)
-
-
-@pytest.mark.parametrize("exponents", [["--mie-a", "0", "--mie-b", "1"],
-                                       ["--mie-a", "-1"]], ids=["zero", "negative"])
-def test_non_positive_mie_exponents_are_a_configuration_error(tmp_path, capsys,
-                                                             exponents):
-    # V(infinity) = 0 holds only for a, b > 0; the oracle's verify section
-    # once reported passed: true with no level found
-    assert run(tmp_path, "verify", "--fast", "--preset", "mie-general",
-               *exponents) == 2
-    assert capsys.readouterr().err.startswith("configuration error:")
-    assert not list(tmp_path.iterdir())
-
-
-@pytest.mark.parametrize("units", [
-    ["--d0", "1e30", "--mass", "1e300"],
-    ["--d0", "1e300", "--mass", "1e10"],
-    ["--r0", "1e308"],
-], ids=["spacing-underflows", "spacing-too-fine", "domain-overflows"])
-def test_mie_grids_out_of_range_are_a_domain_error(tmp_path, capsys, units):
-    assert run(tmp_path, "verify", "--fast", "--preset", "mie-general",
-               "--mie-a", "4", "--mie-b", "2", "--n-max", "0", "--ell-max",
-               "0", "--dims", "3", *units) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("domain error: the grid") and "Traceback" not in err
-
-
 @pytest.mark.parametrize("units, code, message", [
     (["--d0", "1e30", "--mass", "1e300"], 3, "domain error: beta"),
     (["--d0", "1e300", "--mass", "1e10"], 3, "domain error: beta"),
     (["--r0", "1e308"], 2, "configuration error: A, B must be finite"),
 ], ids=["beta-overflows-mass", "beta-overflows-depth", "coefficients-overflow"])
-def test_kratzer_fues_exponents_of_mie_general_out_of_range(tmp_path, capsys,
-                                                           units, code, message):
-    # at the default (a, b) = (2, 1) mie-general is the Kratzer-Fues well,
+def test_kratzer_fues_out_of_range(tmp_path, capsys, units, code, message):
     # refused by the closed form's own range checks
-    assert run(tmp_path, "verify", "--fast", "--preset", "mie-general",
+    assert run(tmp_path, "verify", "--fast", "--preset", "kratzer-fues",
                "--n-max", "0", "--ell-max", "0", "--dims", "3", *units) == code
     err = capsys.readouterr().err
     assert err.startswith(message) and "Traceback" not in err
 
 
-def test_mie_general_at_exponents_one_two_is_kratzer_fues(tmp_path):
-    assert run(tmp_path, "spectrum", "--preset", "mie-general", "--d0", "5",
-               "--r0", "1", "--mie-a", "1", "--mie-b", "2",
-               "--out", str(tmp_path / "mie.csv")) == 0
-    assert run(tmp_path, "spectrum", "--preset", "kratzer-fues", "--d0", "5",
-               "--r0", "1", "--out", str(tmp_path / "kf.csv")) == 0
-    assert (tmp_path / "mie.csv").read_bytes() == (tmp_path / "kf.csv").read_bytes()
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--preset", "mie-general"],
+    ["ladder-check", "--mie-a", "4"],
+    ["wavefunction", "--n", "0", "--ell", "0", "--dim", "3", "--mie-b", "2"],
+    ["verify", "--mie-general"],
+    ["verify", "--coarse", "16"],
+], ids=["preset", "mie-a", "mie-b", "mie-general", "coarse"])
+def test_removed_flags_are_argparse_errors(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, *argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
-def test_verify_of_default_mie_general_checks_the_closed_form(tmp_path):
-    # (a, b) = (2, 1) once went to the numeric-only section: no channel was
-    # checked and passed was true
-    assert run(tmp_path, "verify", "--fast", "--preset", "mie-general") == 0
-    payload = json.loads((tmp_path / "verify.json").read_text())
-    assert "mie_general" not in payload
-    assert len(payload["channels"]) == 9
-    assert all(c["passed"] and c["closed_form"] for c in payload["channels"])
+def test_the_general_mie_preset_is_unknown_in_a_config_file(tmp_path, capsys):
+    cfg = tmp_path / "cfg" / "mie.json"
+    cfg.parent.mkdir()
+    cfg.write_text(json.dumps({"potential": {"preset": "mie-general"}}))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["verify", "--fast", "--config", str(cfg),
+                 "--outdir", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "configuration error: unknown preset 'mie-general'\n"
+    assert not list(out.iterdir())
 
 
-def _mie_levels(tmp_path, *units):
-    assert run(tmp_path, "verify", "--preset", "mie-general", "--d0", "3",
-               "--r0", "2", "--mie-a", "6", "--mie-b", "3", "--fast",
-               "--dims", "3", "--ell-max", "0", "--n-max", "1", *units) == 0
-    section = json.loads((tmp_path / "verify.json").read_text())["mie_general"]
-    return section[0]["fd"]
+def test_verify_without_a_channel_is_a_configuration_error(tmp_path, capsys):
+    # an empty dims list would pass with no gate run
+    cfg = tmp_path / "cfg" / "dims.json"
+    cfg.parent.mkdir()
+    cfg.write_text(json.dumps({"quantum": {"dims": []}}))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["verify", "--fast", "--config", str(cfg),
+                 "--outdir", str(out)]) == 2
+    assert "quantum.dims" in capsys.readouterr().err
+    assert not list(out.iterdir())
 
 
-def test_units_reach_the_general_mie_form(tmp_path):
-    # the levels depend on the units only through hbar^2 / mass
-    plain = _mie_levels(tmp_path)
-    scaled = _mie_levels(tmp_path, "--mass", "2", "--hbar", "1.4142135623730951")
-    heavy = _mie_levels(tmp_path, "--mass", "2")
-    assert len(plain) == len(scaled) == len(heavy) == 2
-    assert scaled == pytest.approx(plain, abs=1e-9)
-    assert all(abs(a - b) > 1e-3 for a, b in zip(heavy, plain))
+def test_energy_gate_reads_the_binding_energy_not_the_offset(tmp_path):
+    # 5e-5 |E| would allow 5e5 on a level 0.5 below C = 1e10
+    assert run(tmp_path, "verify", "--A", "0", "--B", "-1", "--C", "1e10",
+               "--n-max", "1", "--ell-max", "0", "--dims", "3") == 0
+    channel = json.loads((tmp_path / "verify.json").read_text())["channels"][0]
+    assert channel["closed_form"] == [1e10 - 0.5, 1e10 - 0.125]
+    assert channel["tolerance"] == [5e-5, 5e-5]
+    assert channel["passed"]
 
 
 # flag, value, the section and key it sets, and the value print-config shows
@@ -523,8 +487,6 @@ CONFIG_FLAGS = [
     ("--A", "0.5", "potential", "A", 0.5),
     ("--B", "-2", "potential", "B", -2.0),
     ("--C", "0.25", "potential", "C", 0.25),
-    ("--mie-a", "6", "potential", "a", 6.0),
-    ("--mie-b", "3", "potential", "b", 3.0),
     ("--convention", "paper-literal", "potential", "convention", "paper-literal"),
     ("--mass", "2", "units", "mass", 2.0),
     ("--hbar", "0.5", "units", "hbar", 0.5),
@@ -547,8 +509,8 @@ def test_config_flag_table_covers_every_common_flag():
 
 
 # a preset that reads each potential key other than preset and A/B/C
-READER = {"d0": "kratzer-fues", "r0": "kratzer-fues", "a": "mie-general",
-          "b": "mie-general", "convention": "modified-kratzer"}
+READER = {"d0": "kratzer-fues", "r0": "kratzer-fues",
+          "convention": "modified-kratzer"}
 
 
 @pytest.mark.parametrize("flag,value,section,key,expected", CONFIG_FLAGS,
@@ -569,7 +531,7 @@ def test_each_config_flag_lands_under_its_section(capsys, flag, value,
 def test_every_listed_preset_is_accepted(tmp_path, capsys):
     assert main(["presets"]) == 0
     names = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
-    assert len(names) == 4
+    assert len(names) == 3
     for name in names:
         assert main(["print-config", "--preset", name]) == 0
         from_flag = json.loads(capsys.readouterr().out)
@@ -581,21 +543,6 @@ def test_every_listed_preset_is_accepted(tmp_path, capsys):
         assert cli.build_potential(from_file)[1] == name
 
 
-@pytest.mark.parametrize("argv", [
-    ["spectrum"],
-    ["wavefunction", "--n", "0", "--ell", "0", "--dim", "3"],
-    ["ladder-check"],
-], ids=["spectrum", "wavefunction", "ladder-check"])
-def test_closed_form_commands_refuse_the_general_mie_form(tmp_path, capsys, argv):
-    assert run(tmp_path, *argv, "--preset", "mie-general", "--mie-a", "6",
-               "--mie-b", "3") == 2
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error:")
-    assert err.rstrip().endswith(
-        "needs a Mie-type potential (use 'verify' for general exponents)")
-    assert not list(tmp_path.iterdir())
-
-
 def test_convention_alone_is_refused_by_verify(tmp_path, capsys):
     # the default Coulomb section does not read a convention
     assert run(tmp_path, "verify", "--convention", "paper-literal", "--fast",
@@ -604,28 +551,26 @@ def test_convention_alone_is_refused_by_verify(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+# a dict is the potential section of a config file, for keys no flag sets
 @pytest.mark.parametrize("argv,label,key", [
-    (["spectrum", "--preset", "kratzer-fues", "--d0", "5", "--r0", "1",
-      "--mie-a", "6"], "'kratzer-fues'", "'a'"),
+    (["spectrum", {"preset": "kratzer-fues", "d0": 5, "r0": 1, "a": 6}],
+     "'kratzer-fues'", "'a'"),
     (["verify", "--preset", "coulomb", "--B", "-1", "--d0", "3"],
      "'coulomb'", "'d0'"),
-    (["verify", "--preset", "mie-general", "--B", "-1"],
-     "'mie-general'", "'B'"),
     (["spectrum", "--B", "-1", "--d0", "3"], "'raw'", "'d0'"),
-    (["ladder-check", "--preset", "modified-kratzer", "--mie-b", "3"],
+    (["ladder-check", {"preset": "modified-kratzer", "b": 3}],
      "'modified-kratzer'", "'b'"),
     (["print-config", "--d0", "3"], "'coulomb'", "'d0'"),
-    (["spectrum", "--config"], "'coulomb'", "'r0'"),
-], ids=["kratzer-fues-a", "coulomb-d0", "mie-general-B", "raw-d0",
-        "modified-kratzer-b", "default-coulomb-d0", "config-file-r0"])
+    (["spectrum", {"preset": "coulomb", "B": -1, "r0": 2}], "'coulomb'", "'r0'"),
+], ids=["kratzer-fues-a", "coulomb-d0", "raw-d0", "modified-kratzer-b",
+        "default-coulomb-d0", "config-file-r0"])
 def test_a_potential_key_the_preset_does_not_read_is_refused(
         tmp_path, capsys, argv, label, key):
-    if argv[-1] == "--config":
-        cfg = tmp_path / "cfg" / "coulomb.json"
+    if isinstance(argv[-1], dict):
+        cfg = tmp_path / "cfg" / "potential.json"
         cfg.parent.mkdir()
-        cfg.write_text(json.dumps(
-            {"potential": {"preset": "coulomb", "B": -1, "r0": 2}}))
-        argv = [*argv, str(cfg)]
+        cfg.write_text(json.dumps({"potential": argv[-1]}))
+        argv = [*argv[:-1], "--config", str(cfg)]
     out = tmp_path / "out"
     out.mkdir()
     assert main([*argv, "--outdir", str(out)]) == 2
@@ -825,13 +770,11 @@ def test_each_config_value_is_stored_as_the_type_it_is_read_as(tmp_path, capsys)
     ["spectrum", "--preset", "kratzer-fues", "--d0", "nan", "--r0", "1"],
     ["wavefunction", "--n", "0", "--ell", "0", "--dim", "3", "--r-domain", "nan"],
     ["wavefunction", "--n", "0", "--ell", "0", "--dim", "3", "--r-min", "nan"],
-    ["verify", "--fast", "--coarse", "nan"],
-    ["verify", "--fast", "--coarse", "0"],
-    ["verify", "--fast", "--coarse", "-2"],
+    ["verify", "--fast", "--refine", "nan"],
     ["verify", "--fast", "--refine", "0"],
     ["verify", "--fast", "--refine", "-3"],
-], ids=["mass-nan", "d0-nan", "r-domain-nan", "r-min-nan", "coarse-nan",
-        "coarse-zero", "coarse-negative", "refine-zero", "refine-negative"])
+], ids=["mass-nan", "d0-nan", "r-domain-nan", "r-min-nan", "refine-nan",
+        "refine-zero", "refine-negative"])
 def test_a_non_finite_or_non_positive_number_is_refused(tmp_path, capsys, argv):
     assert run(tmp_path, *argv) == 2
     assert capsys.readouterr().err.startswith("configuration error:")
@@ -847,15 +790,15 @@ def test_a_non_finite_or_non_positive_number_is_refused(tmp_path, capsys, argv):
       "--hbar", "1e200"], "hbar^2 / 2M leaves"),
     (["ladder-check", "--B=-1e20", "--mass", "1e-10", "--hbar", "1e-150"],
      "beta = -2 m B / hbar^2 = inf is outside"),
-    (["verify", "--fast", "--preset", "mie-general", "--n-max", "0",
-      "--ell-max", "0", "--dims", "3", "--hbar", "1e200"], "hbar^2 / 2M leaves"),
+    (["verify", "--fast", "--n-max", "0", "--ell-max", "0", "--dims", "3",
+      "--hbar", "1e200"], "hbar^2 / 2M leaves"),
     (["spectrum", "--B=-1e-300", "--mass", "1e-10"],
      "beta = -2 m B / hbar^2 = 2e-310 is outside"),
     (["spectrum", "--A", "1e300", "--B=-1", "--mass", "1e10"],
      "indicial discriminant leaves"),
     (["spectrum", "--B=-1e154", "--C=-1.7e308"], "the energy"),
 ], ids=["spectrum-hbar", "spectrum-mass-hbar", "verify-mass", "wavefunction-hbar",
-        "ladder-check-hbar", "verify-mie-hbar", "spectrum-beta-under",
+        "ladder-check-hbar", "verify-hbar", "spectrum-beta-under",
         "spectrum-discriminant", "spectrum-energy"])
 def test_extreme_units_are_a_domain_error(tmp_path, capsys, argv, names):
     assert run(tmp_path, *argv) == 3

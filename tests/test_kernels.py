@@ -7,7 +7,7 @@ from miespec import oracle
 from miespec.oracle import (Tridiagonal, build_tridiagonal_radial, cell_grid,
                             convergence_study, count_below, default_grid,
                             eigen_lowest, solve_bound_states)
-from miespec.potentials import MiePreset, coulomb, kratzer_fues
+from miespec.potentials import coulomb, kratzer_fues, modified_kratzer
 
 
 def random_tridiagonal(rng, m):
@@ -387,9 +387,10 @@ def _scout_cases():
                 grid = default_grid(potential, ell, dim, n_max=3)
                 yield (f"{label}-N{dim}-ell{ell}", potential, ell, dim,
                        grid, 4, "radial")
-    mie = MiePreset(d0=5.0, r0=1.0, a=4.0, b=2.0)
-    yield ("mie-general", mie, 0, 3, default_grid(mie, 0, 3, n_max=3), 4,
-           "radial")
+    # C = 5: the solve's ceiling is the offset, not 0
+    shifted = modified_kratzer(5.0, 1.0)
+    yield ("modified-kratzer", shifted, 0, 3,
+           default_grid(shifted, 0, 3, n_max=3), 4, "radial")
     hydrogen = coulomb(-1.0)
     # the u scheme on uniform r-cells over [0, 150]
     yield ("u-scheme", hydrogen, 1, 3, cell_grid(150.0, 7500), 4, "u")

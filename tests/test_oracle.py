@@ -12,7 +12,7 @@ from miespec.oracle import (Tridiagonal, build_tridiagonal,
                             convergence_study, count_below, default_grid,
                             effective_potential, eigen_lowest,
                             solve_bound_states)
-from miespec.potentials import MiePreset, PotentialParams, coulomb, kratzer_fues
+from miespec.potentials import PotentialParams, coulomb
 from miespec.spectrum import QuantumNumbers, bound_state, energy
 from miespec.wavefunction import RadialGrid, eval_radial
 
@@ -154,29 +154,6 @@ class TestSolveBoundStates:
         for g, w in zip(got, want):
             assert abs(g - w) <= max(5e-5, 5e-5 * abs(w))
 
-    def test_general_mie_21_matches_kratzer_map(self):
-        for mass, hbar in ((1.0, 1.0), (2.0, 0.5)):
-            preset = MiePreset(d0=5.0, r0=1.0, a=2.0, b=1.0, mass=mass,
-                               hbar=hbar)
-            kratzer = kratzer_fues(5.0, 1.0, mass, hbar)
-            got = solve_bound_states(preset, 0, 3,
-                                     default_grid(kratzer, 0, 3), count=3)
-            want = exact_energies(kratzer, 0, 3, 3)
-            assert len(got) == 3
-            for g, w in zip(got, want):
-                assert abs(g - w) <= max(5e-5, 5e-5 * abs(w))
-
-    def test_general_mie_42_frozen_regression(self):
-        # no closed form for these exponents; values frozen from a run whose
-        # convergence was checked at 2x and 4x refinement (steps 1.9e-5 and
-        # 4.7e-6, order 2); the uniform-r grid froze the second list
-        preset = MiePreset(d0=5.0, r0=1.0, a=4.0, b=2.0)
-        got = solve_bound_states(preset, 0, 3)
-        frozen = [-2.5149061760, -0.6510245092, -0.1620986525, -0.0397295523]
-        assert got == pytest.approx(frozen, abs=1e-8)
-        uniform_r = [-2.5148859613, -0.6510081705, -0.1620920426, -0.0397274854]
-        assert got == pytest.approx(uniform_r, abs=5e-5)
-
     def test_box_artifacts_filtered(self, hydrogen):
         # tiny domain, r in [0, 14]: only the ground state fits below
         # V_eff(r_max)
@@ -310,12 +287,8 @@ class TestExtremeGrids:
             solve_bound_states(heavy, 0, 3)
 
     @pytest.mark.parametrize("potential", [
-        MiePreset(1e30, 1.0, mass=1e300),
-        MiePreset(1e-300, 1.0, hbar=1e150),
-        MiePreset(1.0, 1e308),
         coulomb(-3e-308),
-    ], ids=["mie-spacing-zero", "mie-spacing-inf", "mie-domain-inf",
-            "coulomb-domain-inf"])
+    ], ids=["coulomb-domain-inf"])
     def test_a_domain_or_spacing_out_of_range_is_refused(self, potential):
         with pytest.raises(GridResolutionError, match="sizes to (0|inf) cells"):
             default_grid(potential, 0, 3)

@@ -1,13 +1,11 @@
 """Potential family, presets, and their parameter maps."""
 
-from dataclasses import fields
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from miespec.potentials import (MiePreset, PotentialParams, coulomb,
-                                kratzer_fues, mie_general, modified_kratzer)
+from miespec.potentials import (PotentialParams, coulomb, kratzer_fues,
+                                modified_kratzer)
 
 positive = st.floats(min_value=0.05, max_value=50.0, allow_nan=False)
 
@@ -29,57 +27,10 @@ def test_kratzer_minimum_depth():
 def test_radius_domain_error(r):
     with pytest.raises(ValueError):
         PotentialParams(0.0, -1.0, 0.0).value(r)
-    with pytest.raises(ValueError):
-        MiePreset(1.0, 1.0, 2.0, 1.0).value(r)
 
 
-class TestMieGeneral:
-    def test_depth_at_equilibrium(self):
-        preset = MiePreset(d0=5.0, r0=2.0, a=2.0, b=1.0)
-        assert preset.value(2.0) == pytest.approx(-5.0, rel=1e-14)
-
-    def test_vanishes_monotonically_at_infinity(self):
-        preset = MiePreset(d0=3.0, r0=1.0, a=4.0, b=2.0)
-        r = np.linspace(5.0, 500.0, 50)
-        values = preset.value(r)
-        assert np.all(np.diff(np.abs(values)) < 0.0)
-        assert abs(values[-1]) < 1e-4
-
-    def test_matches_kratzer_map_on_log_grid(self):
-        d0, r0 = 5.0, 1.3
-        preset = MiePreset(d0=d0, r0=r0, a=2.0, b=1.0)
-        params = kratzer_fues(d0, r0)
-        r = np.logspace(np.log10(0.01 * r0), np.log10(100.0 * r0), 200)
-        mie = preset.value(r)
-        closed = params.value(r)
-        scale = np.maximum(np.abs(mie), np.abs(closed))
-        assert np.all(np.abs(mie - closed) <= 1e-12 * scale)
-
-    @given(d0=positive, r0=positive, r=positive)
-    def test_two_exponent_form_equals_abc_form(self, d0, r0, r):
-        preset = MiePreset(d0=d0, r0=r0, a=2.0, b=1.0)
-        params = kratzer_fues(d0, r0)
-        got = preset.value(r)
-        want = params.value(r)
-        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
-
-    @pytest.mark.parametrize("a,b", [(2.0, 1.0), (1.0, 2.0)])
-    def test_closed_form_exponents_give_kratzer_fues(self, a, b):
-        params = mie_general(5.0, 1.3, a, b, mass=2.0, hbar=0.5)
-        assert params == kratzer_fues(5.0, 1.3, mass=2.0, hbar=0.5)
-
-    def test_other_exponents_give_the_two_exponent_form(self):
-        assert mie_general(5.0, 1.3, 4.0, 2.0) == MiePreset(5.0, 1.3, 4.0, 2.0)
-
-    def test_value_at_infinity(self):
-        assert PotentialParams(1.0, -2.0, 0.75).at_infinity == 0.75
-        # a class constant of the Mie form, not a field
-        assert MiePreset(1.0, 1.0, 4.0, 2.0).at_infinity == 0.0
-        assert "at_infinity" not in {f.name for f in fields(MiePreset)}
-
-    def test_equal_exponents_rejected(self):
-        with pytest.raises(ValueError):
-            MiePreset(1.0, 1.0, 2.0, 2.0)
+def test_value_at_infinity():
+    assert PotentialParams(1.0, -2.0, 0.75).at_infinity == 0.75
 
 
 class TestPresetMaps:
@@ -144,31 +95,18 @@ class TestPresetMaps:
 NAN, INF = float("nan"), float("inf")
 
 
-@pytest.mark.parametrize("a,b", [(0.0, 1.0), (2.0, 0.0), (-1.0, 1.0),
-                                 (2.0, -6.0)])
-def test_mie_exponents_must_be_positive(a, b):
-    # the oracle takes V(infinity) = 0 for the Mie form, true only for
-    # a, b > 0
-    with pytest.raises(ValueError, match="must be positive"):
-        MiePreset(1.0, 1.0, a=a, b=b)
-
-
 @pytest.mark.parametrize("make", [
     lambda: PotentialParams(NAN, -1.0, 0.0),
     lambda: PotentialParams(0.0, -INF, 0.0),
     lambda: PotentialParams(0.0, -1.0, 0.0, mass=NAN),
     lambda: PotentialParams(0.0, -1.0, 0.0, hbar=INF),
-    lambda: MiePreset(NAN, 1.0),
-    lambda: MiePreset(1.0, NAN),
-    lambda: MiePreset(1.0, 1.0, a=INF),
-    lambda: MiePreset(1.0, 1.0, mass=NAN),
     lambda: kratzer_fues(NAN, 1.0),
     lambda: kratzer_fues(1.0, INF),
     lambda: modified_kratzer(1.0, NAN),
     lambda: coulomb(NAN),
     lambda: coulomb(-1.0, hbar=NAN),
-], ids=["A-nan", "B-inf", "mass-nan", "hbar-inf", "mie-d0-nan", "mie-r0-nan",
-        "mie-a-inf", "mie-mass-nan", "kratzer-d0-nan", "kratzer-r0-inf",
+], ids=["A-nan", "B-inf", "mass-nan", "hbar-inf", "kratzer-d0-nan",
+        "kratzer-r0-inf",
         "modified-r0-nan", "coulomb-B-nan", "coulomb-hbar-nan"])
 def test_a_non_finite_parameter_is_refused(make):
     # each check is written so that NaN fails it, as no comparison with

@@ -224,6 +224,19 @@ class TestOdeResidual:
         with pytest.raises(GridResolutionError):
             ode_residual_relative(state, RadialGrid(0.1, 30.0, 100))
 
+    def test_underflowing_spacing_squared_is_refused(self, hydrogen):
+        # 12 h^2 underflows to 0, which would make the residual nan
+        grid = RadialGrid(1e-300, 1e-299, 11)
+        with pytest.raises(GridResolutionError, match="squared underflows"):
+            ode_residual_samples(np.ones(11), grid, hydrogen, 0, 3, -0.5)
+
+    def test_a_term_past_the_double_range_is_refused(self, hydrogen):
+        # nu / r^2 times 1e307 overflows near r = 1e-3
+        grid = RadialGrid(1e-3, 1.0, 101)
+        with pytest.raises(GridResolutionError, match="must be finite"):
+            ode_residual_samples(np.full(101, 1e307), grid, hydrogen, 1, 3,
+                                 -0.125)
+
     def test_interior_grid_alignment(self, hydrogen):
         state = make_state(hydrogen, 0, 0, 3)
         grid = RadialGrid(0.1, 20.0, 2000)
