@@ -13,7 +13,7 @@ from .ladder import (apply_lowering, apply_raising, bargmann_index,
                      commutator_eigenvalue, ladder_fits, ladder_matrices,
                      lowering_coefficient, raising_coefficient)
 from .oracle import (Tridiagonal, build_tridiagonal, build_tridiagonal_radial,
-                     cell_grid, convergence_study, count_below, default_grid,
+                     cell_grid, count_below, default_grid,
                      effective_potential, eigen_lowest, solve_bound_states)
 from .potentials import (PotentialParams, coulomb, kratzer_fues,
                          modified_kratzer)

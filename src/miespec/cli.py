@@ -360,9 +360,10 @@ def cmd_ladder_check(args) -> int:
 
 
 def _verify_channel(potential, label, ell, dim, n_max, refine, fast):
-    q_list = [spectrum.QuantumNumbers(n=n, ell=ell, dim=dim)
-              for n in range(n_max + 1)]
-    exact = [spectrum.energy(potential, q) for q in q_list]
+    states = [spectrum.bound_state(
+        potential, spectrum.QuantumNumbers(n=n, ell=ell, dim=dim))
+        for n in range(n_max + 1)]
+    exact = [s.energy for s in states]
     grid = oracle.default_grid(potential, ell, dim, n_max=n_max, refine=refine)
     # the order fit's 4h and 2h grids need level 0 only
     rungs = [(1, n_max + 1)] if fast else [(4, 1), (2, 1), (1, n_max + 1)]
@@ -386,7 +387,6 @@ def _verify_channel(potential, label, ell, dim, n_max, refine, fast):
             tols.append(None)
     entry.update(delta=deltas, tolerance=tols, energy_ok=ok)
 
-    states = [spectrum.bound_state(potential, q) for q in q_list]
     norms = [wavefunction.norm_check(s) for s in states]
     entry["norm"] = norms
     entry["norm_ok"] = all(abs(v - 1.0) <= 1e-10 for v in norms)
@@ -399,11 +399,9 @@ def _verify_channel(potential, label, ell, dim, n_max, refine, fast):
     if fast:
         entry.update(order=None, order_status="skipped", order_ok=True)
     else:
-        study = oracle.order_fit([f * grid.spacing for f, _ in rungs], levels,
-                                 0, exact[0])
-        entry.update(order=study["order"], order_status=study["status"])
-        entry["order_ok"] = (study["status"] != "ok"
-                             or abs(study["order"] - 2.0) <= 0.2)
+        study = oracle.order_fit(levels, 0, exact[0])
+        entry.update(order=study["order"], order_status=study["status"],
+                     order_ok=study["passed"])
     entry["passed"] = (entry["energy_ok"] and entry["norm_ok"]
                        and entry["orthogonality_ok"] and entry["order_ok"])
     return entry

@@ -21,9 +21,9 @@ Its cost is rows swept, so it sweeps only rows that decide something:
 * Every solve is one ladder of grids over the same domain, solved coarse
   to fine (solve_grids): a scout grid of spacing 8h, with 1/8 of the rows,
   then the caller's rungs (a full ``verify``: 4h and 2h for level 0, then
-  h).  On every grid, level j's first slope probe goes to the h^2
-  (Richardson) line through the last two grids that solved it, or to the
-  one value if only one did, not to a bracket midpoint.
+  h, and order_fit gates level 0's order on them).  On every grid, level
+  j's first slope probe goes to the h^2 (Richardson) line through the last
+  two grids that solved it, or to the one value, not to a bracket midpoint.
 * A level closes on its first small model step.  Every oracle solve ends
   on brackets of width tol = _TOL = 1e-11.  Once a step is below
   _EARLY_CLOSE = 1e5 times tol/2, the two counts at x + step +- tol/2 are
@@ -525,11 +525,12 @@ def solve_grids(potential, ell: int, dim: int, grid: RadialGrid, rungs,
     """Bound levels on a ladder of grids over the domain of ``grid``, each
     discretized by ``scheme`` ("radial" or "u"; any other is a ValueError).
 
-    ``rungs`` are (spacing factor, level count) pairs, listed coarse to
-    fine; factor 1 is ``grid`` itself and factor f has about 1/f of its
-    cells.  One level array is returned per rung, each holding the levels
-    below that grid's bound-state ceiling, so it may be short; a count
-    outside [1, cells] is eigen_lowest's ValueError.
+    ``rungs`` is a non-empty list of (spacing factor, level count) pairs,
+    coarse to fine, each factor positive and finite (else a ValueError);
+    factor 1 is ``grid`` itself and factor f has about 1/f of its cells.
+    One level array is returned per rung, each holding the levels below
+    that grid's bound-state ceiling, so it may be short; a count outside
+    [1, cells] is eigen_lowest's ValueError.
 
     A scout grid of factor 8 is solved first, at the highest count of any
     rung, unless a rung already has that factor or the scout would have
@@ -540,6 +541,9 @@ def solve_grids(potential, ell: int, dim: int, grid: RadialGrid, rungs,
     """
     if scheme not in _BUILDERS:
         raise ValueError(f"unknown discretization scheme {scheme!r}")
+    if not rungs or not all(0.0 < f < math.inf for f, _ in rungs):
+        raise ValueError("rungs must be a non-empty list of (spacing factor, "
+                         "level count) pairs with positive finite factors")
     domain = grid.r_max + 0.5 * grid.spacing
     top = max(count for _, count in rungs)
     scouts = ([] if any(f == _SCOUT for f, _ in rungs)
@@ -575,51 +579,32 @@ def _predict(solved: list, spacing: float) -> float:
     return e2 + w * (e1 - e2)
 
 
-def convergence_study(potential, ell: int, dim: int, level: int,
-                      exact_energy: float, r_domain: float,
-                      h_sequence, scheme: str = "radial") -> dict:
-    """Empirical convergence order of one eigenvalue under grid refinement.
+def order_fit(levels: list, level: int, exact_energy: float) -> dict:
+    """Convergence report of eigenvalue ``level`` from solve_grids' level
+    arrays, one per rung, on two or more rungs whose spacings halve coarse
+    to fine (factors 4, 2, 1): ``order`` is the mean log2 ratio of
+    successive errors.  A grid that holds no such bound level, and error
+    sequences that are non-monotone or already at the rounding floor, are
+    reported as inconclusive rather than fitted.
 
-    ``h_sequence`` must contain at least three spacings, each half the
-    previous.  The grids are the rungs of solve_grids over [0, r_domain],
-    and order_fit makes the report.  Domain and spacings are in the
-    scheme's grid coordinate (x = sqrt(r) for the radial scheme).
+    ``passed`` is the order gate: a fitted order within 0.2 of 2, or errors
+    at the rounding floor, where no order can be read; any other
+    inconclusive fit fails it.
     """
-    h_sequence = list(h_sequence)
-    if len(h_sequence) < 3:
-        raise ValueError("need at least three grid spacings")
-    for a, b in zip(h_sequence, h_sequence[1:]):
-        if abs(a / b - 2.0) > 1e-3:
-            raise ValueError("each spacing must halve the previous one")
-
-    h = h_sequence[-1]
-    levels = solve_grids(potential, ell, dim,
-                         cell_grid(r_domain, int(round(r_domain / h))),
-                         [(s / h, level + 1) for s in h_sequence], scheme)
-    return order_fit(h_sequence, levels, level, exact_energy)
-
-
-def order_fit(spacings: list, levels: list, level: int,
-              exact_energy: float) -> dict:
-    """Convergence report of eigenvalue ``level`` from one level array per
-    spacing.  A grid that holds no such bound level, and error sequences
-    that are non-monotone or already at the rounding floor, are reported as
-    inconclusive rather than fitted."""
     errors = [abs(float(values[level]) - exact_energy)
               for values in levels if len(values) > level]
-    report = {"spacings": spacings, "errors": errors, "level": level,
-              "order": None, "status": "inconclusive", "reason": ""}
+    report = {"errors": errors, "order": None, "status": "inconclusive",
+              "reason": "", "passed": False}
     if len(errors) < len(levels):
         report["reason"] = "level above the bound-state ceiling on some grid"
         return report
-    floor = 1e-9 * max(1.0, abs(exact_energy))
-    if min(errors) <= floor:
-        report["reason"] = "errors at rounding floor"
+    if min(errors) <= 1e-9 * max(1.0, abs(exact_energy)):
+        report.update(reason="errors at rounding floor", passed=True)
         return report
     if any(b >= a for a, b in zip(errors, errors[1:])):
         report["reason"] = "non-monotone error sequence"
         return report
     orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
-    report.update(order=sum(orders) / len(orders), status="ok",
-                  pairwise_orders=orders)
+    order = sum(orders) / len(orders)
+    report.update(order=order, status="ok", passed=abs(order - 2.0) <= 0.2)
     return report

@@ -5,8 +5,8 @@ import pytest
 
 from miespec import oracle
 from miespec.oracle import (Tridiagonal, build_tridiagonal_radial, cell_grid,
-                            convergence_study, count_below, default_grid,
-                            eigen_lowest, solve_bound_states)
+                            count_below, default_grid, eigen_lowest,
+                            order_fit, solve_bound_states)
 from miespec.potentials import coulomb, kratzer_fues, modified_kratzer
 
 
@@ -302,10 +302,12 @@ def test_a_box_level_above_the_ceiling_makes_the_order_inconclusive():
     # on [0, 0.5] hydrogen's lowest level is a box level far above the
     # bound-state ceiling V_eff(r_max) ~ -2
     hydrogen = coulomb(-1.0)
-    report = convergence_study(hydrogen, 0, 3, level=0, exact_energy=-0.5,
-                               r_domain=0.5, h_sequence=[0.04, 0.02, 0.01])
+    levels = oracle.solve_grids(hydrogen, 0, 3, cell_grid(0.5, 50),
+                                [(4, 1), (2, 1), (1, 1)])
+    report = order_fit(levels, 0, -0.5)
     assert report["status"] == "inconclusive"
     assert "ceiling" in report["reason"]
+    assert not report["passed"]
     assert len(solve_bound_states(hydrogen, 0, 3, cell_grid(0.5, 50), 1)) == 0
 
 

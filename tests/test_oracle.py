@@ -8,10 +8,9 @@ import pytest
 from miespec import oracle
 from miespec.errors import GridResolutionError
 from miespec.oracle import (Tridiagonal, build_tridiagonal,
-                            build_tridiagonal_radial, cell_grid,
-                            convergence_study, count_below, default_grid,
-                            effective_potential, eigen_lowest,
-                            solve_bound_states)
+                            build_tridiagonal_radial, cell_grid, count_below,
+                            default_grid, effective_potential, eigen_lowest,
+                            order_fit, solve_bound_states)
 from miespec.potentials import PotentialParams, coulomb
 from miespec.spectrum import QuantumNumbers, bound_state, energy
 from miespec.wavefunction import RadialGrid, eval_radial
@@ -19,6 +18,16 @@ from miespec.wavefunction import RadialGrid, eval_radial
 
 def exact_energies(params, ell, dim, count):
     return [energy(params, QuantumNumbers(n, ell, dim)) for n in range(count)]
+
+
+def order_study(potential, ell, dim, exact_energy, r_domain, h,
+                factors=(4, 2, 1), scheme="radial"):
+    """order_fit of level 0 on solve_grids' rungs over [0, r_domain], the
+    finest of spacing h; domain and spacing in the scheme's coordinate."""
+    grid = cell_grid(r_domain, round(r_domain / h))
+    levels = oracle.solve_grids(potential, ell, dim, grid,
+                                [(f, 1) for f in factors], scheme)
+    return order_fit(levels, 0, exact_energy)
 
 
 class TestEffectivePotential:
@@ -190,47 +199,39 @@ class TestConvergenceStudy:
         # N=2, ell=0: the critical channel, second order on the x-grid
         grid = default_grid(hydrogen, 0, 2)
         h = grid.spacing
-        report = convergence_study(hydrogen, 0, 2, level=0, exact_energy=-2.0,
-                                   r_domain=grid.r_max + 0.5 * h,
-                                   h_sequence=[4 * h, 2 * h, h])
-        assert report["status"] == "ok"
+        report = order_study(hydrogen, 0, 2, -2.0, grid.r_max + 0.5 * h, h)
+        assert report["status"] == "ok" and report["passed"]
         assert report["order"] == pytest.approx(2.0, abs=0.2)
 
     def test_u_scheme_is_the_negative_control(self, hydrogen):
         # the u'' stencil on the critical -1/(4 r^2) channel (N=2, ell=0):
         # the error grows under refinement (23, 57, 160), where the radial
         # scheme fits order 2.00 on the same spacings
-        critical = convergence_study(hydrogen, 0, 2, level=0, exact_energy=-2.0,
-                                     r_domain=40.0,
-                                     h_sequence=[0.04, 0.02, 0.01], scheme="u")
+        critical = order_study(hydrogen, 0, 2, -2.0, 40.0, 0.01, scheme="u")
         errors = critical["errors"]
         assert all(b > a for a, b in zip(errors, errors[1:]))
         assert min(errors) > 1.0
         assert critical["status"] == "inconclusive"
+        assert not critical["passed"]
         # a regular channel (N=3, ell=1) converges at second order
         e0 = energy(hydrogen, QuantumNumbers(0, 1, 3))
-        regular = convergence_study(hydrogen, 1, 3, level=0, exact_energy=e0,
-                                    r_domain=60.0,
-                                    h_sequence=[0.04, 0.02, 0.01], scheme="u")
-        assert regular["status"] == "ok"
+        regular = order_study(hydrogen, 1, 3, e0, 60.0, 0.01, scheme="u")
+        assert regular["status"] == "ok" and regular["passed"]
         assert regular["order"] == pytest.approx(2.0, abs=0.2)
 
     def test_kratzer_second_order(self, kratzer):
         e0 = energy(kratzer, QuantumNumbers(0, 0, 3))
-        report = convergence_study(kratzer, 0, 3, level=0, exact_energy=e0,
-                                   r_domain=24.0,
-                                   h_sequence=[0.02, 0.01, 0.005])
-        assert report["status"] == "ok"
+        report = order_study(kratzer, 0, 3, e0, 24.0, 0.005)
+        assert report["status"] == "ok" and report["passed"]
         assert report["order"] == pytest.approx(2.0, abs=0.2)
 
     def test_rounding_floor_is_inconclusive(self, hydrogen):
         # the (ell=0, N=3) ground state is the Gaussian e^{-x^2}, nearly
         # exact in this scheme; x in [0, 10] is r in [0, 100]
-        report = convergence_study(hydrogen, 0, 3, level=0, exact_energy=-0.5,
-                                   r_domain=10.0,
-                                   h_sequence=[0.02, 0.01, 0.005])
+        report = order_study(hydrogen, 0, 3, -0.5, 10.0, 0.005)
         assert report["status"] == "inconclusive"
         assert "floor" in report["reason"]
+        assert report["passed"]
 
     def test_five_spacings_solve_each_grid_once(self, hydrogen, monkeypatch):
         # the rungs hold the scout's factor 8: no grid is solved twice
@@ -241,11 +242,10 @@ class TestConvergenceStudy:
             sizes.append(tri.size)
             return solve(tri, *args, **kwargs)
         monkeypatch.setattr(oracle, "eigen_lowest", recorded)
-        report = convergence_study(hydrogen, 0, 2, level=0, exact_energy=-2.0,
-                                   r_domain=8.0,
-                                   h_sequence=[0.16, 0.08, 0.04, 0.02, 0.01])
+        report = order_study(hydrogen, 0, 2, -2.0, 8.0, 0.01,
+                             factors=(16, 8, 4, 2, 1))
         assert sizes == [50, 100, 200, 400, 800]
-        assert report["status"] == "ok"
+        assert report["status"] == "ok" and report["passed"]
 
     def test_a_repeated_spacing_predicts_without_dividing_by_zero(self, hydrogen):
         grid = cell_grid(8.0, 800)
@@ -255,11 +255,24 @@ class TestConvergenceStudy:
         cold = solve_bound_states(hydrogen, 0, 2, grid, count=1)
         assert abs(levels[-1][0] - cold[0]) <= oracle._TOL
 
-    def test_sequence_validation(self, hydrogen):
-        with pytest.raises(ValueError):
-            convergence_study(hydrogen, 0, 3, 0, -0.5, 50.0, [0.02, 0.015, 0.0075])
-        with pytest.raises(ValueError):
-            convergence_study(hydrogen, 0, 3, 0, -0.5, 50.0, [0.02, 0.01])
+
+# errors of level 0 on three rungs, coarse to fine, against E = -1; None
+# is a grid whose level 0 lies above its bound-state ceiling
+@pytest.mark.parametrize("errors,status,passed", [
+    ((4e-4, 1e-4, 2.5e-5), "ok", True),          # order 2
+    ((3.6e-4, 1e-4, 2.77e-5), "ok", True),        # order 1.85
+    ((4.75e-4, 1e-4, 2.1e-5), "ok", False),       # order 2.25
+    ((2e-4, 1e-4, 5e-5), "ok", False),            # order 1
+    ((1e-6, 1e-8, 1e-10), "inconclusive", True),  # at the rounding floor
+    ((1e-5, 2e-5, 1.5e-5), "inconclusive", False),  # non-monotone
+    ((None, 1e-4, 2.5e-5), "inconclusive", False),  # above the ceiling
+], ids=["in-band", "low-in-band", "above-band", "below-band", "floor",
+        "non-monotone", "ceiling"])
+def test_order_fit_carries_the_order_gate(errors, status, passed):
+    levels = [np.array([] if e is None else [-1.0 + e]) for e in errors]
+    report = order_fit(levels, 0, -1.0)
+    assert report["status"] == status
+    assert report["passed"] is passed
 
 
 class TestExtremeGrids:
@@ -318,6 +331,12 @@ class TestConfigTypes:
             solve_bound_states(hydrogen, 0, 3, grid, count=2000)
         with pytest.raises(ValueError, match="unknown discretization scheme"):
             solve_bound_states(hydrogen, 0, 3, grid, scheme="spectral")
+        # a custom ladder: no rung, or a factor that is not positive and
+        # finite, names the rungs instead of dividing by zero
+        for rungs in ([], [(0, 1)], [(4, 1), (-2, 1)], [(math.inf, 1)],
+                      [(math.nan, 1)]):
+            with pytest.raises(ValueError, match="rungs must be"):
+                oracle.solve_grids(hydrogen, 0, 3, grid, rungs)
 
     def test_a_potential_is_read_only_through_the_protocol(self):
         # value, at_infinity and kinetic are all the oracle reads
