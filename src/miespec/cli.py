@@ -24,8 +24,11 @@ import argparse
 import errno
 import json
 import math
+import operator
 import os
 import sys
+
+import numpy as np
 
 from . import ladder, oracle, potentials, spectrum, wavefunction
 from .errors import (FallToCenterError, GridResolutionError,
@@ -210,6 +213,15 @@ def _dims(cfg: dict, default) -> list:
     return sorted(default if dims is None else dims)
 
 
+def _checked_dims(cfg: dict, default, command: str) -> list:
+    """_dims of a command whose pass must have run a check: an empty list
+    is a configuration error, as a pass over no channel checks nothing."""
+    dims = _dims(cfg, default)
+    if not dims:
+        raise ConfigError(f"{command} needs at least one dimension in quantum.dims")
+    return dims
+
+
 # -- output helpers -----------------------------------------------------------
 
 def _write_text(path: str, text: str):
@@ -248,6 +260,14 @@ def cmd_presets(args) -> int:
 
 
 _SPECTRUM_FIELDS = ("dim", "ell", "n", "k", "eps", "energy", "status")
+# one spectrum row as json.dumps(..., indent=2, sort_keys=True) writes it in
+# "rows": keys sorted, %r the float repr json writes, null in a row without
+# values; a status is one of spectrum's plain ASCII words, so needs no escape
+_JSON_ROW = ('    {\n      "dim": %d,\n      "ell": %d,\n      "energy": %r,\n'
+             '      "eps": %r,\n      "k": %r,\n      "n": %d,\n'
+             '      "status": "%s"\n    }')
+_JSON_NULL_ROW = _JSON_ROW.replace("%r", "null")
+_JSON_ORDER = operator.itemgetter(0, 1, 5, 4, 3, 2, 6)  # _SPECTRUM_FIELDS sorted
 
 
 def cmd_spectrum(args) -> int:
@@ -269,9 +289,12 @@ def cmd_spectrum(args) -> int:
                   else "%d,%d,%d,,,,%s" % (*row[:3], row[-1]) for row in rows]
         text = "\n".join(lines) + "\n"
     else:
-        text = _json_dumps({"potential": label,
-                            "rows": [dict(zip(_SPECTRUM_FIELDS, row))
-                                     for row in rows]})
+        # _json_dumps's bytes, one %-format per row as in the CSV
+        body = ",\n".join([_JSON_ROW % _JSON_ORDER(row) if row[3] is not None
+                           else _JSON_NULL_ROW % (*row[:3], row[-1])
+                           for row in rows])
+        text = '{\n  "potential": %s,\n  "rows": %s\n}\n' % (
+            json.dumps(label), "[\n%s\n  ]" % body if rows else "[]")
     _write_text(path, text)
     return 3 if any(row[-1] != "ok" for row in rows) else 0
 
@@ -295,19 +318,26 @@ def cmd_wavefunction(args) -> int:
     nodes = grid.nodes()
     values = wavefunction.eval_radial(state, nodes)
 
-    # one %-format per row over .tolist() floats, "%.17g" throughout
-    columns, row = [nodes.tolist(), values.tolist()], "%.17g,%.17g"
+    # every row in one %-format over one flat .tolist(), "%.17g" throughout
+    pairs = np.column_stack((nodes, values))
     if args.residual:
         res = wavefunction.ode_residual_samples(values, grid, potential, args.ell,
                                                 args.dim, state.energy)
-        pad = [""] * ((grid.count - res.grid.count) // 2)
-        columns.append(pad + ["%.17g" % v for v in res.values.tolist()] + pad)
-        row += ",%s"
-    lines = ["# zeta=%.17g k=%.17g eps=%.17g energy=%.17g"
-             % (state.zeta, state.k, state.eps, state.energy),
-             "r,R,residual" if args.residual else "r,R"]
-    lines += [row % fields for fields in zip(*columns)]
-    _write_text(path, "\n".join(lines) + "\n")
+        # the stencil's edge rows leave the residual empty; sliced by count,
+        # since [pad:-pad] would be empty at pad 0
+        lo = (grid.count - res.grid.count) // 2
+        hi = lo + res.grid.count
+        flat = np.concatenate((pairs[:lo].ravel(),
+                               np.column_stack((pairs[lo:hi], res.values)).ravel(),
+                               pairs[hi:].ravel()))
+        rows = (["%.17g,%.17g,"] * lo + ["%.17g,%.17g,%.17g"] * (hi - lo)
+                + ["%.17g,%.17g,"] * (grid.count - hi))
+    else:
+        flat, rows = pairs.ravel(), ["%.17g,%.17g"] * grid.count
+    header = ("# zeta=%.17g k=%.17g eps=%.17g energy=%.17g\n"
+              % (state.zeta, state.k, state.eps, state.energy)
+              + ("r,R,residual\n" if args.residual else "r,R\n"))
+    _write_text(path, header + "\n".join(rows) % tuple(flat.tolist()) + "\n")
     return 0
 
 
@@ -347,11 +377,12 @@ def _ladder_channel(potential, ell, dim, n_max, y_points):
 def cmd_ladder_check(args) -> int:
     cfg = resolve_config(args)
     potential, label = build_potential(cfg)
+    dims = _checked_dims(cfg, [3], "ladder-check")
     path = _out_path(cfg, args, "ladder_check.json")
     q = cfg["quantum"]
     channels = [_ladder_channel(potential, ell, dim, q["n_max"],
                                 cfg["grid"]["y_points"])
-                for dim in _dims(cfg, [3])
+                for dim in dims
                 for ell in range(q["ell_max"] + 1)]
     payload = {"potential": label, "channels": channels,
                "passed": all(c["passed"] for c in channels)}
@@ -415,9 +446,7 @@ _VERIFY_SUITE = ({"preset": "coulomb", "B": -1.0},
 def cmd_verify(args) -> int:
     cfg = resolve_config(args)
     q = cfg["quantum"]
-    dims = _dims(cfg, [2, 3, 5])
-    if not dims:  # no channel: a pass would check nothing
-        raise ConfigError("verify needs at least one dimension in quantum.dims")
+    dims = _checked_dims(cfg, [2, 3, 5], "verify")
     # a config file or any potential flag selects one potential, else the suite
     explicit_potential = bool(getattr(args, "config", None)) or any(
         value is not None for dest, value in vars(args).items()

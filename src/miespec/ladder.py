@@ -194,13 +194,15 @@ def default_y_grid(state: BoundState, count: int = 4001) -> RadialGrid:
     return RadialGrid(r_min=y_max / count, r_max=y_max, count=count)
 
 
-def _weighted_pair(y, image, target, dim):
-    """image and target, each a (ln|.|, sign) pair, as plain doubles times
-    the square root of the y^{N-1} measure, both scaled by the one shift
-    that puts the target's peak at 1."""
-    ln_w = 0.5 * (dim - 1.0) * np.log(y)
+def _weighted_pair(ln_w, image, target):
+    """image and target, each a (ln|.|, polynomial) pair, as plain doubles
+    times e^{ln_w}, the square root of the y^{N-1} measure, both scaled by
+    the one shift that puts the target's peak at 1.  copysign takes the
+    polynomial's sign as np.sign(poly) * exp(.) would, bit for bit except
+    a -0.0 for a -0.0 value, which no dot product or max reads."""
     shift = np.max(target[0] + ln_w)
-    return [sign * np.exp(ln_abs + ln_w - shift) for ln_abs, sign in (image, target)]
+    return [np.copysign(np.exp(ln_abs + ln_w - shift), poly)
+            for ln_abs, poly in (image, target)]
 
 
 def _convention_rescale(c_paper: float, state: BoundState, other: BoundState) -> dict:
@@ -232,21 +234,29 @@ def _ladder_pass(state: BoundState, grid_y: RadialGrid):
     one recurrence pass to n: L_{n-1} and L_n, L_{n+1} by one more step,
     and y dL_n/dy = n L_n - (n+alpha) L_{n-1} (no finite differences).
     Images and targets are (ln|.|, sign) pairs without eta, which
-    eta_n / eta_{n+step} multiplies back into the fitted constant.
+    eta_n / eta_{n+step} multiplies back into the fitted constant.  ln y,
+    the shared envelope and the measure's weight are formed once per pass.
     """
     n, k, dim, alpha = state.q.n, state.k, state.q.dim, state.alpha
     y = grid_y.nodes()
     prev, cur, ln_s = _laguerre_pair(n, alpha, y)
     after = ((2 * n + alpha + 1 - y) * cur - (n + alpha) * prev) / (n + 1)
     y_d = (k + 2.0 - dim - 0.5 * y + n) * cur - (n + alpha) * prev
+    # rows: lowering image, its target, raising image, its target
+    polys = np.stack((_ladder_image(cur, y_d, y, n, k, dim, -1),
+                      cur if n == 0 else prev,
+                      _ladder_image(cur, y_d, y, n, k, dim, +1), after))
+    ln_y = np.log(y)
+    ln_abs, sign = _ln_y_form(state, y, ln_s, polys, ln_y)
+    ln_w = 0.5 * (dim - 1.0) * ln_y
     out = []
-    for step, poly, coefficient, weight in (
-            (-1, cur if n == 0 else prev, lowering_coefficient, n + alpha),
-            (+1, after, raising_coefficient, n + 1.0)):
-        image = _ln_y_form(state, y, ln_s,
-                           _ladder_image(cur, y_d, y, n, k, dim, step))
+    for row, step, coefficient, weight in (
+            (0, -1, lowering_coefficient, n + alpha),
+            (2, +1, raising_coefficient, n + 1.0)):
+        image = (ln_abs[row], sign[row])
         closed_form = coefficient(n, k, dim)
-        wr, wt = _weighted_pair(y, image, _ln_y_form(state, y, ln_s, poly), dim)
+        wr, wt = _weighted_pair(ln_w, (ln_abs[row], polys[row]),
+                                (ln_abs[row + 1], polys[row + 1]))
         if n + step < 0:  # annihilation: measured against R_n itself
             residual = float(np.max(np.abs(wr)) / np.max(np.abs(wt)))
             out.append((image, LadderFit(

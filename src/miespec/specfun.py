@@ -54,11 +54,19 @@ def _laguerre_pair(n: int, alpha: float, x):
     x = np.asarray(x, dtype=float)
     prev = np.zeros_like(x)
     cur = np.ones_like(x)
+    spare = np.empty_like(x)
     ln_s = np.zeros_like(x)
     checked = not _stays_below_big(n, alpha, x)
     far = np.isfinite(x) & (np.abs(x) > _FAR) if checked else None
     for j in range(n):
-        prev, cur = cur, ((2 * j + alpha + 1 - x) * cur - (j + alpha) * prev) / (j + 1)
+        # ((2j + alpha + 1 - x) cur - (j + alpha) prev) / (j + 1) in place,
+        # in that order; prev's buffer is free after it, and is the next spare
+        np.subtract(2 * j + alpha + 1, x, out=spare)
+        spare *= cur
+        prev *= j + alpha
+        spare -= prev
+        spare /= j + 1
+        prev, cur, spare = cur, spare, prev
         if checked and (cur.max(initial=0.0) > _BIG or cur.min(initial=0.0) < -_BIG):
             scale = np.where(np.abs(cur) > _BIG, _BIG, 1.0)
             prev, cur, ln_s = prev / scale, cur / scale, ln_s + np.log(scale)

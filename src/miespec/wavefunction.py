@@ -79,19 +79,25 @@ def ln_eta(state: BoundState, convention: str = "paper") -> float:
     raise ValueError(f"unknown normalization convention {convention!r}")
 
 
-def _ln_y_form(state: BoundState, y: np.ndarray, ln_pref, poly=None):
+def _ln_y_form(state: BoundState, y: np.ndarray, ln_pref, poly=None,
+               ln_y=None):
     """(ln|.|, sign) of e^{ln_pref} y^{k+2-N} e^{-y/2} P(y) at y > 0.
 
     The one evaluator behind every closed-form value of R.  P is L_n^alpha
     unless the caller passes the values of another polynomial; ln_pref may
     be an array, which carries the recurrence's log scale of such values.
+    A stack of polynomials, one per row, shares one envelope; row i of
+    each returned array is bit-equal to a call with row i alone.  ln_y,
+    when given, is np.log(y), formed once by a caller that reads it too.
     """
     if poly is None:
         _, poly, ln_s = _laguerre_pair(state.q.n, state.alpha, y)
         ln_pref = ln_pref + ln_s
     p = state.k + 2.0 - state.q.dim
     with np.errstate(divide="ignore"):
-        ln_abs = ln_pref + p * np.log(y) - 0.5 * y + np.log(np.abs(poly))
+        # summed left to right: the envelope once, then each row of P
+        ln_abs = (ln_pref + p * (np.log(y) if ln_y is None else ln_y) - 0.5 * y
+                  + np.log(np.abs(poly)))
     return ln_abs, np.sign(poly)
 
 

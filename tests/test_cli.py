@@ -469,16 +469,18 @@ def test_the_general_mie_preset_is_unknown_in_a_config_file(tmp_path, capsys):
 
 
 def test_verify_without_a_channel_is_a_configuration_error(tmp_path, capsys):
-    # an empty dims list would pass with no gate run
+    # an empty dims list would pass with no gate run, in either checking command
     cfg = tmp_path / "cfg" / "dims.json"
     cfg.parent.mkdir()
     cfg.write_text(json.dumps({"quantum": {"dims": []}}))
     out = tmp_path / "out"
     out.mkdir()
-    assert main(["verify", "--fast", "--config", str(cfg),
-                 "--outdir", str(out)]) == 2
-    assert "quantum.dims" in capsys.readouterr().err
-    assert not list(out.iterdir())
+    for argv in (["verify", "--fast"], ["ladder-check"]):
+        assert main([*argv, "--config", str(cfg), "--outdir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: {argv[0]} needs at least one dimension "
+            "in quantum.dims\n")
+        assert not list(out.iterdir())
 
 
 def test_energy_gate_reads_the_binding_energy_not_the_offset(tmp_path):
@@ -888,3 +890,28 @@ def test_spectrum_csv_leaves_the_fields_of_a_row_without_values_empty(tmp_path):
                 r.q.dim, r.q.ell, r.q.n, r.k, r.eps, r.energy, r.status))))
     assert any(",,,," in line for line in lines)
     _assert_same_lines((tmp_path / "spectrum.csv").read_text(), lines)
+
+
+@pytest.mark.parametrize("argv,code,params,label,n_max,ell_max,dims", [
+    (["--A", "-0.3", "--B", "-1", "--n-max", "3", "--ell-max", "2",
+      "--dims", "2,3"], 3, potentials.PotentialParams(-0.3, -1.0, 0.0),
+     "raw", 3, 2, (2, 3)),
+    (["--preset", "kratzer-fues", "--d0", "5", "--r0", "1.1", "--n-max", "4",
+      "--ell-max", "2", "--dims", "2,3,5"], 0, potentials.kratzer_fues(5.0, 1.1),
+     "kratzer-fues", 4, 2, (2, 3, 5)),
+    (["--config", "dims.json"], 0, None, "coulomb", 3, 2, ()),
+], ids=["fall-to-center", "kratzer-fues", "empty-dims"])
+def test_spectrum_json_is_the_bytes_of_json_dumps(tmp_path, argv, code, params,
+                                                  label, n_max, ell_max, dims):
+    (tmp_path / "dims.json").write_text(json.dumps({"quantum": {"dims": []}}))
+    argv = [str(tmp_path / a) if a == "dims.json" else a for a in argv]
+    assert run(tmp_path, "spectrum", *argv, "--format", "json") == code
+    fields = ("dim", "ell", "n", "k", "eps", "energy", "status")
+    rows = [dict(zip(fields, (r.q.dim, r.q.ell, r.q.n, r.k, r.eps, r.energy,
+                              r.status)))
+            for dim in dims
+            for r in spectrum.spectrum_table(params, n_max, ell_max, dim)]
+    assert any(row["k"] is None for row in rows) == (code == 3)
+    want = json.dumps({"potential": label, "rows": rows}, indent=2,
+                      sort_keys=True) + "\n"
+    assert (tmp_path / "spectrum.json").read_text() == want

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from miespec.errors import LadderAlgebraError
-from miespec.ladder import (apply_ladder_sampled, apply_lowering, apply_raising,
-                            bargmann_index, casimir_check, casimir_eigenvalue,
+from miespec.ladder import (_weighted_pair, apply_ladder_sampled,
+                            apply_lowering, apply_raising, bargmann_index,
+                            casimir_check, casimir_eigenvalue,
                             commutator_check, commutator_eigenvalue,
                             default_y_grid, ladder_fits,
                             ladder_matrices, lowering_coefficient,
@@ -16,7 +17,7 @@ from miespec.ladder import (apply_ladder_sampled, apply_lowering, apply_raising,
 from miespec.potentials import coulomb, kratzer_fues
 from miespec.specfun import _laguerre_pair, laguerre
 from miespec.spectrum import QuantumNumbers, bound_state, indicial_root
-from miespec.wavefunction import eval_y_form
+from miespec.wavefunction import _ln_y_form, eval_y_form
 
 k_values = st.floats(min_value=0.3, max_value=8.0, allow_nan=False)
 dims = st.integers(min_value=2, max_value=6)
@@ -257,3 +258,29 @@ def test_shared_pass_matches_neighbours_from_their_own_recurrence(params, ell,
         fitted, residual = _fit_on_own_recurrence(state, grid, step)
         assert fit.fitted == pytest.approx(fitted, rel=1e-12, abs=0.0)
         assert residual <= 1e-9
+
+
+def test_a_stack_of_polynomials_is_bit_equal_to_one_call_each():
+    # the ladder pass sends its four polynomials through one _ln_y_form call
+    state = bound_state(kratzer_fues(5.0, 1.0), QuantumNumbers(4, 1, 3))
+    y = default_y_grid(state).nodes()
+    prev, cur, ln_s = _laguerre_pair(4, state.alpha, y)
+    zero = y - y[7]  # an exact zero: ln|.| is -inf and the sign 0
+    polys = np.stack((cur, prev, zero, -cur))
+    ln_y = np.log(y)
+    ln_abs, sign = _ln_y_form(state, y, ln_s, polys)
+    shared = _ln_y_form(state, y, ln_s, polys, ln_y)
+    assert np.array_equal(shared[0], ln_abs) and np.array_equal(shared[1], sign)
+    for row, poly in enumerate(polys):
+        one = _ln_y_form(state, y, ln_s, poly)
+        assert np.array_equal(ln_abs[row], one[0])
+        assert np.array_equal(sign[row], one[1])
+    assert ln_abs[2, 7] == -np.inf and sign[2, 7] == 0.0
+    # copysign gives the values that np.sign(poly) * exp(.) gives
+    ln_w = 0.5 * (state.q.dim - 1.0) * ln_y
+    pairs = [(ln_abs[2], zero), (ln_abs[3], -cur)]
+    shift = np.max(ln_abs[3] + ln_w)
+    want = [np.sign(poly) * np.exp(ln + ln_w - shift) for ln, poly in pairs]
+    got = _weighted_pair(ln_w, *pairs)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert got[0][7] == 0.0

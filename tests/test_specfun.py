@@ -337,3 +337,43 @@ def test_norm_and_overlap_nodes_take_the_unchecked_path(monkeypatch, hydrogen,
                     r_max = (2.0 * n + 2.0 * state.k + 16.0) / state.eps
                     eval_radial(state, np.linspace(r_max / 2001, r_max, 2001))
     assert len(seen) > 378 and all(seen)
+
+
+def laguerre_pair_out_of_place(n, alpha, x):
+    """The textbook recurrence, a new array per step, with the 2^500 test
+    where Szego's bound cannot rule it out and the [0.5, 1) scaling past
+    |x| = 2^400: the reference the in-place steps must match bit for bit."""
+    x = np.asarray(x, dtype=float)
+    prev, cur, ln_s = np.zeros_like(x), np.ones_like(x), np.zeros_like(x)
+    checked = not specfun._stays_below_big(n, alpha, x)
+    far = np.isfinite(x) & (np.abs(x) > specfun._FAR) if checked else None
+    for j in range(n):
+        prev, cur = cur, ((2 * j + alpha + 1 - x) * cur - (j + alpha) * prev) / (j + 1)
+        if checked and (cur.max(initial=0.0) > specfun._BIG
+                        or cur.min(initial=0.0) < -specfun._BIG):
+            scale = np.where(np.abs(cur) > specfun._BIG, specfun._BIG, 1.0)
+            prev, cur, ln_s = prev / scale, cur / scale, ln_s + np.log(scale)
+        if far is not None and far.any():
+            e = np.where(far, np.frexp(np.maximum(np.abs(prev), np.abs(cur)))[1], 0)
+            prev, cur = np.ldexp(prev, -e), np.ldexp(cur, -e)
+            ln_s = ln_s + e * math.log(2.0)
+    return prev, cur, ln_s
+
+
+@pytest.mark.parametrize("n,alpha,x,path", [
+    (40, 2.5, np.linspace(0.0, 90.0, 4001), "unchecked"),
+    (150, 2000.0, np.linspace(0.0, 1.0, 4001), "rescale"),
+    (5, 0.5, [-1e300, 3e120, 1e150, 7e200, 1e300, 1.7e308], "far"),
+], ids=["unchecked", "rescale-2^500", "past-2^400"])
+def test_in_place_recurrence_is_the_out_of_place_one(n, alpha, x, path):
+    x = np.asarray(x, dtype=float)
+    assert specfun._stays_below_big(n, alpha, x) == (path == "unchecked")
+    got = _laguerre_pair(n, alpha, x)
+    want = laguerre_pair_out_of_place(n, alpha, x)
+    assert np.any(got[2] != 0.0) == (path != "unchecked")
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    # the rotation hands back three distinct buffers, none of them x
+    for i, a in enumerate(got):
+        assert not np.shares_memory(a, x)
+        assert not any(np.shares_memory(a, b) for b in got[i + 1:])
