@@ -7,9 +7,8 @@ class FallToCenterError(ValueError):
 
 
 class NotNormalizableError(ValueError):
-    """The state cannot be normalized: the indicial root fails the gate
-    2k + 3 - N > 0, or the normalization constant zeta exceeds the double
-    range."""
+    """The state cannot be normalized in double precision: the
+    normalization constant zeta lies outside the normal double range."""
 
 
 class NoBoundStatesError(ValueError):

@@ -39,23 +39,22 @@ scout of 16h would have only about 80 cells and no longer pays for itself.
 
 A potential is read only through ``value(r)``, ``at_infinity`` and
 ``kinetic`` = hbar^2/2M; only default_grid sizes its grid from the
-closed-form decay rates, and so needs a PotentialParams.
+closed-form decay rates, and so needs a PotentialParams.  Without a grid,
+solve_bound_states asks default_grid for one sized for ``count`` levels.
 
-Two discretizations are available:
+The one discretization is the conservative cell-centered flux form of
+the equation for R itself, on cells uniform in x = sqrt(r) (the
+Kustaanheimo-Stiefel map, under which every Coulomb state is a polynomial
+times a Gaussian in x), symmetrized in the measure 2 x^{2N-1}.  The grid
+coordinate is x, and the grid starts at the origin (cell_grid): the face
+weight x^{2N-3}/2 vanishes at the x = 0 face, a natural boundary that keeps
+second-order convergence even for channels whose reduced u-equation has the
+critical -1/(4 r^2) coupling (e.g. ell = 0, N = 2).
 
-* ``scheme="radial"`` (default): conservative cell-centered flux form of the
-  equation for R itself, on cells uniform in x = sqrt(r) (the
-  Kustaanheimo-Stiefel map, under which every Coulomb state is a polynomial
-  times a Gaussian in x), symmetrized in the measure 2 x^{2N-1}.  The grid
-  coordinate is x.  The origin is a natural boundary (the face weight
-  x^{2N-3}/2 vanishes at the x = 0 face), which keeps second-order
-  convergence even for channels whose reduced u-equation has the critical
-  -1/(4 r^2) coupling (e.g. ell = 0, N = 2).
-* ``scheme="u"``: the textbook 3-point stencil for the reduced equation
-  -K u'' + V_eff u = E u, K = hbar^2/2M, with hard walls one spacing
-  outside the grid, whose coordinate is r.  Fine for regular channels,
-  measurably non-convergent for the critical ones; kept as the negative
-  control, on grids uniform in r that its callers build.
+The textbook 3-point stencil for the reduced equation -K u'' + V_eff u = E u,
+K = hbar^2/2M, with hard walls one spacing outside a grid in r, remains as
+build_tridiagonal, the negative control's matrix: fine for regular
+channels, measurably non-convergent for the critical ones.
 """
 
 import math
@@ -125,15 +124,18 @@ def build_tridiagonal_radial(grid: RadialGrid, potential, ell: int,
     -K (p R')' / w + V_c(x^2) R = E R, K = hbar^2/2M, with face weight
     p = x^{2N-3}/2 and cell measure w = 2 x^{2N-1}, V_c being V plus the
     l(l+N-2) barrier.  Cells are centered on the nodes with faces halfway
-    between; use cell_grid() to place the first face exactly at the origin,
-    where p vanishes (a natural boundary).  The weights enter only as
-    powers of face/node ratios, so no finite grid overflows them.
+    between, and the first face must sit at the origin, where p vanishes
+    (a natural boundary), as on cell_grid()'s grids; any other grid is a
+    ValueError.  The weights enter only as powers of face/node ratios, so
+    no finite grid overflows them.
     """
     h = grid.spacing
     x = grid.nodes()
     faces = np.concatenate(([x[0] - 0.5 * h], x + 0.5 * h))
-    if faces[0] < -1e-12 * h:
-        raise ValueError("radial scheme needs r_min >= spacing/2")
+    if abs(faces[0]) > 1e-12 * h:
+        raise ValueError("the radial scheme needs a grid whose first cell "
+                         "face is at the origin (r_min = spacing/2), as "
+                         "cell_grid builds")
     faces[0] = max(faces[0], 0.0)
     q = 2.0 * dim - 3.0
     r = x * x
@@ -149,19 +151,15 @@ def build_tridiagonal_radial(grid: RadialGrid, potential, ell: int,
                        offdiag=np.ascontiguousarray(off))
 
 
-_BUILDERS = {"radial": build_tridiagonal_radial, "u": build_tridiagonal}
-
-
-def _build(grid: RadialGrid, scheme: str, potential, ell: int,
-           dim: int) -> Tridiagonal:
-    """The scheme's matrix.  An entry that leaves the double range is
+def _build(grid: RadialGrid, potential, ell: int, dim: int) -> Tridiagonal:
+    """The radial scheme's matrix.  An entry that leaves the double range is
     refused by Tridiagonal, not warned about on the way; so is a spacing
     whose square underflows, before any entry is formed, and a nonzero
     off-diagonal whose square, which the Sturm counts read, is below the
     normal range."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         try:
-            tri = _BUILDERS[scheme](grid, potential, ell, dim)
+            tri = build_tridiagonal_radial(grid, potential, ell, dim)
         except ZeroDivisionError:
             raise GridResolutionError(
                 "finite-difference matrix entries must be finite; the grid "
@@ -175,8 +173,9 @@ def _build(grid: RadialGrid, scheme: str, potential, ell: int,
 
 
 def cell_grid(r_domain: float, count: int) -> RadialGrid:
-    """Cell-centered grid for [0, r_domain] in the scheme's coordinate (x
-    for the radial scheme, r for the u scheme): nodes at (i - 1/2) h."""
+    """Cell-centered grid for [0, r_domain]: nodes at (i - 1/2) h, so the
+    first cell face is the origin.  The radial scheme reads its coordinate
+    as x, build_tridiagonal as r."""
     if r_domain <= 0.0 or count < 3:
         raise ValueError("need positive domain and at least 3 cells")
     h = r_domain / count
@@ -488,42 +487,40 @@ def count_below(tri: Tridiagonal, bound: float) -> int:
     return _negcount(d, esq, float(bound), pivmin)
 
 
-def _ceiling(potential, ell: int, dim: int, grid: RadialGrid,
-             scheme: str) -> float:
+def _ceiling(potential, ell: int, dim: int, grid: RadialGrid) -> float:
     """Bound-state ceiling of a grid: the potential's value at infinity or
     the effective potential at the outer node, whichever is lower.  The
-    radial scheme's nodes are x = sqrt(r), the u scheme's are r.  An r^2
-    past the double range leaves a 1/r^2 term at its limit, zero."""
-    edge = grid.r_max
-    r = edge * edge if scheme == "radial" else edge
+    nodes are x = sqrt(r).  An r^2 past the double range leaves a 1/r^2
+    term at its limit, zero."""
     with np.errstate(over="ignore"):
-        v_edge = float(effective_potential(potential, ell, dim, r))
+        v_edge = float(effective_potential(potential, ell, dim,
+                                           grid.r_max * grid.r_max))
     return min(potential.at_infinity, v_edge)
 
 
 def solve_bound_states(potential, ell: int, dim: int,
-                       grid: RadialGrid | None = None, count: int = 4,
-                       scheme: str = "radial") -> np.ndarray:
+                       grid: RadialGrid | None = None,
+                       count: int = 4) -> np.ndarray:
     """Up to ``count`` lowest discrete eigenvalues that qualify as bound.
 
     Eigenvalues are kept only below the potential's value at infinity and
     below the effective potential at the domain edge (anything above is box
-    artifact, not physics).  The grid, default_grid's when none is given,
-    is the one rung of solve_grids.
+    artifact, not physics).  The grid, default_grid's sized for ``count``
+    levels when none is given, is the one rung of solve_grids.
     """
     if grid is None:
-        grid = default_grid(potential, ell, dim)
-    return solve_grids(potential, ell, dim, grid, [(1, count)], scheme)[0]
+        grid = default_grid(potential, ell, dim, n_max=count - 1)
+    return solve_grids(potential, ell, dim, grid, [(1, count)])[0]
 
 
 # spacing factor of the scout grid solved in front of the rungs
 _SCOUT = 8
 
 
-def solve_grids(potential, ell: int, dim: int, grid: RadialGrid, rungs,
-                scheme: str = "radial") -> list:
-    """Bound levels on a ladder of grids over the domain of ``grid``, each
-    discretized by ``scheme`` ("radial" or "u"; any other is a ValueError).
+def solve_grids(potential, ell: int, dim: int, grid: RadialGrid,
+                rungs) -> list:
+    """Bound levels of the radial scheme on a ladder of grids over the
+    domain of ``grid``, which must start at the origin (cell_grid's).
 
     ``rungs`` is a non-empty list of (spacing factor, level count) pairs,
     coarse to fine, each factor positive and finite (else a ValueError);
@@ -539,8 +536,6 @@ def solve_grids(potential, ell: int, dim: int, grid: RadialGrid, rungs,
     places a probe, and every grid sees only FD matrices, so the oracle
     stays independent of the closed form.
     """
-    if scheme not in _BUILDERS:
-        raise ValueError(f"unknown discretization scheme {scheme!r}")
     if not rungs or not all(0.0 < f < math.inf for f, _ in rungs):
         raise ValueError("rungs must be a non-empty list of (spacing factor, "
                          "level count) pairs with positive finite factors")
@@ -554,9 +549,9 @@ def solve_grids(potential, ell: int, dim: int, grid: RadialGrid, rungs,
         rung = (grid if factor == 1 else
                 cell_grid(domain, round(grid.count / factor)))
         levels = eigen_lowest(
-            _build(rung, scheme, potential, ell, dim), count, _TOL,
+            _build(rung, potential, ell, dim), count, _TOL,
             _starts=[_predict(solved[j], rung.spacing) for j in range(count)],
-            _ceiling=_ceiling(potential, ell, dim, rung, scheme))
+            _ceiling=_ceiling(potential, ell, dim, rung))
         for j, value in enumerate(levels):
             solved[j].append((rung.spacing, value))
         out.append(levels)
@@ -589,8 +584,12 @@ def order_fit(levels: list, level: int, exact_energy: float) -> dict:
 
     ``passed`` is the order gate: a fitted order within 0.2 of 2, or errors
     at the rounding floor, where no order can be read; any other
-    inconclusive fit fails it.
+    inconclusive fit fails it.  Fewer than two level arrays hold no order
+    to read, and are a ValueError.
     """
+    if len(levels) < 2:
+        raise ValueError("order_fit needs the level arrays of two or more "
+                         "rungs")
     errors = [abs(float(values[level]) - exact_energy)
               for values in levels if len(values) > level]
     report = {"errors": errors, "order": None, "status": "inconclusive",

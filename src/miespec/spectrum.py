@@ -72,10 +72,11 @@ def indicial_root(params: PotentialParams, ell: int, dim: int) -> float:
     """Positive root k of k^2 - (N-2) k - nu(nu+1) = 0.
 
     Raises FallToCenterError when the discriminant is negative (over-
-    attractive 1/r^2 term), UnitsRangeError when it leaves the double
-    range, and NotNormalizableError if the root fails 2k + 3 - N > 0.  A
-    zero discriminant is accepted: it is the borderline fall-to-center case
-    k = (N-2)/2, whose state is still normalizable.
+    attractive 1/r^2 term) and UnitsRangeError when it leaves the double
+    range.  The root always passes the normalizability gate 2k + 3 - N > 0,
+    since 2k + 3 - N = 1 + sqrt(disc) >= 1.  A zero discriminant is
+    accepted: it is the borderline fall-to-center case k = (N-2)/2, whose
+    state is still normalizable.
     """
     nu = centrifugal_strength(params, ell, dim)
     disc = (dim - 2.0) ** 2 + 4.0 * nu
@@ -86,13 +87,7 @@ def indicial_root(params: PotentialParams, ell: int, dim: int) -> float:
         raise FallToCenterError(
             f"indicial discriminant {disc:.6g} < 0 for ell={ell}, N={dim}: "
             "the attractive 1/r^2 term admits no ground state")
-    k = 0.5 * ((dim - 2.0) + math.sqrt(disc))
-    if 2.0 * k + 3.0 - dim <= 0.0:
-        # unreachable for the k_+ branch (2k + 3 - N = 1 + sqrt(disc) >= 1);
-        # kept as a defensive guard on the contract
-        raise NotNormalizableError(
-            f"k = {k:.6g} fails the normalizability gate for N = {dim}")
-    return k
+    return 0.5 * ((dim - 2.0) + math.sqrt(disc))
 
 
 def binding_rate(params: PotentialParams) -> float:

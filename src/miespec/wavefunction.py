@@ -25,15 +25,15 @@ from .specfun import (_laguerre_pair, _laguerre_zeros, default_quadrature_order,
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Uniform grid on [r_min, r_max] with r_min > 0."""
+    """Uniform grid on [r_min, r_max] with 0 < r_min < r_max < inf."""
     r_min: float
     r_max: float
     count: int
 
     def __post_init__(self):
-        if self.r_min <= 0.0:
+        if not self.r_min > 0.0:
             raise ValueError("r_min must be positive (the ODE is singular at 0)")
-        if self.r_max <= self.r_min:
+        if not self.r_min < self.r_max < math.inf:
             raise ValueError("r_max must exceed r_min")
         if self.count < 3:
             raise ValueError("grid needs at least 3 nodes")

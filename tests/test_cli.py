@@ -218,7 +218,7 @@ class TestVerify:
         # errors 1e-5, 2e-5, 1.5e-5 give no order: the gate fails
         rungs = []
 
-        def solved(potential, ell, dim, grid, asked, scheme="radial"):
+        def solved(potential, ell, dim, grid, asked):
             rungs.extend(asked)
             return [np.array([-0.5 + e]) for e in (1e-5, 2e-5, 1.5e-5)]
         monkeypatch.setattr(oracle, "solve_grids", solved)

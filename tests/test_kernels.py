@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from miespec import oracle
-from miespec.oracle import (Tridiagonal, build_tridiagonal_radial, cell_grid,
-                            count_below, default_grid, eigen_lowest,
-                            order_fit, solve_bound_states)
+from miespec.oracle import (Tridiagonal, build_tridiagonal,
+                            build_tridiagonal_radial, cell_grid, count_below,
+                            default_grid, eigen_lowest, order_fit,
+                            solve_bound_states)
 from miespec.potentials import coulomb, kratzer_fues, modified_kratzer
 
 
@@ -194,8 +195,8 @@ def full_count(d, esq, shift, pivmin):
 def oracle_matrices():
     hydrogen = coulomb(-1.0)
     grid = cell_grid(30.0, 400)
-    return {scheme: oracle._BUILDERS[scheme](grid, hydrogen, 1, 3)
-            for scheme in ("radial", "u")}
+    return {"radial": build_tridiagonal_radial(grid, hydrogen, 1, 3),
+            "u": build_tridiagonal(grid, hydrogen, 1, 3)}
 
 
 # a zero tail: just below 0 its pivots are ties, which count as negative
@@ -388,15 +389,12 @@ def _scout_cases():
             for ell in range(3):
                 grid = default_grid(potential, ell, dim, n_max=3)
                 yield (f"{label}-N{dim}-ell{ell}", potential, ell, dim,
-                       grid, 4, "radial")
+                       grid, 4)
     # C = 5: the solve's ceiling is the offset, not 0
     shifted = modified_kratzer(5.0, 1.0)
     yield ("modified-kratzer", shifted, 0, 3,
-           default_grid(shifted, 0, 3, n_max=3), 4, "radial")
-    hydrogen = coulomb(-1.0)
-    # the u scheme on uniform r-cells over [0, 150]
-    yield ("u-scheme", hydrogen, 1, 3, cell_grid(150.0, 7500), 4, "u")
-    yield ("no-scouts", hydrogen, 0, 3, cell_grid(0.5, 24), 1, "radial")
+           default_grid(shifted, 0, 3, n_max=3), 4)
+    yield ("no-scouts", coulomb(-1.0), 0, 3, cell_grid(0.5, 24), 1)
 
 
 SCOUT_CASES = {case[0]: case[1:] for case in _scout_cases()}
@@ -404,7 +402,7 @@ SCOUT_CASES = {case[0]: case[1:] for case in _scout_cases()}
 
 @pytest.mark.parametrize("name", SCOUT_CASES)
 def test_scouted_solve_matches_the_unscouted_one(monkeypatch, name):
-    potential, ell, dim, grid, count, scheme = SCOUT_CASES[name]
+    potential, ell, dim, grid, count = SCOUT_CASES[name]
     sizes = []  # rows of every grid solved
     solve = oracle.eigen_lowest
 
@@ -412,13 +410,13 @@ def test_scouted_solve_matches_the_unscouted_one(monkeypatch, name):
         sizes.append(tri.size)
         return solve(tri, *args, **kwargs)
     monkeypatch.setattr(oracle, "eigen_lowest", recorded)
-    got, = oracle.solve_grids(potential, ell, dim, grid, [(1, count)], scheme)
+    got, = oracle.solve_grids(potential, ell, dim, grid, [(1, count)])
     monkeypatch.undo()
     assert sizes[-1] == grid.count
     assert (len(sizes) == 1) == (name == "no-scouts")
 
-    tri = oracle._build(grid, scheme, potential, ell, dim)
-    ceiling = oracle._ceiling(potential, ell, dim, grid, scheme)
+    tri = oracle._build(grid, potential, ell, dim)
+    ceiling = oracle._ceiling(potential, ell, dim, grid)
     plain = eigen_lowest(tri, count, oracle._TOL, _ceiling=ceiling)
     assert len(got) == len(plain)
     assert np.all(np.abs(got - plain) <= oracle._TOL)
@@ -432,7 +430,7 @@ def test_default_channel_solves_sweep_under_0p7m_rows(monkeypatch):
     # x-grids, 2.23 M on the uniform-r grids with two scouts
     rows = recorded_rows(monkeypatch)
     levels = 0
-    for name, (potential, ell, dim, grid, _, _) in SCOUT_CASES.items():
+    for name, (potential, ell, dim, grid, _) in SCOUT_CASES.items():
         if name.startswith(("coulomb", "kratzer-fues")):
             levels += len(solve_bound_states(potential, ell, dim, grid))
     assert levels == 72

@@ -21,12 +21,22 @@ def exact_energies(params, ell, dim, count):
 
 
 def order_study(potential, ell, dim, exact_energy, r_domain, h,
-                factors=(4, 2, 1), scheme="radial"):
-    """order_fit of level 0 on solve_grids' rungs over [0, r_domain], the
-    finest of spacing h; domain and spacing in the scheme's coordinate."""
+                factors=(4, 2, 1)):
+    """order_fit of level 0 on solve_grids' rungs over [0, r_domain] in x,
+    the finest of spacing h."""
     grid = cell_grid(r_domain, round(r_domain / h))
     levels = oracle.solve_grids(potential, ell, dim, grid,
-                                [(f, 1) for f in factors], scheme)
+                                [(f, 1) for f in factors])
+    return order_fit(levels, 0, exact_energy)
+
+
+def u_order_study(potential, ell, dim, exact_energy, r_domain, h):
+    """order_fit of level 0 of the u stencil, the negative control, on cell
+    grids over [0, r_domain] in r of spacings 4h, 2h and h."""
+    cells = round(r_domain / h)
+    grids = [cell_grid(r_domain, round(cells / f)) for f in (4, 2, 1)]
+    levels = [eigen_lowest(build_tridiagonal(g, potential, ell, dim), 1)
+              for g in grids]
     return order_fit(levels, 0, exact_energy)
 
 
@@ -155,13 +165,37 @@ class TestSolveBoundStates:
             assert abs(g - w) <= max(5e-5, 5e-5 * abs(w))
 
     def test_u_scheme_on_regular_channel(self, hydrogen):
-        # the u scheme's own uniform-r grid, with the spacing and outer node
+        # the u stencil's own uniform-r grid, with the spacing and outer node
         # of this channel's uniform-r cells: r in [h, 108 - h/2], h = 0.01
         u_grid = RadialGrid(0.01, 107.995, 10800)
-        got = solve_bound_states(hydrogen, 0, 3, u_grid, scheme="u")
+        got = eigen_lowest(build_tridiagonal(u_grid, hydrogen, 0, 3), 4)
         want = exact_energies(hydrogen, 0, 3, 4)
         for g, w in zip(got, want):
             assert abs(g - w) <= max(5e-5, 5e-5 * abs(w))
+
+    @pytest.mark.parametrize("count", [4, 6, 8, 10])
+    def test_default_grid_is_sized_for_count_levels(self, hydrogen, count):
+        # a grid sized for 4 levels whatever the count returned 7 of 8, the
+        # 7th 2.6% off; 4 levels keep the n_max = 3 grid
+        got = solve_bound_states(hydrogen, 0, 3, count=count)
+        grid = default_grid(hydrogen, 0, 3, n_max=count - 1)
+        assert np.array_equal(got, solve_bound_states(hydrogen, 0, 3, grid,
+                                                      count=count))
+        want = exact_energies(hydrogen, 0, 3, count)
+        assert len(got) == count
+        for g, w in zip(got, want):
+            assert abs(g - w) <= max(5e-5, 5e-5 * abs(w))
+
+    def test_a_grid_off_the_origin_is_refused(self, hydrogen):
+        # its first face sits at x = 0.99: its level 0 read -0.184, where the
+        # origin-anchored coarse rungs of the same ladder read -0.5000031
+        grid = RadialGrid(1.0, 10.0, 400)
+        with pytest.raises(ValueError, match="cell_grid"):
+            build_tridiagonal_radial(grid, hydrogen, 0, 3)
+        with pytest.raises(ValueError, match="cell_grid"):
+            solve_bound_states(hydrogen, 0, 3, grid)
+        with pytest.raises(ValueError, match="cell_grid"):
+            oracle.solve_grids(hydrogen, 0, 3, grid, [(4, 1), (2, 1), (1, 1)])
 
     def test_box_artifacts_filtered(self, hydrogen):
         # tiny domain, r in [0, 14]: only the ground state fits below
@@ -207,7 +241,7 @@ class TestConvergenceStudy:
         # the u'' stencil on the critical -1/(4 r^2) channel (N=2, ell=0):
         # the error grows under refinement (23, 57, 160), where the radial
         # scheme fits order 2.00 on the same spacings
-        critical = order_study(hydrogen, 0, 2, -2.0, 40.0, 0.01, scheme="u")
+        critical = u_order_study(hydrogen, 0, 2, -2.0, 40.0, 0.01)
         errors = critical["errors"]
         assert all(b > a for a, b in zip(errors, errors[1:]))
         assert min(errors) > 1.0
@@ -215,7 +249,7 @@ class TestConvergenceStudy:
         assert not critical["passed"]
         # a regular channel (N=3, ell=1) converges at second order
         e0 = energy(hydrogen, QuantumNumbers(0, 1, 3))
-        regular = order_study(hydrogen, 1, 3, e0, 60.0, 0.01, scheme="u")
+        regular = u_order_study(hydrogen, 1, 3, e0, 60.0, 0.01)
         assert regular["status"] == "ok" and regular["passed"]
         assert regular["order"] == pytest.approx(2.0, abs=0.2)
 
@@ -256,8 +290,9 @@ class TestConvergenceStudy:
         assert abs(levels[-1][0] - cold[0]) <= oracle._TOL
 
 
-# errors of level 0 on three rungs, coarse to fine, against E = -1; None
-# is a grid whose level 0 lies above its bound-state ceiling
+# errors of level 0 on the rungs, coarse to fine, against E = -1; None is a
+# grid whose level 0 lies above its bound-state ceiling.  One rung holds no
+# order to read: a status of None is order_fit's ValueError
 @pytest.mark.parametrize("errors,status,passed", [
     ((4e-4, 1e-4, 2.5e-5), "ok", True),          # order 2
     ((3.6e-4, 1e-4, 2.77e-5), "ok", True),        # order 1.85
@@ -266,10 +301,16 @@ class TestConvergenceStudy:
     ((1e-6, 1e-8, 1e-10), "inconclusive", True),  # at the rounding floor
     ((1e-5, 2e-5, 1.5e-5), "inconclusive", False),  # non-monotone
     ((None, 1e-4, 2.5e-5), "inconclusive", False),  # above the ceiling
+    ((1e-2,), None, None),                        # one rung
+    ((0.0,), None, None),                         # one rung, exact
 ], ids=["in-band", "low-in-band", "above-band", "below-band", "floor",
-        "non-monotone", "ceiling"])
+        "non-monotone", "ceiling", "one-rung", "one-rung-exact"])
 def test_order_fit_carries_the_order_gate(errors, status, passed):
     levels = [np.array([] if e is None else [-1.0 + e]) for e in errors]
+    if status is None:
+        with pytest.raises(ValueError, match="two or more"):
+            order_fit(levels, 0, -1.0)
+        return
     report = order_fit(levels, 0, -1.0)
     assert report["status"] == status
     assert report["passed"] is passed
@@ -329,8 +370,6 @@ class TestConfigTypes:
             solve_bound_states(hydrogen, 0, 3, grid, count=0)
         with pytest.raises(ValueError, match="count must be in"):
             solve_bound_states(hydrogen, 0, 3, grid, count=2000)
-        with pytest.raises(ValueError, match="unknown discretization scheme"):
-            solve_bound_states(hydrogen, 0, 3, grid, scheme="spectral")
         # a custom ladder: no rung, or a factor that is not positive and
         # finite, names the rungs instead of dividing by zero
         for rungs in ([], [(0, 1)], [(4, 1), (-2, 1)], [(math.inf, 1)],

@@ -263,6 +263,14 @@ class TestGridTypes:
             RadialGrid(1.0, 0.5, 10)
         with pytest.raises(ValueError):
             RadialGrid(0.1, 1.0, 2)
+        # NaN fails every comparison, so each check is written to fail on it
+        for r_min, r_max, match in ((math.nan, 1.0, "r_min"),
+                                    (1.0, math.nan, "r_max"),
+                                    (1.0, math.inf, "r_max"),
+                                    (-math.inf, 1.0, "r_min"),
+                                    (math.inf, math.inf, "r_max")):
+            with pytest.raises(ValueError, match=match):
+                RadialGrid(r_min, r_max, 5)
 
     def test_sampled_function_length_gate(self, hydrogen):
         state = make_state(hydrogen, 0, 0, 3)
