@@ -259,7 +259,7 @@ def cmd_presets(args) -> int:
     return 0
 
 
-_SPECTRUM_FIELDS = ("dim", "ell", "n", "k", "eps", "energy", "status")
+_SPECTRUM_FIELDS = spectrum.SpectrumRow._fields[:7]  # the table's columns
 # one spectrum row as json.dumps(..., indent=2, sort_keys=True) writes it in
 # "rows": keys sorted, %r the float repr json writes, null in a row without
 # values; a status is one of spectrum's plain ASCII words, so needs no escape
@@ -276,9 +276,9 @@ def cmd_spectrum(args) -> int:
     fmt = cfg["output"]["format"]
     path = _out_path(cfg, args, f"spectrum.{fmt}")
     q = cfg["quantum"]
-    # one tuple per row in _SPECTRUM_FIELDS order: CSV joins it, JSON zips it
-    rows = [(r.q.dim, r.q.ell, r.q.n, r.k, r.eps, r.energy, r.status)
-            for dim in _dims(cfg, [3])
+    # each row's _SPECTRUM_FIELDS, its first seven fields: CSV joins them,
+    # JSON zips them
+    rows = [r[:7] for dim in _dims(cfg, [3])
             for r in spectrum.spectrum_table(potential, q["n_max"],
                                              q["ell_max"], dim)]
     if fmt == "csv":

@@ -200,6 +200,10 @@ def default_grid(potential, ell: int, dim: int, n_max: int = 3,
     [16 (n_max + 1), 400000] raises GridResolutionError naming it, rather
     than being clamped silently.
     """
+    if n_max < 0:
+        raise ValueError("default grid sizing needs n_max >= 0")
+    if not refine > 0.0:
+        raise ValueError("the grid refinement factor must be positive")
     k = indicial_root(potential, ell, dim)
     beta = binding_rate(potential)
     if beta <= 0.0:
@@ -483,8 +487,11 @@ def eigen_lowest(tri: Tridiagonal, count: int, tol: float = _TOL, *,
 
 def count_below(tri: Tridiagonal, bound: float) -> int:
     """Exact number of eigenvalues below ``bound`` (Sturm count)."""
+    bound = float(bound)
+    if math.isnan(bound):
+        raise ValueError("the count bound must not be NaN")
     d, esq, pivmin = _prepare(tri.diag, tri.offdiag)
-    return _negcount(d, esq, float(bound), pivmin)
+    return _negcount(d, esq, bound, pivmin)
 
 
 def _ceiling(potential, ell: int, dim: int, grid: RadialGrid) -> float:

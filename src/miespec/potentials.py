@@ -70,7 +70,8 @@ class PotentialParams:
     def value(self, r):
         """V(r) = A/r^2 + B/r + C at r > 0 (scalar or array)."""
         r = np.asarray(r, dtype=float)
-        if np.any(r <= 0.0):
+        # written so that NaN fails it; an infinite radius gives C
+        if not np.all(r > 0.0):
             raise ValueError("radius must be positive")
         out = self.A / r**2 + self.B / r + self.C
         return out if out.ndim else float(out)

@@ -15,13 +15,31 @@ alone, so spectrum_table derives them once per ell, eps and E per level.
 """
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (FallToCenterError, NoBoundStatesError,
                      NotNormalizableError, UnitsRangeError)
 from .potentials import PotentialParams
 from .specfun import radial_norm_constant
+
+
+def _whole(name: str, value) -> int:
+    """value as an int; ValueError naming it unless it is an integer
+    (operator.index takes ints and numpy ints, never 1.5 or 3.0)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"quantum number {name} must be an integer, "
+                         f"not {value!r}") from None
+
+
+def _check_dim(dim):
+    if _whole("dim", dim) < 2:
+        raise ValueError("spatial dimension must be >= 2 (hyperspherical "
+                         "separation does not apply to N = 1)")
 
 
 @dataclass(frozen=True)
@@ -32,11 +50,9 @@ class QuantumNumbers:
     dim: int
 
     def __post_init__(self):
-        if self.n < 0 or self.ell < 0:
+        if _whole("n", self.n) < 0 or _whole("ell", self.ell) < 0:
             raise ValueError("quantum numbers n and ell must be >= 0")
-        if self.dim < 2:
-            raise ValueError("spatial dimension must be >= 2 (hyperspherical "
-                             "separation does not apply to N = 1)")
+        _check_dim(self.dim)
 
 
 @dataclass(frozen=True)
@@ -63,8 +79,7 @@ def _out_of_range(params: PotentialParams, what: str) -> UnitsRangeError:
 
 def centrifugal_strength(params: PotentialParams, ell: int, dim: int) -> float:
     """nu(nu+1): angular barrier plus the scaled 1/r^2 coefficient A/K."""
-    if dim < 2:
-        raise ValueError("spatial dimension must be >= 2")
+    _check_dim(dim)
     return ell * (ell + dim - 2) + params.A / params.kinetic
 
 
@@ -149,11 +164,13 @@ _STATUS = {
 }
 
 
-@dataclass(frozen=True)
-class SpectrumRow:
+class SpectrumRow(NamedTuple):
     """One (n, ell, N) channel entry; invalid channels carry their error kind
-    in ``status`` instead of being dropped."""
-    q: QuantumNumbers
+    in ``status`` instead of being dropped.  The first seven fields are the
+    level table's columns, in the order it writes them."""
+    dim: int
+    ell: int
+    n: int
     k: float | None
     eps: float | None
     energy: float | None
@@ -166,16 +183,20 @@ def spectrum_table(params: PotentialParams, n_max: int, ell_max: int,
     """Rows for every n <= n_max, ell <= ell_max at fixed dimension."""
     if n_max < 0 or ell_max < 0:
         raise ValueError("n_max and ell_max must be >= 0")
+    # refused up front: a repulsive channel would otherwise fill its rows
+    # with no-bound-states before any dimension check ran
+    _check_dim(dim)
+    ns = range(n_max + 1)
     rows = []
     for ell in range(ell_max + 1):
-        qs = [QuantumNumbers(n=n, ell=ell, dim=dim) for n in range(n_max + 1)]
         try:
             beta, k = _channel(params, ell, dim)
         except tuple(_STATUS) as exc:
-            rows += [SpectrumRow(q=q, k=None, eps=None, energy=None,
-                                 status=_STATUS[type(exc)], detail=str(exc))
-                     for q in qs]
+            status, detail = _STATUS[type(exc)], str(exc)
+            rows += [SpectrumRow(dim, ell, n, None, None, None, status, detail)
+                     for n in ns]
         else:
-            rows += [SpectrumRow(q, k, *_level(params, beta, k, q.n, dim), "ok")
-                     for q in qs]
+            rows += [SpectrumRow(dim, ell, n, k, *_level(params, beta, k, n, dim),
+                                 "ok")
+                     for n in ns]
     return rows

@@ -887,9 +887,27 @@ def test_spectrum_csv_leaves_the_fields_of_a_row_without_values_empty(tmp_path):
     for dim in (2, 3):
         for r in spectrum.spectrum_table(params, 3, 2, dim):
             lines.append(",".join(map(_per_value, (
-                r.q.dim, r.q.ell, r.q.n, r.k, r.eps, r.energy, r.status))))
+                r.dim, r.ell, r.n, r.k, r.eps, r.energy, r.status))))
     assert any(",,,," in line for line in lines)
     _assert_same_lines((tmp_path / "spectrum.csv").read_text(), lines)
+
+
+def test_spectrum_rows_are_the_csv_rows_and_build_no_quantum_numbers(
+        tmp_path, monkeypatch):
+    # the table writes each row's first seven fields, with no per-row
+    # QuantumNumbers on the way
+    def refuse(*args, **kwargs):
+        raise AssertionError("a spectrum row built a QuantumNumbers")
+
+    monkeypatch.setattr(spectrum, "QuantumNumbers", refuse)
+    assert run(tmp_path, "spectrum", "--A", "-0.3", "--B", "-1", "--n-max", "3",
+               "--ell-max", "2", "--dims", "2,3") == 3
+    params = potentials.PotentialParams(-0.3, -1.0, 0.0)
+    rows = [r for dim in (2, 3) for r in spectrum.spectrum_table(params, 3, 2, dim)]
+    assert {r.status for r in rows} == {"fall-to-center", "ok"}
+    lines = (tmp_path / "spectrum.csv").read_text().splitlines()
+    assert lines[0] == ",".join(spectrum.SpectrumRow._fields[:7])
+    assert lines[1:] == [",".join(map(_per_value, r[:7])) for r in rows]
 
 
 @pytest.mark.parametrize("argv,code,params,label,n_max,ell_max,dims", [
@@ -907,7 +925,7 @@ def test_spectrum_json_is_the_bytes_of_json_dumps(tmp_path, argv, code, params,
     argv = [str(tmp_path / a) if a == "dims.json" else a for a in argv]
     assert run(tmp_path, "spectrum", *argv, "--format", "json") == code
     fields = ("dim", "ell", "n", "k", "eps", "energy", "status")
-    rows = [dict(zip(fields, (r.q.dim, r.q.ell, r.q.n, r.k, r.eps, r.energy,
+    rows = [dict(zip(fields, (r.dim, r.ell, r.n, r.k, r.eps, r.energy,
                               r.status)))
             for dim in dims
             for r in spectrum.spectrum_table(params, n_max, ell_max, dim)]

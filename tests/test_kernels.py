@@ -52,6 +52,14 @@ def test_zero_offdiagonal_pivot_path():
     assert got == pytest.approx([1.0, 1.0], abs=1e-12)
 
 
+def test_nan_count_bound_is_refused():
+    # every pivot comparison with NaN is false: the sweep counted 0
+    hydrogen = coulomb(-1.0)
+    tri = build_tridiagonal_radial(default_grid(hydrogen, 0, 3), hydrogen, 0, 3)
+    with pytest.raises(ValueError, match="NaN"):
+        count_below(tri, float("nan"))
+
+
 def test_count_bounds_validation():
     tri = Tridiagonal(np.array([1.0, 2.0]), np.array([0.3]))
     with pytest.raises(ValueError):

@@ -73,6 +73,10 @@ class TestEffectivePotential:
         with pytest.raises(ValueError):
             effective_potential(hydrogen, 0, 3, 0.0)
 
+    def test_nan_radius_is_refused(self, hydrogen):
+        with pytest.raises(ValueError):
+            effective_potential(hydrogen, 0, 3, math.nan)
+
 
 class TestBuildTridiagonal:
     def test_stencil_entries(self):
@@ -399,3 +403,16 @@ class TestConfigTypes:
     def test_default_grid_requires_attraction(self):
         with pytest.raises(ValueError):
             default_grid(PotentialParams(0.0, 1.0, 0.0), 0, 3)
+
+    def test_default_grid_refuses_a_negative_level_count(self, hydrogen):
+        # n_max = -1 once divided by 2 n_max + 2k + 3 - N = 0
+        with pytest.raises(ValueError, match="n_max >= 0"):
+            default_grid(hydrogen, 0, 3, n_max=-1)
+        with pytest.raises(ValueError, match="n_max >= 0"):
+            solve_bound_states(hydrogen, 0, 3, count=0)
+
+    @pytest.mark.parametrize("refine", [0.0, -1.0, math.nan])
+    def test_default_grid_refuses_a_refine_not_above_zero(self, hydrogen,
+                                                          refine):
+        with pytest.raises(ValueError, match="refinement factor"):
+            default_grid(hydrogen, 0, 3, refine=refine)

@@ -1,5 +1,7 @@
 """Potential family, presets, and their parameter maps."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -23,10 +25,14 @@ def test_kratzer_minimum_depth():
     assert params.value(1.0) == pytest.approx(-5.0, rel=1e-14)
 
 
-@pytest.mark.parametrize("r", [0.0, -1.0])
+@pytest.mark.parametrize("r", [0.0, -1.0, math.nan])
 def test_radius_domain_error(r):
     with pytest.raises(ValueError):
         PotentialParams(0.0, -1.0, 0.0).value(r)
+
+
+def test_value_at_an_infinite_radius_is_the_offset():
+    assert PotentialParams(1.0, -2.0, 0.75).value(math.inf) == 0.75
 
 
 def test_value_at_infinity():

@@ -150,7 +150,7 @@ class TestEnergy:
         assert energy(params, q) == pytest.approx(-1e12 / (2.0 * 201.0**2),
                                                   rel=1e-12)
         row = spectrum_table(params, 0, 200, 3)[-1]
-        assert (row.q, row.status) == (q, "ok")
+        assert (row.dim, row.ell, row.n, row.status) == (q.dim, q.ell, q.n, "ok")
         assert row.eps == pytest.approx(2e12 / 402.0, rel=1e-12)
 
 
@@ -182,12 +182,25 @@ class TestBoundState:
         with pytest.raises(ValueError):
             QuantumNumbers(0, 0, 1)
 
+    @pytest.mark.parametrize("n,ell,dim,name", [
+        (1.5, 0, 3, "n"), (0, 0.5, 3, "ell"), (0, 0, 3.0, "dim")])
+    def test_non_integral_quantum_numbers_rejected(self, n, ell, dim, name):
+        # QuantumNumbers(1.5, 0, 3) once gave hydrogen a level at -0.08
+        with pytest.raises(ValueError, match=f"quantum number {name} must be "
+                                             "an integer"):
+            QuantumNumbers(n, ell, dim)
+
+    def test_numpy_integers_accepted(self):
+        q = QuantumNumbers(np.int64(1), np.int32(0), np.int64(3))
+        assert bound_state(coulomb(-1.0), q).energy == pytest.approx(
+            -0.125, rel=1e-13)
+
 
 class TestSpectrumTable:
     def test_hydrogen_accidental_degeneracy(self):
         rows = spectrum_table(coulomb(-1.0), n_max=1, ell_max=1, dim=3)
         assert len(rows) == 4
-        by_q = {(r.q.n, r.q.ell): r for r in rows}
+        by_q = {(r.n, r.ell): r for r in rows}
         assert by_q[(0, 1)].energy == pytest.approx(-0.125, rel=1e-13)
         assert by_q[(1, 0)].energy == pytest.approx(-0.125, rel=1e-13)
         assert all(r.status == "ok" for r in rows)
@@ -205,7 +218,7 @@ class TestSpectrumTable:
 
     def test_fall_to_center_rows(self):
         rows = spectrum_table(PotentialParams(-1.0, -2.0, 0.0), 0, 1, 3)
-        by_ell = {r.q.ell: r for r in rows}
+        by_ell = {r.ell: r for r in rows}
         assert by_ell[0].status == "fall-to-center"
         assert by_ell[1].status == "ok"  # barrier rescues ell = 1
 
@@ -216,17 +229,23 @@ class TestSpectrumTable:
         high = spectrum_table(kratzer_fues(5.0, 1.0), 2, 2, 5)
         for row in high:
             partner = next(r for r in low
-                           if (r.q.n, r.q.ell) == (row.q.n, row.q.ell + 1))
+                           if (r.n, r.ell) == (row.n, row.ell + 1))
             assert partner.energy == pytest.approx(row.energy, rel=1e-12)
 
     def test_negative_ranges_rejected(self):
         with pytest.raises(ValueError):
             spectrum_table(coulomb(-1.0), -1, 0, 3)
 
+    @pytest.mark.parametrize("B", [-1.0, 1.0], ids=["attractive", "repulsive"])
+    def test_dimension_one_rejected(self, B):
+        # a repulsive tail would fill every row with no-bound-states first
+        with pytest.raises(ValueError, match="dimension must be >= 2"):
+            spectrum_table(PotentialParams(0.0, B, 0.0), 0, 0, 1)
+
 
 def _rows_one_level_at_a_time(params, n_max, ell_max, dim):
     """spectrum_table's rows with the channel derived again for every row,
-    as (q, k, eps, energy, status, detail)."""
+    as (dim, ell, n, k, eps, energy, status, detail)."""
     out = []
     for ell in range(ell_max + 1):
         for n in range(n_max + 1):
@@ -235,9 +254,10 @@ def _rows_one_level_at_a_time(params, n_max, ell_max, dim):
                 beta, k = _channel(params, ell, dim)
                 eps, e = _level(params, beta, k, n, dim)
             except tuple(_STATUS) as exc:
-                out.append((q, None, None, None, _STATUS[type(exc)], str(exc)))
+                out.append((q.dim, q.ell, q.n, None, None, None,
+                            _STATUS[type(exc)], str(exc)))
             else:
-                out.append((q, k, eps, e, "ok", ""))
+                out.append((q.dim, q.ell, q.n, k, eps, e, "ok", ""))
     return out
 
 
@@ -254,7 +274,8 @@ def test_a_table_derives_each_row_as_a_single_level_would(params, dim, statuses)
     # the table derives beta and k once per ell; every row must still be
     # what its own channel derivation, or that derivation's exception, gives
     rows = spectrum_table(params, 6, 3, dim)
-    got = [(r.q, r.k, r.eps, r.energy, r.status, r.detail) for r in rows]
+    got = [(r.dim, r.ell, r.n, r.k, r.eps, r.energy, r.status, r.detail)
+           for r in rows]
     assert got == _rows_one_level_at_a_time(params, 6, 3, dim)
     assert {r.status for r in rows} == statuses
 
