@@ -30,7 +30,7 @@ import sys
 
 import numpy as np
 
-from . import ladder, oracle, potentials, spectrum, wavefunction
+from . import ladder, oracle, potentials, specfun, spectrum, wavefunction
 from .errors import (FallToCenterError, GridResolutionError,
                      NoBoundStatesError, NotNormalizableError,
                      UnitsRangeError)
@@ -180,6 +180,9 @@ def _validate(cfg: dict):
         q["dims"] = [_number(d, int, "quantum.dims") for d in q["dims"]]
         if any(d < 2 for d in q["dims"]):
             raise ConfigError("every dimension must be >= 2")
+        repeated = [d for i, d in enumerate(q["dims"]) if d in q["dims"][:i]]
+        if repeated:
+            raise ConfigError(f"quantum.dims repeats dimension {repeated[0]}")
     if cfg["output"]["format"] not in ("csv", "json"):
         raise ConfigError("output format must be csv or json")
     g = cfg["grid"]
@@ -418,11 +421,16 @@ def _verify_channel(potential, label, ell, dim, n_max, refine, fast):
             tols.append(None)
     entry.update(delta=deltas, tolerance=tols, energy_ok=ok)
 
-    norms = [wavefunction.norm_check(s) for s in states]
+    # one rule for every norm and the overlap: its n_max + 2 nodes are exact
+    # for the channel's integrands, of degree <= 2 n_max
+    rule = specfun.gauss_laguerre(specfun.default_quadrature_order(n_max),
+                                  states[0].alpha + 1.0)
+    norms = [wavefunction.norm_check(s, rule) for s in states]
     entry["norm"] = norms
     entry["norm_ok"] = all(abs(v - 1.0) <= 1e-10 for v in norms)
     if len(states) > 1:
-        entry["overlap_r_01"] = wavefunction.overlap(states[0], states[1], "r")
+        entry["overlap_r_01"] = wavefunction.overlap(states[0], states[1], "r",
+                                                     rule)
         entry["orthogonality_ok"] = abs(entry["overlap_r_01"]) <= 1e-10
     else:
         entry["orthogonality_ok"] = True

@@ -19,8 +19,9 @@ import numpy as np
 from .errors import GridResolutionError
 from .potentials import PotentialParams
 from .spectrum import BoundState, binding_rate, centrifugal_strength
-from .specfun import (_laguerre_pair, _laguerre_zeros, default_quadrature_order,
-                      gauss_laguerre, radial_norm_constant)
+from .specfun import (QuadratureRule, _laguerre_pair, _laguerre_zeros,
+                      default_quadrature_order, gauss_laguerre,
+                      radial_norm_constant)
 
 
 @dataclass(frozen=True)
@@ -139,24 +140,29 @@ def norm_constant(state: BoundState, paper_literal: bool = False) -> float:
                                 paper_literal=paper_literal)
 
 
-def norm_check(state: BoundState) -> float:
+def norm_check(state: BoundState, rule: QuadratureRule | None = None) -> float:
     """Integral of |R|^2 r^{N-1} dr by generalized Gauss-Laguerre; expect 1.
 
-    This is overlap(state, state, "r"), which evaluates the state once.
-    Uses the state's own zeta, so a tampered constant scales the result
-    quadratically.
+    This is overlap(state, state, "r", rule), which evaluates the state
+    once.  Uses the state's own zeta, so a tampered constant scales the
+    result quadratically.
     """
-    return overlap(state, state, "r")
+    return overlap(state, state, "r", rule)
+
+
+def _close(x: float, y: float) -> bool:
+    return abs(x - y) <= 1e-12 * max(1.0, abs(x))
 
 
 def _require_same_channel(a: BoundState, b: BoundState):
     if (a.q.ell, a.q.dim) != (b.q.ell, b.q.dim):
         raise ValueError("overlap requires matching (ell, N)")
-    if abs(a.k - b.k) > 1e-12 * max(1.0, abs(a.k)):
+    if not _close(a.k, b.k):
         raise ValueError("overlap requires matching indicial root k")
 
 
-def overlap(a: BoundState, b: BoundState, space: str = "r") -> float:
+def overlap(a: BoundState, b: BoundState, space: str = "r",
+            rule: QuadratureRule | None = None) -> float:
     """Overlap of two states of the same channel.
 
     space="r": the physical integral R_a R_b r^{N-1} dr, each state at its
@@ -164,6 +170,11 @@ def overlap(a: BoundState, b: BoundState, space: str = "r") -> float:
     space="y": both states as functions of the shared dimensionless variable
     y with measure y^{N-1} dy.  This is generally NOT orthogonal; it is
     reported for comparison with the Laguerre-measure picture.
+
+    rule, when given, is a prebuilt gauss_laguerre rule for the weight
+    x^{alpha+1} e^{-x}, shared by a caller that integrates many states of
+    one channel; it must carry at least the n + 2 nodes this call would
+    build.  Without it the call builds exactly that rule.
     """
     _require_same_channel(a, b)
     # y_a = c_a t, y_b = c_b t, measure (u t)^{N-1} u dt: the integrand is a
@@ -177,13 +188,20 @@ def overlap(a: BoundState, b: BoundState, space: str = "r") -> float:
         u = c_a = c_b = 1.0
     else:
         raise ValueError(f"unknown overlap space {space!r}")
-    rule = gauss_laguerre(default_quadrature_order(max(a.q.n, b.q.n)),
-                          a.alpha + 1.0)
+    order = default_quadrature_order(max(a.q.n, b.q.n))
+    if rule is None:
+        rule = gauss_laguerre(order, a.alpha + 1.0)
+    elif not _close(a.alpha + 1.0, rule.alpha):
+        raise ValueError(f"rule weight exponent {rule.alpha!r} is not the "
+                         f"channel's alpha + 1 = {a.alpha + 1.0!r}")
+    elif rule.order < order:
+        raise ValueError(f"a {rule.order}-node rule under-resolves level "
+                         f"{max(a.q.n, b.q.n)}; it needs {order} nodes")
     t = rule.nodes
     la, sa = _ln_y_form(a, c_a * t, ln_eta(a))
     lb, sb = (la, sa) if b is a else _ln_y_form(b, c_b * t, ln_eta(b))
     ln_g = (la + lb + (a.q.dim - 1.0) * np.log(u * t) + math.log(u)
-            - (a.alpha + 1.0) * np.log(t) + t + rule.ln_weights)
+            - rule.alpha * np.log(t) + t + rule.ln_weights)
     return float(np.sum(sa * sb * np.exp(ln_g)))
 
 

@@ -10,7 +10,8 @@ import sys
 import numpy as np
 import pytest
 
-from miespec import cli, oracle, potentials, spectrum, wavefunction
+from miespec import (cli, oracle, potentials, specfun, spectrum,
+                     wavefunction)
 from miespec.cli import main
 
 
@@ -330,6 +331,44 @@ def test_verify_solves_each_grid_once(tmp_path, monkeypatch, fast):
         assert channel[-1] == m
         for size, fraction in zip(channel, fractions):
             assert abs(size - m * fraction) <= 1
+
+
+def test_verify_builds_one_quadrature_rule_per_channel(tmp_path, monkeypatch):
+    # every norm and the 0-1 overlap of a channel read one rule of
+    # n_max + 2 nodes; one rule per state and per overlap made 30 here
+    build = specfun.gauss_laguerre
+    rules = []
+
+    def counted(m, alpha=0.0):
+        rules.append((m, alpha))
+        return build(m, alpha)
+    monkeypatch.setattr(specfun, "gauss_laguerre", counted)
+    monkeypatch.setattr(wavefunction, "gauss_laguerre", counted)
+    assert run(tmp_path, "verify", "--n-max", "3", "--ell-max", "2",
+               "--dims", "3", "--fast") == 0
+    channels = json.loads((tmp_path / "verify.json").read_text())["channels"]
+    assert len(channels) == len(rules) == 6
+    assert {m for m, _ in rules} == {5}
+    assert len(set(rules)) == 6
+
+
+@pytest.mark.parametrize("command", ["verify", "spectrum", "ladder-check"])
+@pytest.mark.parametrize("form", ["flag", "config"])
+def test_a_repeated_dimension_is_refused(tmp_path, capsys, command, form):
+    # each channel or row would be run and written twice
+    if form == "flag":
+        args = ["--dims", "2,3,2"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"quantum": {"dims": [3, 2, 3]}}))
+        args = ["--config", str(cfg)]
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run(out, command, "--n-max", "0", "--ell-max", "0", *args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert f"repeats dimension {2 if form == 'flag' else 3}" in err
+    assert not list(out.iterdir())
 
 
 def test_verify_slope_row_budget(tmp_path, monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 
 from miespec.errors import GridResolutionError, NotNormalizableError
 from miespec.potentials import PotentialParams, coulomb, kratzer_fues
+from miespec.specfun import default_quadrature_order, gauss_laguerre
 from miespec.spectrum import QuantumNumbers, bound_state
 from miespec.wavefunction import (RadialGrid, SampledFunction, eval_radial,
                                   eval_y_form, node_count, norm_check,
@@ -192,6 +193,62 @@ class TestOverlap:
         state = make_state(hydrogen, 0, 0, 3)
         with pytest.raises(ValueError):
             overlap(state, state, "q")
+
+
+class TestSharedRule:
+    """One prebuilt rule per channel, as verify passes to norm_check and
+    overlap; its n_max + 2 nodes are exact for every level up to n_max."""
+
+    @staticmethod
+    def channel_rule(states):
+        return gauss_laguerre(default_quadrature_order(len(states) - 1),
+                              states[0].alpha + 1.0)
+
+    @pytest.mark.parametrize("n_max", [3, 10, 20])
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_agrees_with_the_rule_of_each_call(self, hydrogen, kratzer, dim,
+                                               n_max):
+        for params in (hydrogen, kratzer):
+            for ell in range(3):
+                states = [make_state(params, n, ell, dim)
+                          for n in range(n_max + 1)]
+                rule = self.channel_rule(states)
+                for s in states:
+                    assert abs(norm_check(s, rule) - norm_check(s)) <= 1e-13
+                for a, b in zip(states, states[1:]):
+                    assert abs(overlap(a, b, "r", rule)
+                               - overlap(a, b, "r")) <= 1e-13
+
+    @pytest.mark.parametrize("n", [0, 3, 20])
+    def test_the_rule_a_call_would_build_gives_the_same_bits(self, kratzer, n):
+        state = make_state(kratzer, n, 1, 5)
+        rule = gauss_laguerre(n + 2, state.alpha + 1.0)
+        assert norm_check(state, rule) == norm_check(state)
+
+    def test_a_rule_for_another_weight_is_refused(self, kratzer):
+        state = make_state(kratzer, 1, 1, 3)
+        with pytest.raises(ValueError, match="alpha"):
+            norm_check(state, gauss_laguerre(3, state.alpha))
+        other = make_state(kratzer, 0, 1, 3)
+        with pytest.raises(ValueError, match="alpha"):
+            overlap(other, state, "r", gauss_laguerre(3, state.alpha + 1.5))
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_a_rule_one_node_short_is_refused(self, hydrogen, n):
+        state = make_state(hydrogen, n, 0, 3)
+        short = gauss_laguerre(default_quadrature_order(n) - 1,
+                               state.alpha + 1.0)
+        with pytest.raises(ValueError, match="nodes"):
+            norm_check(state, short)
+        if n:
+            with pytest.raises(ValueError, match="nodes"):
+                overlap(make_state(hydrogen, 0, 0, 3), state, "r", short)
+
+    def test_doubled_constant_still_reads_four(self, kratzer):
+        states = [make_state(kratzer, n, 2, 3) for n in range(4)]
+        rule = self.channel_rule(states)
+        tampered = dataclasses.replace(states[1], zeta=2.0 * states[1].zeta)
+        assert norm_check(tampered, rule) == pytest.approx(4.0, abs=1e-9)
 
 
 class TestOdeResidual:
