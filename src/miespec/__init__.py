@@ -8,10 +8,10 @@ eigenvalue oracle that verifies all of it numerically.
 from .errors import (FallToCenterError, GridResolutionError,
                      LadderAlgebraError, NoBoundStatesError,
                      NotNormalizableError, UnitsRangeError)
-from .ladder import (apply_lowering, apply_raising, bargmann_index,
-                     casimir_check, casimir_eigenvalue, commutator_check,
-                     commutator_eigenvalue, ladder_fits, ladder_matrices,
-                     lowering_coefficient, raising_coefficient)
+from .ladder import (bargmann_index, casimir_check, casimir_eigenvalue,
+                     commutator_check, commutator_eigenvalue, ladder_fits,
+                     ladder_matrices, lowering_coefficient,
+                     raising_coefficient)
 from .oracle import (Tridiagonal, build_tridiagonal, build_tridiagonal_radial,
                      cell_grid, count_below, default_grid,
                      effective_potential, eigen_lowest, solve_bound_states)

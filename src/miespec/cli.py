@@ -547,7 +547,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="closed form vs finite-difference oracle")
     _add_common(p, "quantum", "grid.refine")
-    p.add_argument("--fast", action="store_true", help="skip convergence studies")
+    p.add_argument("--fast", action="store_true",
+                   help="solve the h grid only and skip the order fit")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("presets", help="list built-in potential presets")

@@ -25,7 +25,7 @@ from .errors import LadderAlgebraError
 from .spectrum import BoundState, QuantumNumbers, bound_state
 from .specfun import _laguerre_pair
 from .wavefunction import (RadialGrid, SampledFunction, _interior_d1,
-                           _ln_y_form, _signed_exp, ln_eta)
+                           _ln_y_form, ln_eta)
 
 _CONVENTIONS = ("paper", "y-orthonormal", "laguerre-orthonormal")
 
@@ -226,16 +226,18 @@ def _ladder_image(values, y_dvalues, y, n: int, k: float, dim: int,
     return step * y_dvalues - 0.5 * y * values + number * values
 
 
-def _ladder_pass(state: BoundState, grid_y: RadialGrid):
-    """[(image, fit)] of the lowering, then the raising operator on R_n(y).
+def ladder_fits(state: BoundState, grid_y: RadialGrid):
+    """(lowering, raising) LadderFits of R_n on grid_y, one recurrence pass.
 
     R_n, y dR_n/dy, both images and both neighbours share the factor
     eta y^{k+2-N} e^{-y/2}, so each is that factor times a polynomial from
     one recurrence pass to n: L_{n-1} and L_n, L_{n+1} by one more step,
     and y dL_n/dy = n L_n - (n+alpha) L_{n-1} (no finite differences).
-    Images and targets are (ln|.|, sign) pairs without eta, which
-    eta_n / eta_{n+step} multiplies back into the fitted constant.  ln y,
-    the shared envelope and the measure's weight are formed once per pass.
+    Images and targets are compared without eta, which eta_n / eta_{n+step}
+    multiplies back into the fitted constant.  ln y, the shared envelope
+    and the measure's weight are formed once per pass.  For n = 0 the
+    lowering fit is the annihilation check: fitted constant 0 and the
+    residual measured against the state itself.
     """
     n, k, dim, alpha = state.q.n, state.k, state.q.dim, state.alpha
     y = grid_y.nodes()
@@ -247,57 +249,31 @@ def _ladder_pass(state: BoundState, grid_y: RadialGrid):
                       cur if n == 0 else prev,
                       _ladder_image(cur, y_d, y, n, k, dim, +1), after))
     ln_y = np.log(y)
-    ln_abs, sign = _ln_y_form(state, y, ln_s, polys, ln_y)
+    ln_abs, _ = _ln_y_form(state, y, ln_s, polys, ln_y)
     ln_w = 0.5 * (dim - 1.0) * ln_y
     out = []
     for row, step, coefficient, weight in (
             (0, -1, lowering_coefficient, n + alpha),
             (2, +1, raising_coefficient, n + 1.0)):
-        image = (ln_abs[row], sign[row])
         closed_form = coefficient(n, k, dim)
         wr, wt = _weighted_pair(ln_w, (ln_abs[row], polys[row]),
                                 (ln_abs[row + 1], polys[row + 1]))
         if n + step < 0:  # annihilation: measured against R_n itself
             residual = float(np.max(np.abs(wr)) / np.max(np.abs(wt)))
-            out.append((image, LadderFit(
+            out.append(LadderFit(
                 fitted=0.0, residual=residual, closed_form=closed_form,
-                derived=0.0, by_convention={c: 0.0 for c in _CONVENTIONS})))
+                derived=0.0, by_convention={c: 0.0 for c in _CONVENTIONS}))
             continue
         target = bound_state(state.params, QuantumNumbers(
             n=n + step, ell=state.q.ell, dim=dim))
         c = float(np.dot(wr, wt) / np.dot(wt, wt))
         residual = float(np.max(np.abs(wr - c * wt)) / np.max(np.abs(c * wt)))
         ratio = math.exp(ln_eta(state) - ln_eta(target))
-        out.append((image, LadderFit(
+        out.append(LadderFit(
             fitted=c * ratio, residual=residual, closed_form=closed_form,
             derived=weight * ratio,
-            by_convention=_convention_rescale(c * ratio, state, target))))
-    return out
-
-
-def ladder_fits(state: BoundState, grid_y: RadialGrid):
-    """(lowering, raising) LadderFits of R_n on grid_y, one recurrence pass."""
-    return tuple(fit for _, fit in _ladder_pass(state, grid_y))
-
-
-def _sampled(state: BoundState, grid_y: RadialGrid, index: int):
-    (ln_abs, sign), fit = _ladder_pass(state, grid_y)[index]
-    return SampledFunction(grid=grid_y,
-                           values=_signed_exp(ln_abs + ln_eta(state), sign)), fit
-
-
-def apply_lowering(state: BoundState, grid_y: RadialGrid):
-    """(-y d/dy - y/2 + k + n + 2 - N) R_n(y), fitted against R_{n-1}(y).
-
-    For n = 0 the result is the annihilation check: fitted constant 0 and
-    the residual measured against the state itself.
-    """
-    return _sampled(state, grid_y, 0)
-
-
-def apply_raising(state: BoundState, grid_y: RadialGrid):
-    """(y d/dy - y/2 + n + k + 1) R_n(y), fitted against R_{n+1}(y)."""
-    return _sampled(state, grid_y, 1)
+            by_convention=_convention_rescale(c * ratio, state, target)))
+    return tuple(out)
 
 
 def apply_ladder_sampled(values, grid_y: RadialGrid, n_index: int, k: float,

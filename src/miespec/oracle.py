@@ -128,42 +128,37 @@ def build_tridiagonal_radial(grid: RadialGrid, potential, ell: int,
     (a natural boundary), as on cell_grid()'s grids; any other grid is a
     ValueError.  The weights enter only as powers of face/node ratios, so
     no finite grid overflows them.
+
+    An entry that leaves the double range is refused by Tridiagonal, not
+    warned about on the way; so is a spacing whose square underflows,
+    before any entry is formed, and a nonzero off-diagonal whose square,
+    which the Sturm counts read, is below the normal range.
     """
     h = grid.spacing
-    x = grid.nodes()
-    faces = np.concatenate(([x[0] - 0.5 * h], x + 0.5 * h))
-    if abs(faces[0]) > 1e-12 * h:
-        raise ValueError("the radial scheme needs a grid whose first cell "
-                         "face is at the origin (r_min = spacing/2), as "
-                         "cell_grid builds")
-    faces[0] = max(faces[0], 0.0)
-    q = 2.0 * dim - 3.0
-    r = x * x
-    # (K/h^2) p/w on each side of a cell, without the (f/x)^q
-    t = potential.kinetic / (4.0 * h * h)
-    barrier = ell * (ell + dim - 2)
-    vc = potential.value(r) + potential.kinetic * barrier / r**2
-    diag = t * ((faces[1:] / x) ** q + (faces[:-1] / x) ** q) / r + vc
-    # p_f / sqrt(w_i w_{i+1}) = (f^2 / (x_i x_{i+1}))^{q/2} / (4 x_i x_{i+1})
-    f = faces[1:-1]
-    off = -t * ((f / x[:-1]) * (f / x[1:])) ** (0.5 * q) / (x[:-1] * x[1:])
-    return Tridiagonal(diag=np.ascontiguousarray(diag),
-                       offdiag=np.ascontiguousarray(off))
-
-
-def _build(grid: RadialGrid, potential, ell: int, dim: int) -> Tridiagonal:
-    """The radial scheme's matrix.  An entry that leaves the double range is
-    refused by Tridiagonal, not warned about on the way; so is a spacing
-    whose square underflows, before any entry is formed, and a nonzero
-    off-diagonal whose square, which the Sturm counts read, is below the
-    normal range."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        try:
-            tri = build_tridiagonal_radial(grid, potential, ell, dim)
-        except ZeroDivisionError:
+        x = grid.nodes()
+        faces = np.concatenate(([x[0] - 0.5 * h], x + 0.5 * h))
+        if abs(faces[0]) > 1e-12 * h:
+            raise ValueError("the radial scheme needs a grid whose first "
+                             "cell face is at the origin (r_min = "
+                             "spacing/2), as cell_grid builds")
+        if h * h == 0.0:
             raise GridResolutionError(
                 "finite-difference matrix entries must be finite; the grid "
-                "spacing squared underflows to zero") from None
+                "spacing squared underflows to zero")
+        faces[0] = max(faces[0], 0.0)
+        q = 2.0 * dim - 3.0
+        r = x * x
+        # (K/h^2) p/w on each side of a cell, without the (f/x)^q
+        t = potential.kinetic / (4.0 * h * h)
+        barrier = ell * (ell + dim - 2)
+        vc = potential.value(r) + potential.kinetic * barrier / r**2
+        diag = t * ((faces[1:] / x) ** q + (faces[:-1] / x) ** q) / r + vc
+        # p_f / sqrt(w_i w_{i+1}) = (f^2 / (x_i x_{i+1}))^{q/2} / (4 x_i x_{i+1})
+        f = faces[1:-1]
+        off = -t * ((f / x[:-1]) * (f / x[1:])) ** (0.5 * q) / (x[:-1] * x[1:])
+        tri = Tridiagonal(diag=np.ascontiguousarray(diag),
+                          offdiag=np.ascontiguousarray(off))
     e = np.abs(tri.offdiag)
     if np.any((e > 0.0) & (e < _ROOT_TINY)):
         raise GridResolutionError(
@@ -556,7 +551,7 @@ def solve_grids(potential, ell: int, dim: int, grid: RadialGrid,
         rung = (grid if factor == 1 else
                 cell_grid(domain, round(grid.count / factor)))
         levels = eigen_lowest(
-            _build(rung, potential, ell, dim), count, _TOL,
+            build_tridiagonal_radial(rung, potential, ell, dim), count, _TOL,
             _starts=[_predict(solved[j], rung.spacing) for j in range(count)],
             _ceiling=_ceiling(potential, ell, dim, rung))
         for j, value in enumerate(levels):

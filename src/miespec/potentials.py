@@ -97,8 +97,10 @@ def modified_kratzer(d0: float, r0: float, mass: float = 1.0, hbar: float = 1.0,
     convention="standard": V = d0 ((r - r0)/r)^2, i.e. (A, B, C) =
     (+d0 r0^2, -2 d0 r0, +d0); binds (B < 0).
     convention="paper-literal": the sign-flipped variant
-    (-d0 r0^2, +2 d0 r0, -d0), which also vanishes at r0 but has B > 0 and
-    therefore no bound states; kept for fidelity to the source convention.
+    (-d0 r0^2, +2 d0 r0, -d0), which also vanishes at r0 but has B > 0, so
+    no bound states; a channel whose attractive 1/r^2 term is over-critical
+    (negative indicial discriminant) falls to the center instead.  Kept for
+    fidelity to the source convention.
     """
     _require({"d0": d0, "r0": r0})
     if convention == "standard":

@@ -121,12 +121,24 @@ def binding_rate(params: PotentialParams) -> float:
 
 
 def _channel(params: PotentialParams, ell: int, dim: int):
-    """(beta, k) of one (ell, N) channel, binding gate applied."""
+    """(beta, k) of one (ell, N) channel, binding gate applied.
+
+    The indicial root is taken before the binding gate: an over-critical
+    1/r^2 term makes the Hamiltonian unbounded below whatever B is, so such
+    a channel is fall-to-center even when B >= 0.  A discriminant past the
+    double range refuses only a binding channel; with B >= 0 the binding
+    gate's label stands.
+    """
     beta = binding_rate(params)
+    try:
+        k = indicial_root(params, ell, dim)
+    except UnitsRangeError:
+        if beta > 0.0:
+            raise
     if beta <= 0.0:
         raise NoBoundStatesError(
             f"B = {params.B:.6g} is not attractive; no bound spectrum")
-    return beta, indicial_root(params, ell, dim)
+    return beta, k
 
 
 def _level(params: PotentialParams, beta: float, k: float, n: int, dim: int):

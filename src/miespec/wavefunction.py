@@ -5,9 +5,9 @@ Laguerre form eta y^{k+2-N} e^{-y/2} L_n^alpha(y) in the dimensionless
 variable y = 2 eps r, in log space (log magnitude plus tracked sign)
 because the envelope spans hundreds of orders of magnitude across a
 verification grid.  eval_radial, eval_y_form, norm_check, overlap,
-node_count and the ladder images and fits all go through it.  Its
-reference is the paper's confluent series 1F1(-n, alpha+1, y), evaluated
-by mpmath at 50 digits in the tests.
+node_count and the ladder fits all go through it.  Its reference is the
+paper's confluent series 1F1(-n, alpha+1, y), evaluated by mpmath at 50
+digits in the tests.
 """
 
 import math
@@ -119,12 +119,12 @@ def eval_radial(state: BoundState, r):
     return eval_y_form(state, y)
 
 
-def eval_y_form(state: BoundState, y, convention: str = "paper"):
+def eval_y_form(state: BoundState, y):
     """y-form eigenfunction eta y^{k+2-N} e^{-y/2} L_n^alpha(y) at y > 0."""
     y = np.asarray(y, dtype=float)
     if not np.all((y > 0.0) & (y < np.inf)):
         raise ValueError("y must be positive and finite")
-    return _signed_exp(*_ln_y_form(state, y, ln_eta(state, convention)))
+    return _signed_exp(*_ln_y_form(state, y, ln_eta(state)))
 
 
 # -- normalization and overlaps --------------------------------------------

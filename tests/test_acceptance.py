@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 
 from miespec.cli import main
-from miespec.ladder import (apply_lowering, apply_raising, bargmann_index,
-                            casimir_check, commutator_check, default_y_grid,
+from miespec.ladder import (bargmann_index, casimir_check, commutator_check,
                             lowering_coefficient)
 from miespec.oracle import solve_bound_states
 from miespec.potentials import coulomb, kratzer_fues
@@ -25,6 +24,10 @@ from miespec.wavefunction import (RadialGrid, node_count, norm_check,
                                   norm_constant, ode_residual_relative)
 
 PRESETS = {"coulomb": coulomb(-1.0), "kratzer-fues": kratzer_fues(5.0, 1.0)}
+# the same two potentials as CLI flags
+PRESET_FLAGS = {"coulomb": ["--preset", "coulomb", "--B", "-1"],
+                "kratzer-fues": ["--preset", "kratzer-fues", "--d0", "5",
+                                 "--r0", "1"]}
 CHANNELS = [(ell, dim) for dim in (2, 3, 4, 5) for ell in (0, 1, 2)]
 
 
@@ -167,29 +170,29 @@ def test_criterion_7_su11_suite():
            f"{len(pairs)} (k, N) pairs, n<=10; lambda_minus(0)=0: {ground_ok}")
 
 
-def test_criterion_8_differential_ladder():
+def test_criterion_8_differential_ladder(tmp_path):
+    # ladder-check's per-level fits: every raising fit, and every lowering
+    # fit with a neighbour below (n >= 1), at ell = 0, N = 3 and 5, n <= 5
     worst = 0.0
     recorded = []
-    for name, params in PRESETS.items():
-        for dim in (3, 5):
-            for n in range(6):
-                state = bound_state(params, QuantumNumbers(n, 0, dim))
-                grid = default_y_grid(state)
-                if n >= 1:
-                    _, fit = apply_lowering(state, grid)
-                    worst = max(worst, fit.residual)
-                    recorded.append((name, dim, n, "lower",
-                                     fit.fitted - fit.closed_form))
-                _, fit = apply_raising(state, grid)
-                worst = max(worst, fit.residual)
-                recorded.append((name, dim, n, "raise",
-                                 fit.fitted - fit.closed_form))
+    codes = []
+    for name, flags in PRESET_FLAGS.items():
+        path = tmp_path / f"{name}.json"
+        codes.append(main(["ladder-check", *flags, "--n-max", "5",
+                           "--ell-max", "0", "--dims", "3,5",
+                           "--out", str(path)]))
+        for channel in json.loads(path.read_text())["channels"]:
+            for row in channel["differential"]:
+                # n = 0's lowering entry is the annihilation check
+                for direction in ("lowering", "raising")[row["n"] == 0:]:
+                    worst = max(worst, row[direction]["residual"])
+                    recorded.append(row[direction]["closed_form_discrepancy"])
     # the fitted-vs-printed discrepancy is recorded, not asserted equal
-    largest = max(abs(d) for *_, d in recorded)
-    report(8, worst <= 1e-9,
+    largest = max(abs(d) for d in recorded)
+    report(8, codes == [0, 0] and worst <= 1e-9 and len(recorded) == 44,
            f"operator images proportional to neighbors, residual {worst:.2e} "
-           f"(<=1e-9); largest recorded fitted-vs-printed discrepancy "
-           f"{largest:.3g}")
+           f"(<=1e-9) over {len(recorded)} fits; largest recorded "
+           f"fitted-vs-printed discrepancy {largest:.3g}")
 
 
 def test_criterion_9_special_function_kernel():

@@ -56,6 +56,16 @@ class TestSpectrum:
         assert rows and all(r["status"] == "no-bound-states" for r in rows)
         assert all(r["energy"] == "" for r in rows)
 
+    def test_paper_literal_modified_kratzer_falls_to_center(self, tmp_path):
+        # B = +10 > 0, but A = -5 makes every discriminant negative
+        # (-39, -31, -15): fall-to-center, not no-bound-states
+        code = run(tmp_path, "spectrum", "--preset", "modified-kratzer",
+                   "--d0", "5", "--r0", "1", "--convention", "paper-literal",
+                   "--n-max", "0", "--ell-max", "2", "--dims", "3")
+        assert code == 3
+        _, rows = read_csv(tmp_path / "spectrum.csv")
+        assert [r["status"] for r in rows] == ["fall-to-center"] * 3
+
     def test_empty_dims_header_only(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"quantum": {"dims": []}}))

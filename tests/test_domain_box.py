@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from miespec.errors import NotNormalizableError
-from miespec.ladder import apply_lowering, apply_raising, default_y_grid
+from miespec.ladder import default_y_grid, ladder_fits
 from miespec.potentials import coulomb, kratzer_fues
 from miespec.spectrum import QuantumNumbers, bound_state
 from miespec.wavefunction import node_count
@@ -55,7 +55,7 @@ def test_nodes_and_ladder_fits_hold_on_every_bound_state(name, mass):
                 continue
             where = (state.q, state.params.hbar)
             assert node_count(state) == state.q.n, where
-            grid = default_y_grid(state)
+            lowering, raising = ladder_fits(state, default_y_grid(state))
             if state.q.n >= 1:
-                assert apply_lowering(state, grid)[1].residual <= 1e-9, where
-            assert apply_raising(state, grid)[1].residual <= 1e-9, where
+                assert lowering.residual <= 1e-9, where
+            assert raising.residual <= 1e-9, where

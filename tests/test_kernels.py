@@ -423,7 +423,7 @@ def test_scouted_solve_matches_the_unscouted_one(monkeypatch, name):
     assert sizes[-1] == grid.count
     assert (len(sizes) == 1) == (name == "no-scouts")
 
-    tri = oracle._build(grid, potential, ell, dim)
+    tri = oracle.build_tridiagonal_radial(grid, potential, ell, dim)
     ceiling = oracle._ceiling(potential, ell, dim, grid)
     plain = eigen_lowest(tri, count, oracle._TOL, _ceiling=ceiling)
     assert len(got) == len(plain)

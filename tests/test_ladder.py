@@ -7,17 +7,16 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from miespec.errors import LadderAlgebraError
-from miespec.ladder import (_weighted_pair, apply_ladder_sampled,
-                            apply_lowering, apply_raising, bargmann_index,
+from miespec.ladder import (_ladder_image, _weighted_pair,
+                            apply_ladder_sampled, bargmann_index,
                             casimir_check, casimir_eigenvalue,
                             commutator_check, commutator_eigenvalue,
-                            default_y_grid, ladder_fits,
-                            ladder_matrices, lowering_coefficient,
-                            raising_coefficient)
+                            default_y_grid, ladder_fits, ladder_matrices,
+                            lowering_coefficient, raising_coefficient)
 from miespec.potentials import coulomb, kratzer_fues
 from miespec.specfun import _laguerre_pair, laguerre
 from miespec.spectrum import QuantumNumbers, bound_state, indicial_root
-from miespec.wavefunction import _ln_y_form, eval_y_form
+from miespec.wavefunction import _ln_y_form, eval_y_form, ln_eta
 
 k_values = st.floats(min_value=0.3, max_value=8.0, allow_nan=False)
 dims = st.integers(min_value=2, max_value=6)
@@ -139,7 +138,7 @@ class TestDifferentialRealization:
     def test_lowering_proportionality(self, hydrogen, kratzer, n):
         for params in (hydrogen, kratzer):
             state = self.states(params, 3, n)
-            _, fit = apply_lowering(state, default_y_grid(state))
+            fit = ladder_fits(state, default_y_grid(state))[0]
             assert fit.residual <= 1e-9
             # the fitted constant reproduces the recurrence-derived one
             assert fit.fitted == pytest.approx(fit.derived, rel=1e-12)
@@ -148,7 +147,7 @@ class TestDifferentialRealization:
     def test_raising_proportionality(self, hydrogen, kratzer, n):
         for params in (hydrogen, kratzer):
             state = self.states(params, 3, n)
-            _, fit = apply_raising(state, default_y_grid(state))
+            fit = ladder_fits(state, default_y_grid(state))[1]
             assert fit.residual <= 1e-9
             assert fit.fitted == pytest.approx(fit.derived, rel=1e-12)
 
@@ -159,27 +158,24 @@ class TestDifferentialRealization:
             for dim in (3, 5):
                 for n in (1, 2, 4):
                     state = self.states(params, dim, n)
-                    grid = default_y_grid(state)
-                    _, fit = apply_lowering(state, grid)
-                    assert fit.by_convention["y-orthonormal"] == pytest.approx(
-                        fit.closed_form, rel=1e-10)
-                    _, fit = apply_raising(state, grid)
-                    assert fit.by_convention["y-orthonormal"] == pytest.approx(
-                        fit.closed_form, rel=1e-10)
+                    for fit in ladder_fits(state, default_y_grid(state)):
+                        assert fit.by_convention["y-orthonormal"] == pytest.approx(
+                            fit.closed_form, rel=1e-10)
 
     def test_paper_convention_disagrees_with_closed_form(self, hydrogen):
         # the recorded discrepancy of the source's printed coefficients
         state = self.states(hydrogen, 3, 1)
-        _, fit = apply_lowering(state, default_y_grid(state))
+        fit = ladder_fits(state, default_y_grid(state))[0]
         assert fit.fitted == pytest.approx(1.0 / (2.0 * math.sqrt(2.0)), rel=1e-10)
         assert abs(fit.fitted - fit.closed_form) > 0.5
 
     def test_annihilation_of_ground_state(self, hydrogen):
         state = self.states(hydrogen, 3, 0)
-        sampled, fit = apply_lowering(state, default_y_grid(state))
+        grid = default_y_grid(state)
+        fit = ladder_fits(state, grid)[0]
         assert fit.fitted == 0.0
         assert fit.residual <= 1e-12
-        assert np.max(np.abs(sampled.values)) <= 1e-12
+        assert np.max(np.abs(_image(state, grid, -1))) <= 1e-12
 
     def test_raising_constant_dimension_independence(self, hydrogen):
         # (ell=1, N=3) and (ell=0, N=5) share J = 2 and therefore the same
@@ -187,16 +183,19 @@ class TestDifferentialRealization:
         s3 = bound_state(hydrogen, QuantumNumbers(2, 1, 3))
         s5 = bound_state(hydrogen, QuantumNumbers(2, 0, 5))
         assert bargmann_index(s3.k, 3) == bargmann_index(s5.k, 5)
-        _, f3 = apply_raising(s3, default_y_grid(s3))
-        _, f5 = apply_raising(s5, default_y_grid(s5))
+        f3 = ladder_fits(s3, default_y_grid(s3))[1]
+        f5 = ladder_fits(s5, default_y_grid(s5))[1]
         assert f3.by_convention["y-orthonormal"] == pytest.approx(
             f5.by_convention["y-orthonormal"], rel=1e-12)
 
     def test_composition_returns_multiple_of_input(self, hydrogen):
         state = self.states(hydrogen, 3, 2)
         grid = default_y_grid(state, count=8001)
-        raised, _ = apply_raising(state, grid)
-        lowered = apply_ladder_sampled(raised.values, grid, state.q.n + 1,
+        # L+ R_n is fitted R_{n+1}; L- then acts on those samples
+        fit = ladder_fits(state, grid)[1]
+        above = bound_state(hydrogen, QuantumNumbers(3, 0, 3))
+        raised = fit.fitted * eval_y_form(above, grid.nodes())
+        lowered = apply_ladder_sampled(raised, grid, state.q.n + 1,
                                        state.k, state.q.dim, "lower")
         y = lowered.grid.nodes()
         target = eval_y_form(state, y)
@@ -212,15 +211,27 @@ class TestDifferentialRealization:
     def test_fit_reproducibility(self, kratzer):
         state = self.states(kratzer, 3, 3)
         grid = default_y_grid(state)
-        fits = [apply_lowering(state, grid)[1].fitted for _ in range(3)]
+        fits = [ladder_fits(state, grid)[0].fitted for _ in range(3)]
         assert fits[0] == fits[1] == fits[2]
+
+
+def _image(state, grid, step):
+    """Samples of the lowering (step -1) or raising (+1) image of R_n in the
+    paper normalization, from the ladder's recurrence pass to n."""
+    n, k, dim, alpha = state.q.n, state.k, state.q.dim, state.alpha
+    y = grid.nodes()
+    prev, cur, ln_s = _laguerre_pair(n, alpha, y)
+    y_d = (k + 2.0 - dim - 0.5 * y + n) * cur - (n + alpha) * prev
+    poly = _ladder_image(cur, y_d, y, n, k, dim, step)
+    ln_abs, sign = _ln_y_form(state, y, ln_s, poly)
+    return sign * np.exp(ln_abs + ln_eta(state))
 
 
 def _fit_on_own_recurrence(state, grid, step):
     """(fitted, residual) of the operator image against R_{n+step} from the
     neighbour's own eval_y_form, whose recurrence pass is its own."""
     y = grid.nodes()
-    image = (apply_lowering if step < 0 else apply_raising)(state, grid)[0].values
+    image = _image(state, grid, step)
     neighbour = bound_state(state.params, QuantumNumbers(
         state.q.n + step, state.q.ell, state.q.dim))
     w = y ** (0.5 * (state.q.dim - 1.0))
@@ -243,8 +254,6 @@ def test_shared_pass_matches_neighbours_from_their_own_recurrence(params, ell,
     state = bound_state(params, QuantumNumbers(n, ell, dim))
     grid = default_y_grid(state)
     fits = ladder_fits(state, grid)
-    # apply_lowering and apply_raising are built on the same pass
-    assert fits == (apply_lowering(state, grid)[1], apply_raising(state, grid)[1])
     if n == 157:
         y = grid.nodes()
         ln_s = _laguerre_pair(n, state.alpha, y)[2]

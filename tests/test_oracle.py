@@ -333,16 +333,23 @@ class TestExtremeGrids:
             assert np.all(tri.offdiag < 0.0)
 
     def test_underflowing_spacing_squared_is_a_grid_error(self, hydrogen):
-        # h * h underflows to 0 in float arithmetic: no ZeroDivisionError
+        # h * h underflows to 0 in float arithmetic: no ZeroDivisionError,
+        # from the solver or from the builder called directly
+        grid = cell_grid(1e-170, 1000)
         with pytest.raises(GridResolutionError, match="underflows"):
-            solve_bound_states(hydrogen, 0, 3, cell_grid(1e-170, 1000), count=1)
+            solve_bound_states(hydrogen, 0, 3, grid, count=1)
+        with pytest.raises(GridResolutionError, match="underflows"):
+            build_tridiagonal_radial(grid, hydrogen, 0, 3)
 
     def test_subnormal_coupling_squares_are_refused(self):
         # hbar 1e100: off-diagonals near 1e-189, whose squares the Sturm
-        # counts would read as 0, a diagonal matrix with no bound level
+        # counts would read as 0, a diagonal matrix with no bound level;
+        # refused by the solver and by the builder called directly
         heavy = coulomb(-1.0, hbar=1e100)
         with pytest.raises(GridResolutionError, match="squares"):
             solve_bound_states(heavy, 0, 3)
+        with pytest.raises(GridResolutionError, match="squares"):
+            build_tridiagonal_radial(default_grid(heavy, 0, 3), heavy, 0, 3)
 
     @pytest.mark.parametrize("potential", [
         coulomb(-3e-308),

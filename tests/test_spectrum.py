@@ -212,9 +212,33 @@ class TestSpectrumTable:
         assert all(r.energy is None for r in rows)
 
     def test_paper_literal_modified_kratzer_has_no_bound_rows(self):
+        # B = +2 > 0 binds nothing, but A = -1 makes ell = 0's indicial
+        # discriminant -7: that channel falls to the center whatever B is
         params = modified_kratzer(1.0, 1.0, convention="paper-literal")
         rows = spectrum_table(params, 1, 1, 3)
-        assert all(r.status == "no-bound-states" for r in rows)
+        assert [(r.ell, r.status) for r in rows] == [
+            (0, "fall-to-center"), (0, "fall-to-center"),
+            (1, "no-bound-states"), (1, "no-bound-states")]
+        assert all(r.energy is None for r in rows)
+
+    @pytest.mark.parametrize("B", [0.0, 1.0])
+    def test_an_over_critical_channel_falls_to_center_whatever_b_is(self, B):
+        # A = -1 at N = 3: disc -7 at ell = 0, disc 1 at ell = 1
+        params = PotentialParams(-1.0, B, 0.0)
+        with pytest.raises(FallToCenterError):
+            energy(params, QuantumNumbers(0, 0, 3))
+        with pytest.raises(NoBoundStatesError):
+            energy(params, QuantumNumbers(0, 1, 3))
+
+    def test_a_repulsive_discriminant_past_the_double_range_binds_nothing(self):
+        # A / K = 2e320 overflows the discriminant: with B > 0 that is a
+        # channel without bound states, not a units error
+        params = PotentialParams(1e300, 1.0, 0.0, hbar=1e-10)
+        row, = spectrum_table(params, 0, 0, 3)
+        assert row.status == "no-bound-states"
+        with pytest.raises(UnitsRangeError, match="indicial discriminant"):
+            energy(PotentialParams(1e300, -1.0, 0.0, hbar=1e-10),
+                   QuantumNumbers(0, 0, 3))
 
     def test_fall_to_center_rows(self):
         rows = spectrum_table(PotentialParams(-1.0, -2.0, 0.0), 0, 1, 3)
