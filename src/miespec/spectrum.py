@@ -87,21 +87,21 @@ def indicial_root(params: PotentialParams, ell: int, dim: int) -> float:
     """Positive root k of k^2 - (N-2) k - nu(nu+1) = 0.
 
     Raises FallToCenterError when the discriminant is negative (over-
-    attractive 1/r^2 term) and UnitsRangeError when it leaves the double
-    range.  The root always passes the normalizability gate 2k + 3 - N > 0,
-    since 2k + 3 - N = 1 + sqrt(disc) >= 1.  A zero discriminant is
-    accepted: it is the borderline fall-to-center case k = (N-2)/2, whose
-    state is still normalizable.
+    attractive 1/r^2 term), -inf included, and UnitsRangeError when it is
+    +inf or NaN.  The root always passes the normalizability gate
+    2k + 3 - N > 0, since 2k + 3 - N = 1 + sqrt(disc) >= 1.  A zero
+    discriminant is accepted: it is the borderline fall-to-center case
+    k = (N-2)/2, whose state is still normalizable.
     """
     nu = centrifugal_strength(params, ell, dim)
     disc = (dim - 2.0) ** 2 + 4.0 * nu
-    if not math.isfinite(disc):
-        raise _out_of_range(params, "the indicial discriminant leaves the "
-                            f"double range at ell={ell}, N={dim}")
     if disc < 0.0:
         raise FallToCenterError(
             f"indicial discriminant {disc:.6g} < 0 for ell={ell}, N={dim}: "
             "the attractive 1/r^2 term admits no ground state")
+    if not math.isfinite(disc):
+        raise _out_of_range(params, "the indicial discriminant leaves the "
+                            f"double range at ell={ell}, N={dim}")
     return 0.5 * ((dim - 2.0) + math.sqrt(disc))
 
 
@@ -125,9 +125,9 @@ def _channel(params: PotentialParams, ell: int, dim: int):
 
     The indicial root is taken before the binding gate: an over-critical
     1/r^2 term makes the Hamiltonian unbounded below whatever B is, so such
-    a channel is fall-to-center even when B >= 0.  A discriminant past the
-    double range refuses only a binding channel; with B >= 0 the binding
-    gate's label stands.
+    a channel is fall-to-center even when B >= 0, a discriminant of -inf
+    included.  A discriminant of +inf refuses only a binding channel; with
+    B >= 0 the binding gate's label stands.
     """
     beta = binding_rate(params)
     try:

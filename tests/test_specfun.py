@@ -213,24 +213,60 @@ def test_gauss_laguerre_large_orders_are_valid_rules(m, alpha):
     assert abs(moment - 1.0) <= 1e-10
 
 
+def rule_errors_against_mpmath(m, alpha, dps, steps):
+    """(relative node error, absolute ln-weight error) of each node of
+    gauss_laguerre(m, alpha): mpmath's zero is `steps` Newton steps on L_m
+    from the node, at `dps` digits, and its ln weight the closed formula."""
+    rule = gauss_laguerre(m, alpha)
+    with mpmath.workdps(dps):
+        a = mpmath.mpf(alpha)
+        for x, ln_w in zip(rule.nodes, rule.ln_weights):
+            t = mpmath.mpf(x)
+            for _ in range(steps):  # L_m' = -L_{m-1}^{alpha+1}
+                t += mpmath.laguerre(m, a, t) / mpmath.laguerre(m - 1, a + 1, t)
+            want = mpmath.log(mpmath.gamma(m + a + 1) * t / (
+                mpmath.factorial(m) * (m + a) ** 2
+                * mpmath.laguerre(m - 1, a, t) ** 2))
+            yield abs(x / t - 1), abs(ln_w - want)
+
+
 @pytest.mark.parametrize("m", [2, 22])
 @pytest.mark.parametrize("alpha", [1e5, 1e6, 6.3e6])
 def test_gauss_laguerre_at_large_alpha_matches_mpmath(alpha, m):
     # the zeroth-moment check reads the weights relative to Gamma(alpha+1);
     # measured: nodes within 7.4e-17, and ln weights within 1.3 ulp of
     # ln Gamma(alpha+1), which the stored absolute weights carry
-    rule = gauss_laguerre(m, alpha)
-    with mpmath.workdps(50):
-        a = mpmath.mpf(alpha)
-        for x, ln_w in zip(rule.nodes, rule.ln_weights):
-            t = mpmath.mpf(x)
-            for _ in range(6):  # Newton on L_m, with L_m' = -L_{m-1}^{alpha+1}
-                t += mpmath.laguerre(m, a, t) / mpmath.laguerre(m - 1, a + 1, t)
-            want = mpmath.log(mpmath.gamma(m + a + 1) * t / (
-                mpmath.factorial(m) * (m + a) ** 2
-                * mpmath.laguerre(m - 1, a, t) ** 2))
-            assert abs(x / t - 1) <= 1e-15
-            assert abs(ln_w - want) <= 4.0 * math.ulp(math.lgamma(alpha + 1.0))
+    for node_err, ln_w_err in rule_errors_against_mpmath(m, alpha, 50, 6):
+        assert node_err <= 1e-15
+        assert ln_w_err <= 4.0 * math.ulp(math.lgamma(alpha + 1.0))
+
+
+@pytest.mark.parametrize("m", [5, 23, 64])
+@pytest.mark.parametrize("alpha", [1.0, 7.5])
+def test_gauss_laguerre_at_verify_orders_matches_mpmath(alpha, m):
+    # the alpha and m that verify's rules and the n <= 20 norms and overlaps
+    # reach, and past them.  Measured: nodes within 2.0e-14 relative and ln
+    # weights within 4.2e-12 (1.4e-14 and 4.2e-12 with a second Newton
+    # step), both set by the recurrence's own rounding
+    for node_err, ln_w_err in rule_errors_against_mpmath(m, alpha, 40, 3):
+        assert node_err <= 1e-13
+        assert ln_w_err <= 2e-11
+
+
+def test_gauss_laguerre_takes_two_recurrence_passes(monkeypatch):
+    # one Newton step on the eigensolver's nodes, then L_{m-1} for the
+    # weights at exactly the nodes returned
+    calls = []
+
+    def counting(n, alpha, x, pair=specfun._laguerre_pair):
+        calls.append(n)
+        return pair(n, alpha, x)
+
+    monkeypatch.setattr(specfun, "_laguerre_pair", counting)
+    for m, alpha in [(1, 0.0), (12, 1.7), (64, 7.5)]:
+        calls.clear()
+        gauss_laguerre(m, alpha)
+        assert calls == [m, m]
 
 
 # -- the recurrence's single overflow test ---------------------------------

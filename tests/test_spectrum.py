@@ -240,6 +240,16 @@ class TestSpectrumTable:
             energy(PotentialParams(1e300, -1.0, 0.0, hbar=1e-10),
                    QuantumNumbers(0, 0, 3))
 
+    @pytest.mark.parametrize("B", [-1.0, 1.0], ids=["attractive", "repulsive"])
+    def test_an_attractive_discriminant_past_the_double_range_falls_to_center(self, B):
+        # A / K = -2e320: a discriminant of -inf is over-critical whatever
+        # B is, not a units error and not a channel without bound states
+        params = PotentialParams(-1e300, B, 0.0, hbar=1e-10)
+        with pytest.raises(FallToCenterError, match="-inf < 0"):
+            energy(params, QuantumNumbers(0, 0, 3))
+        row, = spectrum_table(params, 0, 0, 3)
+        assert row.status == "fall-to-center"
+
     def test_fall_to_center_rows(self):
         rows = spectrum_table(PotentialParams(-1.0, -2.0, 0.0), 0, 1, 3)
         by_ell = {r.ell: r for r in rows}
