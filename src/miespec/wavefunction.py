@@ -277,7 +277,7 @@ def node_count(state: BoundState) -> int:
     between each pair of neighbouring zeros and once past the largest, so
     an envelope that underflows cannot hide a node.
     """
-    zeros = _laguerre_zeros(state.q.n, state.alpha)
+    zeros = _laguerre_zeros(state.q.n, state.alpha)[0]
     edges = np.concatenate(([0.0], zeros,
                             [2.0 * zeros.max(initial=state.alpha + 1.0)]))
     sign = _ln_y_form(state, 0.5 * (edges[:-1] + edges[1:]), 0.0)[1]
