@@ -1,6 +1,10 @@
 """Command-line surface.
 
-Subcommands: spectrum | wavefunction | ladder-check | verify | presets.
+Subcommands: spectrum | wavefunction | ladder-check | verify | presets |
+print-config, one ``_COMMANDS`` entry each.  Every call registers all of
+them, so usage and error lines list them all, and adds the flags of the
+invoked command only; ``miespec -h``, no command or an unknown one builds
+every command's flags.
 Configuration is a single JSON document; command-line flags override file
 values, and the resolved configuration can be dumped and re-used verbatim
 (byte-identical outputs).  All outputs are deterministic.
@@ -145,7 +149,10 @@ def _entry(pot: dict) -> tuple:
 
 def _number(value, kind, name: str):
     """``value`` as a finite float, or as an int when ``kind`` is int and
-    the value is integral; ConfigError otherwise."""
+    the value is integral; ConfigError otherwise, also for a JSON boolean,
+    which float() would read as 0 or 1."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{name} must be a number, not {value!r}")
     try:
         x = float(value)
     except (TypeError, ValueError, OverflowError):
@@ -166,6 +173,10 @@ def _validate(cfg: dict):
     stray = set(pot) - set(reads) - {"preset"}
     if stray:
         raise ConfigError(f"potential {label!r} does not read key(s) {sorted(stray)}")
+    for key, default in reads.items():
+        # build_potential's float() would read a JSON boolean as 0 or 1
+        if isinstance(default, float) and isinstance(pot.get(key), bool):
+            raise ConfigError(f"potential.{key} must be a number, not {pot[key]!r}")
     u = cfg["units"]
     for key in u:
         u[key] = _number(u[key], float, f"units.{key}")
@@ -393,7 +404,10 @@ def cmd_ladder_check(args) -> int:
     return 0 if payload["passed"] else 3
 
 
-def _verify_channel(potential, label, ell, dim, n_max, refine, fast):
+def _verify_channel(potential, label, ell, dim, n_max, refine, fast, rules):
+    """One channel's entry in verify.json.  ``rules`` maps alpha + 1 to the
+    Gauss-Laguerre rule of n_max + 2 nodes built for it; a channel adds
+    the rule it builds, and one of an alpha met before reuses it."""
     states = [spectrum.bound_state(
         potential, spectrum.QuantumNumbers(n=n, ell=ell, dim=dim))
         for n in range(n_max + 1)]
@@ -423,8 +437,10 @@ def _verify_channel(potential, label, ell, dim, n_max, refine, fast):
 
     # one rule for every norm and the overlap: its n_max + 2 nodes are exact
     # for the channel's integrands, of degree <= 2 n_max
-    rule = specfun.gauss_laguerre(specfun.default_quadrature_order(n_max),
-                                  states[0].alpha + 1.0)
+    a = states[0].alpha + 1.0
+    if a not in rules:
+        rules[a] = specfun.gauss_laguerre(specfun.default_quadrature_order(n_max), a)
+    rule = rules[a]
     norms = [wavefunction.norm_check(s, rule) for s in states]
     entry["norm"] = norms
     entry["norm_ok"] = all(abs(v - 1.0) <= 1e-10 for v in norms)
@@ -464,8 +480,9 @@ def cmd_verify(args) -> int:
     suite = [build_potential({**cfg, "potential": pot}) for pot in sections]
     path = _out_path(cfg, args, "verify.json")
 
+    rules = {}  # channels of one alpha, across dims and potentials, share a rule
     channels = [_verify_channel(potential, label, ell, dim, q["n_max"],
-                                cfg["grid"]["refine"], args.fast)
+                                cfg["grid"]["refine"], args.fast, rules)
                 for potential, label in suite
                 for dim in dims
                 for ell in range(q["ell_max"] + 1)]
@@ -520,18 +537,12 @@ def _add_common(parser: argparse.ArgumentParser, *reads):
         help="grid refinement factor (below 1 coarsens the grids)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="miespec",
-        description="Bound states of Mie-type potentials in N dimensions, "
-                    "with independent finite-difference verification.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("spectrum", help="write the closed-form level table")
+def _spectrum_flags(p):
     _add_common(p, "quantum", "output.format")
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("wavefunction", help="sample one radial eigenfunction to CSV")
+
+def _wavefunction_flags(p):
     _add_common(p, "grid.points", "grid.r_domain")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--ell", type=int, required=True)
@@ -541,27 +552,60 @@ def build_parser() -> argparse.ArgumentParser:
                    help="append the pointwise ODE residual column")
     p.set_defaults(func=cmd_wavefunction)
 
-    p = sub.add_parser("ladder-check", help="SU(1,1) coefficient and operator report")
+
+def _ladder_check_flags(p):
     _add_common(p, "quantum", "grid.y_points")
     p.set_defaults(func=cmd_ladder_check)
 
-    p = sub.add_parser("verify", help="closed form vs finite-difference oracle")
+
+def _verify_flags(p):
     _add_common(p, "quantum", "grid.refine")
     p.add_argument("--fast", action="store_true",
                    help="solve the h grid only and skip the order fit")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("presets", help="list built-in potential presets")
-    p.set_defaults(func=cmd_presets)
 
-    p = sub.add_parser("print-config", help="print the resolved configuration")
+def _print_config_flags(p):
     _add_common(p)
     p.set_defaults(func=cmd_print_config)
+
+
+# command -> (its line in `miespec -h`, the function that adds its flags and
+# its handler), in the order `miespec -h` lists them
+_COMMANDS = {
+    "spectrum": ("write the closed-form level table", _spectrum_flags),
+    "wavefunction": ("sample one radial eigenfunction to CSV",
+                     _wavefunction_flags),
+    "ladder-check": ("SU(1,1) coefficient and operator report",
+                     _ladder_check_flags),
+    "verify": ("closed form vs finite-difference oracle", _verify_flags),
+    "presets": ("list built-in potential presets",
+                lambda p: p.set_defaults(func=cmd_presets)),
+    "print-config": ("print the resolved configuration", _print_config_flags),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser with every command registered, and the flags of
+    ``command`` alone, or of every command when it is None.  A parse that
+    runs ``command`` reads no other subparser's flags, and every usage and
+    error line lists all commands either way."""
+    parser = argparse.ArgumentParser(
+        prog="miespec",
+        description="Bound states of Mie-type potentials in N dimensions, "
+                    "with independent finite-difference verification.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if command is None or name == command:
+            add_flags(p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # no arguments, -h or an unknown command: the full parser's message
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -194,14 +194,15 @@ def default_y_grid(state: BoundState, count: int = 4001) -> RadialGrid:
     return RadialGrid(r_min=y_max / count, r_max=y_max, count=count)
 
 
-def _weighted_pair(ln_w, image, target):
-    """image and target, each a (ln|.|, polynomial) pair, as plain doubles
-    times e^{ln_w}, the square root of the y^{N-1} measure, both scaled by
-    the one shift that puts the target's peak at 1.  copysign takes the
-    polynomial's sign as np.sign(poly) * exp(.) would, bit for bit except
-    a -0.0 for a -0.0 value, which no dot product or max reads."""
-    shift = np.max(target[0] + ln_w)
-    return [np.copysign(np.exp(ln_abs + ln_w - shift), poly)
+def _weighted_pair(image, target):
+    """image and target, each a (ln|.|, polynomial) pair whose ln|.| already
+    holds ln_w, the log of the square root of the y^{N-1} measure, as plain
+    doubles scaled by the one shift that puts the target's peak at 1.
+    copysign takes the polynomial's sign as np.sign(poly) * exp(.) would,
+    bit for bit except a -0.0 for a -0.0 value, which no dot product or max
+    reads."""
+    shift = np.max(target[0])
+    return [np.copysign(np.exp(ln_abs - shift), poly)
             for ln_abs, poly in (image, target)]
 
 
@@ -242,21 +243,25 @@ def ladder_fits(state: BoundState, grid_y: RadialGrid):
     n, k, dim, alpha = state.q.n, state.k, state.q.dim, state.alpha
     y = grid_y.nodes()
     prev, cur, ln_s = _laguerre_pair(n, alpha, y)
-    after = ((2 * n + alpha + 1 - y) * cur - (n + alpha) * prev) / (n + 1)
-    y_d = (k + 2.0 - dim - 0.5 * y + n) * cur - (n + alpha) * prev
-    # rows: lowering image, its target, raising image, its target
-    polys = np.stack((_ladder_image(cur, y_d, y, n, k, dim, -1),
-                      cur if n == 0 else prev,
-                      _ladder_image(cur, y_d, y, n, k, dim, +1), after))
+    half_y = 0.5 * y
+    half_y_cur = half_y * cur
+    y_d = (k + 2.0 - dim - half_y + n) * cur - (n + alpha) * prev
+    # rows: lowering image, its target, raising image, its target; each
+    # image is _ladder_image's, bit for bit (-y_d and y_d are step * y_d)
+    polys = np.empty((4, y.size))
+    polys[0] = -y_d - half_y_cur + (k + n + 2.0 - dim) * cur
+    polys[1] = cur if n == 0 else prev
+    polys[2] = y_d - half_y_cur + (n + k + 1.0) * cur
+    polys[3] = ((2 * n + alpha + 1 - y) * cur - (n + alpha) * prev) / (n + 1)
     ln_y = np.log(y)
     ln_abs, _ = _ln_y_form(state, y, ln_s, polys, ln_y)
-    ln_w = 0.5 * (dim - 1.0) * ln_y
+    ln_abs += 0.5 * (dim - 1.0) * ln_y  # the measure's weight, on every row
     out = []
     for row, step, coefficient, weight in (
             (0, -1, lowering_coefficient, n + alpha),
             (2, +1, raising_coefficient, n + 1.0)):
         closed_form = coefficient(n, k, dim)
-        wr, wt = _weighted_pair(ln_w, (ln_abs[row], polys[row]),
+        wr, wt = _weighted_pair((ln_abs[row], polys[row]),
                                 (ln_abs[row + 1], polys[row + 1]))
         if n + step < 0:  # annihilation: measured against R_n itself
             residual = float(np.max(np.abs(wr)) / np.max(np.abs(wt)))
@@ -267,7 +272,8 @@ def ladder_fits(state: BoundState, grid_y: RadialGrid):
         target = bound_state(state.params, QuantumNumbers(
             n=n + step, ell=state.q.ell, dim=dim))
         c = float(np.dot(wr, wt) / np.dot(wt, wt))
-        residual = float(np.max(np.abs(wr - c * wt)) / np.max(np.abs(c * wt)))
+        c_wt = c * wt
+        residual = float(np.max(np.abs(wr - c_wt)) / np.max(np.abs(c_wt)))
         ratio = math.exp(ln_eta(state) - ln_eta(target))
         out.append(LadderFit(
             fitted=c * ratio, residual=residual, closed_form=closed_form,

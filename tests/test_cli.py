@@ -360,6 +360,15 @@ def test_verify_builds_one_quadrature_rule_per_channel(tmp_path, monkeypatch):
     assert len(channels) == len(rules) == 6
     assert {m for m, _ in rules} == {5}
     assert len(set(rules)) == 6
+    # the default dims: alpha 3, 5 and 8.06... each serve two channels and
+    # alpha 7 three (Coulomb N=5 ell=2, Kratzer-Fues N=3 ell=1 and N=5
+    # ell=0), so 18 channels read 13 rules, each built once per call
+    rules.clear()
+    assert run(tmp_path, "verify", "--fast") == 0
+    channels = json.loads((tmp_path / "verify.json").read_text())["channels"]
+    assert len(channels) == 18
+    assert len(rules) == len(set(rules)) == 13
+    assert {m for m, _ in rules} == {5}
 
 
 @pytest.mark.parametrize("command", ["verify", "spectrum", "ladder-check"])
@@ -790,6 +799,110 @@ def test_help_lists_exactly_the_keys_a_command_reads(capsys, command):
             if section in ("potential", "units") or key == "dir"
             or f"{section}.{key}" in READS[command]}
     assert listed & {flag for flag, *_ in CONFIG_FLAGS} == want
+
+
+# every command, in the order `miespec -h` lists them
+COMMANDS = ["spectrum", "wavefunction", "ladder-check", "verify", "presets",
+            "print-config"]
+
+
+def _subparsers(parser):
+    """command -> subparser of a parser from cli.build_parser."""
+    action, = [a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def _action_fields(parser):
+    # a type by its qualified name: --dims reads a lambda made per build
+    return [(a.option_strings, a.dest, a.default,
+             getattr(a.type, "__qualname__", a.type), a.choices, a.required,
+             a.nargs, a.help) for a in parser._actions]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_command_parser_is_its_part_of_the_full_parser(command):
+    # each call builds the flags of its own command only
+    full, own = cli.build_parser(), cli.build_parser(command)
+    assert list(_subparsers(own)) == list(_subparsers(full)) == COMMANDS
+    assert own.format_help() == full.format_help()
+    assert own.format_usage() == full.format_usage()
+    assert _action_fields(own)[:1] == _action_fields(full)[:1]  # -h
+    mine, theirs = _subparsers(own)[command], _subparsers(full)[command]
+    assert mine.format_help() == theirs.format_help()
+    assert _action_fields(mine) == _action_fields(theirs)
+    assert mine.get_default("func") is theirs.get_default("func")
+    # every other command is registered with its -h alone
+    assert {name: len(p._actions) for name, p in _subparsers(own).items()
+            if name != command} == {name: 1 for name in COMMANDS
+                                     if name != command}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_main_adds_the_flags_of_the_invoked_command_only(monkeypatch, capsys,
+                                                         command):
+    built = []
+    build = cli.build_parser
+
+    def recorded(command=None):
+        built.append(build(command))
+        return built[-1]
+    monkeypatch.setattr(cli, "build_parser", recorded)
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-h"])
+    assert exc.value.code == 0
+    flagged = [name for name, p in _subparsers(built[0]).items()
+               if len(p._actions) > 1]
+    assert flagged == ([] if command == "presets" else [command])
+    assert list(_subparsers(built[0])) == COMMANDS
+
+
+@pytest.mark.parametrize("argv,top", [
+    ([], True), (["-h"], True), (["nosuch"], True), (["spectrum", "--bogus"], True),
+    (["verify", "--n-max", "x"], False), (["print-config", "--format", "xml"], False),
+    (["presets", "extra"], True),
+], ids=["none", "help", "unknown-command", "unknown-flag", "bad-int",
+        "bad-choice", "extra-argument"])
+def test_main_prints_what_the_full_parser_prints(monkeypatch, capsys, argv, top):
+    def outcome():
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        return exc.value.code, capsys.readouterr()
+    got = outcome()
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: build())
+    assert got == outcome()
+    code, captured = got
+    assert code == (0 if argv == ["-h"] else 2)
+    # the top-level usage names every command, also for an argument the
+    # invoked subparser leaves unparsed
+    listing = "{" + ",".join(COMMANDS) + "}"
+    assert (listing in (captured.out if code == 0 else captured.err)) == top
+
+
+@pytest.mark.parametrize("argv,doc,name", [
+    (["print-config"], {"units": {"mass": True}}, "units.mass"),
+    (["spectrum"], {"quantum": {"n_max": True, "ell_max": 0, "dims": [3]}},
+     "quantum.n_max"),
+    (["verify", "--fast"], {"grid": {"refine": True}}, "grid.refine"),
+    (["spectrum"], {"quantum": {"dims": [3, True]}}, "quantum.dims"),
+    (["spectrum"], {"potential": {"preset": "coulomb", "B": False}},
+     "potential.B"),
+    (["print-config"], {"potential": {"A": False}}, "potential.A"),
+], ids=["units", "quantum", "grid", "dims-element", "potential",
+        "potential-print-config"])
+def test_a_json_boolean_is_not_a_number(tmp_path, capsys, argv, doc, name):
+    # float() reads true as 1 and false as 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([*argv, "--config", str(cfg), "--outdir", str(out)]) == 2
+    captured = capsys.readouterr()
+    value = "False" if "potential" in doc else "True"
+    assert captured.err == (f"configuration error: {name} must be a number, "
+                            f"not {value}\n")
+    assert captured.out == "" and not list(out.iterdir())
 
 
 @pytest.mark.parametrize("argv,doc,message", [

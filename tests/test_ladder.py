@@ -290,6 +290,6 @@ def test_a_stack_of_polynomials_is_bit_equal_to_one_call_each():
     pairs = [(ln_abs[2], zero), (ln_abs[3], -cur)]
     shift = np.max(ln_abs[3] + ln_w)
     want = [np.sign(poly) * np.exp(ln + ln_w - shift) for ln, poly in pairs]
-    got = _weighted_pair(ln_w, *pairs)
+    got = _weighted_pair(*[(ln + ln_w, poly) for ln, poly in pairs])
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
     assert got[0][7] == 0.0
